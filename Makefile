@@ -28,7 +28,7 @@ CI_CHAOS_B := /tmp/apex-ci-chaos-b.json
 # signals to its child), so serve smoke steps run the built binary.
 APEX_BIN := ./_build/default/bin/apex_cli.exe
 
-.PHONY: all build test bench bench-snapshot ci clean
+.PHONY: all build test bench perfbench bench-snapshot ci clean
 
 all: build
 
@@ -40,6 +40,12 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# One traced run of the flow benchmark's DSE workload: prints where the
+# time and allocation went, layer by layer (mapper, placement, ...).
+# Timing-sensitive, so not part of `make ci`.
+perfbench:
+	python3 perfbench/run.py --workload dse-suite --seed 1 --seconds 10 --trace 1
 
 # Regenerate the committed benchmark-trajectory baselines
 # (BENCH_{mining,merging,smt,configspace,dse,serve}.json at the repo

@@ -273,5 +273,4 @@ let infer ?(vectors = 64) (g : G.t) =
   in
   Counter.add "analysis.width.narrowed_nodes" (narrowed_nodes t);
   Counter.add "analysis.width.bits_saved" (bits_saved t);
-  G.annotate_widths g widths;
   t

@@ -7,8 +7,8 @@
     proved (UNSAT query) → tested-only (whole-graph differential check,
     used when SMT is unavailable — the [width-smt-exhaust] fault site —
     with widths identical to the proved run) → reverted to the 16-bit
-    naturals.  [infer] annotates the graph via
-    {!Apex_dfg.Graph.annotate_widths} and emits the
+    naturals.  [infer] leaves its graph untouched (callers attach the
+    result with {!Apex_dfg.Graph.with_widths}) and emits the
     [analysis.width.*] counters: [checks_run], [cones_proved],
     [cones_rejected], [tested_only], [narrowed_nodes], [bits_saved],
     [validation_failures]. *)
@@ -26,7 +26,7 @@ type t = {
 }
 
 val infer : ?vectors:int -> Apex_dfg.Graph.t -> t
-(** Analyze, validate and annotate.  [vectors] (default 64) sizes the
+(** Analyze and validate.  [vectors] (default 64) sizes the
     differential fallback.  Never raises on budget expiry — a cancelled
     inference returns the natural widths with a [Degraded] outcome. *)
 

@@ -72,29 +72,31 @@ let build_nets (m : Cover.t) ~input_loc ~output_loc =
   Hashtbl.fold (fun _ points acc -> Array.of_list points :: acc) tbl []
   |> List.sort compare |> Array.of_list
 
+(* half-perimeter of one net; integer-valued, so sums of these are
+   exact in any order *)
 let net_hpwl loc (net : net) =
   let minx = ref max_int and maxx = ref min_int in
   let miny = ref max_int and maxy = ref min_int in
-  Array.iter
-    (fun p ->
-      let x, y = match p with Inst i -> loc.(i) | Fixed (x, y) -> (x, y) in
-      if x < !minx then minx := x;
-      if x > !maxx then maxx := x;
-      if y < !miny then miny := y;
-      if y > !maxy then maxy := y)
-    net;
-  float_of_int (!maxx - !minx + (!maxy - !miny))
+  for k = 0 to Array.length net - 1 do
+    let x = match net.(k) with Inst i -> fst loc.(i) | Fixed (x, _) -> x in
+    let y = match net.(k) with Inst i -> snd loc.(i) | Fixed (_, y) -> y in
+    if x < !minx then minx := x;
+    if x > !maxx then maxx := x;
+    if y < !miny then miny := y;
+    if y > !maxy then maxy := y
+  done;
+  !maxx - !minx + (!maxy - !miny)
 
 let total_cost loc nets =
-  Array.fold_left (fun acc net -> acc +. net_hpwl loc net) 0.0 nets
+  float_of_int (Array.fold_left (fun acc net -> acc + net_hpwl loc net) 0 nets)
 
 let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
   let n = Array.length m.instances in
   let pe_tiles = Array.of_list (Fabric.pe_positions fabric) in
-  if n > Array.length pe_tiles then
+  let n_tiles = Array.length pe_tiles in
+  if n > n_tiles then
     raise
-      (Does_not_fit
-         (Printf.sprintf "%d instances > %d PE tiles" n (Array.length pe_tiles)));
+      (Does_not_fit (Printf.sprintf "%d instances > %d PE tiles" n n_tiles));
   let inputs = input_names m in
   let input_locs =
     List.mapi (fun i name -> (name, Fabric.io_west fabric i)) inputs
@@ -105,10 +107,11 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
   let input_loc name = List.assoc name input_locs in
   let output_loc name = List.assoc name output_locs in
   let nets = build_nets m ~input_loc ~output_loc in
-  (* initial placement: row-major *)
+  (* initial placement: row-major.  [slot.(i)] is instance [i]'s index
+     into [pe_tiles]; [occupant.(s)] is the instance on slot [s], or -1 *)
   let loc = Array.init n (fun i -> pe_tiles.(i)) in
-  let occupied : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri (fun i p -> Hashtbl.replace occupied p i) loc;
+  let slot = Array.init n Fun.id in
+  let occupant = Array.init n_tiles (fun s -> if s < n then s else -1) in
   let nets_of = Array.make n [] in
   Array.iteri
     (fun ni net ->
@@ -118,53 +121,53 @@ let place ?(seed = 1) ?(effort = 1) fabric (m : Cover.t) =
           | Fixed _ -> ())
         net)
     nets;
-  let cost = ref (total_cost loc nets) in
   if effort > 0 && n > 1 then begin
     let st = Random.State.make [| seed |] in
     let moves_per_t = 20 * n * effort in
-    let t = ref (Float.max 1.0 (!cost *. 0.05)) in
-    let delta_for is =
-      (* recompute nets touching the moved instances *)
-      let nets_touched =
-        List.sort_uniq compare (List.concat_map (fun i -> nets_of.(i)) is)
-      in
-      List.fold_left (fun acc ni -> acc +. net_hpwl loc nets.(ni)) 0.0 nets_touched
+    let t = ref (Float.max 1.0 (total_cost loc nets *. 0.05)) in
+    (* HPWL of the nets touching the moved instances, each net counted
+       once: a net is summed only if its stamp is not the current one *)
+    let stamp = Array.make (Array.length nets) 0 in
+    let epoch = ref 0 in
+    let rec sum_nets acc = function
+      | [] -> acc
+      | ni :: rest ->
+          if stamp.(ni) = !epoch then sum_nets acc rest
+          else begin
+            stamp.(ni) <- !epoch;
+            sum_nets (acc + net_hpwl loc nets.(ni)) rest
+          end
+    in
+    (* the nets touching instance [i] and, when [j >= 0], instance [j] *)
+    let cost_of i j =
+      incr epoch;
+      let c = sum_nets 0 nets_of.(i) in
+      if j >= 0 then sum_nets c nets_of.(j) else c
+    in
+    let accept d =
+      d <= 0 || Random.State.float st 1.0 < exp (-.float_of_int d /. !t)
     in
     while !t > 0.05 do
       for _ = 1 to moves_per_t do
         let i = Random.State.int st n in
-        let target = pe_tiles.(Random.State.int st (Array.length pe_tiles)) in
-        let old_i = loc.(i) in
+        let target = Random.State.int st n_tiles in
+        let old_i = slot.(i) in
         if target <> old_i then begin
-          match Hashtbl.find_opt occupied target with
-          | Some j when j = i -> ()
-          | Some j ->
-              (* swap i and j *)
-              let before = delta_for [ i; j ] in
-              loc.(i) <- target;
-              loc.(j) <- old_i;
-              let after = delta_for [ i; j ] in
-              let d = after -. before in
-              if d <= 0.0 || Random.State.float st 1.0 < exp (-.d /. !t) then begin
-                Hashtbl.replace occupied target i;
-                Hashtbl.replace occupied old_i j;
-                cost := !cost +. d
-              end
-              else begin
-                loc.(i) <- old_i;
-                loc.(j) <- target
-              end
-          | None ->
-              let before = delta_for [ i ] in
-              loc.(i) <- target;
-              let after = delta_for [ i ] in
-              let d = after -. before in
-              if d <= 0.0 || Random.State.float st 1.0 < exp (-.d /. !t) then begin
-                Hashtbl.remove occupied old_i;
-                Hashtbl.replace occupied target i;
-                cost := !cost +. d
-              end
-              else loc.(i) <- old_i
+          (* move i to [target], swapping with its occupant [j] if any *)
+          let j = occupant.(target) in
+          let before = cost_of i j in
+          loc.(i) <- pe_tiles.(target);
+          if j >= 0 then loc.(j) <- pe_tiles.(old_i);
+          if accept (cost_of i j - before) then begin
+            slot.(i) <- target;
+            if j >= 0 then slot.(j) <- old_i;
+            occupant.(target) <- i;
+            occupant.(old_i) <- j
+          end
+          else begin
+            loc.(i) <- pe_tiles.(old_i);
+            if j >= 0 then loc.(j) <- pe_tiles.(target)
+          end
         end
       done;
       t := !t *. 0.8

@@ -1,9 +1,9 @@
 type node = { id : int; op : Op.t; args : int array }
 
 (* [widths] is a post-hoc analysis annotation (proven result width per
-   node id, set by [Apex_analysis.Width]); every structural
+   node id, from [Apex_analysis.Width]); every structural
    transformation drops it, since the proof is per-graph *)
-type t = { nodes : node array; mutable widths : int array option }
+type t = { nodes : node array; widths : int array option }
 
 let nodes g = g.nodes
 
@@ -21,7 +21,12 @@ let succs g =
     g.nodes;
   Array.map List.rev s
 
-let fanout g i = List.length (succs g).(i)
+(* [i] counts once per consuming port, as in [succs] *)
+let fanout g i =
+  Array.fold_left
+    (fun acc n ->
+      Array.fold_left (fun acc a -> if a = i then acc + 1 else acc) acc n.args)
+    0 g.nodes
 
 let compute_ids g =
   Array.to_list g.nodes
@@ -166,12 +171,12 @@ let induced g ids =
     g.nodes;
   (Builder.finish b, List.rev !mapping)
 
-let annotate_widths g widths =
+let with_widths g widths =
   if Array.length widths <> length g then
     invalid_arg
-      (Printf.sprintf "Graph.annotate_widths: %d widths for %d nodes"
+      (Printf.sprintf "Graph.with_widths: %d widths for %d nodes"
          (Array.length widths) (length g));
-  g.widths <- Some (Array.copy widths)
+  { g with widths = Some (Array.copy widths) }
 
 let widths g = Option.map Array.copy g.widths
 

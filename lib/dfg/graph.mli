@@ -76,16 +76,16 @@ val induced : t -> int list -> t * (int * int) list
     nodes.  Returns the new graph and the mapping from old compute ids to
     new ids. *)
 
-val annotate_widths : t -> int array -> unit
-(** Attach a proven result width (in bits) per node id — the one
-    mutable annotation on an otherwise immutable graph, written by
-    [Apex_analysis.Width] after its narrowings are validated.
+val with_widths : t -> int array -> t
+(** The same graph carrying a result width (in bits) per node id, as
+    proven by [Apex_analysis.Width].  The argument graph is left as it
+    was, so a graph shared between callers never changes under them.
     Structural transformations ({!map_ops}, {!induced}, {!Builder})
     never carry the annotation over, since the proof is per-graph.
     @raise Invalid_argument on a length mismatch. *)
 
 val widths : t -> int array option
-(** The width annotation, if {!annotate_widths} has been called. *)
+(** The width annotation, if the graph was built by {!with_widths}. *)
 
 val op_histogram : t -> (string * int) list
 (** Number of nodes per {!Op.mnemonic}, sorted by mnemonic. *)

@@ -161,57 +161,61 @@ let map_app ?(order = Complex_first) ~rules app =
       !ok
     end
   in
-  let try_rule (rule : Rules.t) root =
-    if not covered.(root) then begin
-      Counter.incr "mapper.cover_attempts";
-      let bindings =
-        Match.matches_at ~wild_consts:rule.Rules.wild_consts rule.pattern app
-          ~root
-      in
-      let sinks = pattern_sinks rule.pattern in
-      let viable (b : Match.binding) =
-        let image = List.map snd b.nodes in
-        List.for_all
-          (fun (p, a) ->
-            let pop = (G.node (Pattern.graph rule.pattern) p).op in
-            if Op.is_const pop then Op.is_const (G.node app a).op
-            else
-              (not covered.(a))
-              && (* interior results must stay inside the match *)
-              (List.mem p sinks
-              || List.for_all (fun s -> List.mem s image) succs.(a)))
-          b.nodes
-        && (* inputs must not be constants: the $-variants cover those *)
-        List.for_all
-          (fun (_, a) -> not (Op.is_const (G.node app a).op))
-          b.inputs
-        && acyclic_with image
-      in
-      match List.find_opt viable bindings with
-      | None -> ()
-      | Some binding -> (
-          match specialize rule app binding with
-          | None -> ()
-          | Some config ->
-              List.iter
-                (fun (p, a) ->
-                  if
-                    Op.is_compute
-                      (G.node (Pattern.graph rule.pattern) p).op
-                  then begin
-                    covered.(a) <- true;
-                    owner.(a) <- !n_accepted
-                  end)
-                binding.nodes;
-              incr n_accepted;
-              Counter.incr "mapper.matches_accepted";
-              accepted := (rule, binding, config) :: !accepted)
-    end
+  (* per-rule facts are computed once, outside the root loop *)
+  let try_rule (rule : Rules.t) =
+    let pg = Pattern.graph rule.pattern in
+    let p_const =
+      Array.map (fun (nd : G.node) -> Op.is_const nd.op) (G.nodes pg)
+    in
+    let p_compute =
+      Array.map (fun (nd : G.node) -> Op.is_compute nd.op) (G.nodes pg)
+    in
+    let sinks = pattern_sinks rule.pattern in
+    let viable (b : Match.binding) =
+      let image = List.map snd b.nodes in
+      List.for_all
+        (fun (p, a) ->
+          if p_const.(p) then Op.is_const (G.node app a).op
+          else
+            (not covered.(a))
+            && (* interior results must stay inside the match *)
+            (List.mem p sinks
+            || List.for_all (fun s -> List.mem s image) succs.(a)))
+        b.nodes
+      && (* inputs must not be constants: the $-variants cover those *)
+      List.for_all (fun (_, a) -> not (Op.is_const (G.node app a).op)) b.inputs
+      && acyclic_with image
+    in
+    fun root ->
+      if not covered.(root) then begin
+        Counter.incr "mapper.cover_attempts";
+        let bindings =
+          Match.matches_at ~wild_consts:rule.Rules.wild_consts ~succs
+            rule.pattern app ~root
+        in
+        match List.find_opt viable bindings with
+        | None -> ()
+        | Some binding -> (
+            match specialize rule app binding with
+            | None -> ()
+            | Some config ->
+                List.iter
+                  (fun (p, a) ->
+                    if p_compute.(p) then begin
+                      covered.(a) <- true;
+                      owner.(a) <- !n_accepted
+                    end)
+                  binding.nodes;
+                incr n_accepted;
+                Counter.incr "mapper.matches_accepted";
+                accepted := (rule, binding, config) :: !accepted)
+      end
   in
   List.iter
     (fun rule ->
+      let probe = try_rule rule in
       for root = n - 1 downto 0 do
-        try_rule rule root
+        probe root
       done)
     rules;
   (* every compute node must be covered *)

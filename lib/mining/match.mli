@@ -19,24 +19,24 @@ type binding = {
 }
 
 val matches_at :
-  ?first_only:bool ->
   ?wild_consts:bool ->
+  succs:int list array ->
   Pattern.t ->
   Apex_dfg.Graph.t ->
   root:int ->
   binding list
 (** All bindings anchoring the pattern's last canonical internal node at
-    application node [root] ([first_only] stops at the first).
+    application node [root].  [succs] is the application's successor
+    table ({!Apex_dfg.Graph.succs}), built once by the caller and shared
+    across probes, so a probe costs time in the pattern, not the
+    application; a root whose operation cannot bind the anchor is
+    rejected before any search state is allocated.
     Requires the pattern's internal nodes to be connected through
     internal edges, which holds for all mined patterns. *)
 
-val match_at : Pattern.t -> Apex_dfg.Graph.t -> root:int -> binding option
-(** Try to bind the pattern such that its (unique) last internal node in
-    canonical order maps to application node [root].  Patterns with
-    several sinks are matched by their canonical last node. *)
-
 val all_matches : Pattern.t -> Apex_dfg.Graph.t -> binding list
-(** All bindings, by trying every application node as root.  Distinct
+(** All bindings, by trying every application node as root (one
+    successor table per call, shared by every root).  Distinct
     bindings may cover the same node set (automorphisms); callers that
     need occurrences as sets should dedupe on the sorted node set. *)
 

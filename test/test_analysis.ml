@@ -514,10 +514,11 @@ let test_width_narrows_masked_add () =
   check Alcotest.int "their sum is 9 bits wide" 9 w.Width.widths.(s);
   Alcotest.(check bool) "narrowings proved" true (w.Width.proved > 0);
   check Alcotest.int "nothing tested-only" 0 w.Width.tested_only;
-  (* the annotation landed on the graph *)
-  match G.widths g with
+  (* the input graph is left alone; the widths attach to a copy *)
+  Alcotest.(check bool) "input graph untouched" true (G.widths g = None);
+  match G.widths (G.with_widths g w.Width.widths) with
   | Some a -> check Alcotest.int "annotated" 9 a.(s)
-  | None -> Alcotest.fail "infer must annotate the graph"
+  | None -> Alcotest.fail "with_widths must annotate the copy"
 
 let test_width_deterministic () =
   let g = (Apps.by_name "fast").Apps.graph in

@@ -96,6 +96,42 @@ let test_place_deterministic () =
   let p2 = Place.place ~seed:5 fabric mapped in
   Alcotest.(check bool) "same placement" true (p1.loc = p2.loc)
 
+(* Golden placements under the "PE Base" variant (default seed,
+   effort 1).  The annealer's moves, their RNG draws and every
+   accept/reject decision are pinned, so any change to the move loop
+   that is not bit-identical shows up here. *)
+let golden_placements =
+  [ ( "gaussian",
+      375.0,
+      [| (2, 3); (1, 3); (0, 7); (1, 12); (5, 12); (5, 9); (5, 3); (4, 3);
+         (4, 4); (4, 9); (4, 10); (5, 10); (6, 10); (6, 7); (4, 7); (2, 7);
+         (9, 3); (9, 5); (8, 7); (8, 8); (6, 6); (5, 5); (2, 5); (1, 5);
+         (9, 6); (9, 7); (6, 8); (6, 9); (4, 8); (2, 8); (1, 8); (1, 9);
+         (1, 4); (0, 12); (4, 12); (4, 5); (5, 8); (5, 13); (6, 11); (2, 6);
+         (9, 4); (5, 11); (6, 12); (5, 6); (0, 5); (9, 8); (6, 14); (4, 6);
+         (2, 4); (1, 7); (16, 3); (30, 4); (18, 3); (16, 4) |] );
+    ( "laplacian",
+      178.0,
+      [| (1, 0); (1, 1); (0, 3); (0, 9); (2, 9); (1, 4); (1, 2); (0, 5);
+         (4, 4); (2, 4); (2, 5); (2, 8); (4, 8); (1, 8); (1, 7); (0, 7);
+         (4, 3); (6, 5); (2, 3); (5, 5); (20, 3); (10, 0); (24, 3); (20, 0);
+         (0, 1); (1, 10); (2, 10); (1, 5); (1, 6); (0, 4); (1, 9); (4, 7);
+         (0, 12); (0, 6); (2, 0); (5, 4) |] ) ]
+
+let test_place_golden () =
+  let v = Apex.Variants.baseline () in
+  List.iter
+    (fun (name, wirelength, loc) ->
+      let app = Apps.by_name name in
+      let mapped = Cover.map_app ~rules:v.Apex.Variants.rules app.graph in
+      let p = Place.place ~effort:1 (Fabric.create ()) mapped in
+      check
+        Alcotest.(list (pair int int))
+        (name ^ " loc") (Array.to_list loc) (Array.to_list p.loc);
+      check (Alcotest.float 0.0) (name ^ " wirelength") wirelength
+        p.wirelength)
+    golden_placements
+
 (* --- routing --- *)
 
 let test_route_legal () =
@@ -299,7 +335,8 @@ let () =
         [ Alcotest.test_case "distinct PE tiles" `Quick test_place_distinct_tiles;
           Alcotest.test_case "annealing improves" `Quick test_place_improves_wirelength;
           Alcotest.test_case "does not fit" `Quick test_place_does_not_fit;
-          Alcotest.test_case "deterministic" `Quick test_place_deterministic ] );
+          Alcotest.test_case "deterministic" `Quick test_place_deterministic;
+          Alcotest.test_case "golden under PE Base" `Quick test_place_golden ] );
       ( "route",
         [ Alcotest.test_case "legal" `Quick test_route_legal;
           Alcotest.test_case "trees connect" `Quick test_route_trees_connect_sinks;

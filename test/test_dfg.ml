@@ -129,7 +129,19 @@ let test_succs_fanout () =
     (fun k a ->
       let expected = 1 in
       check int (Printf.sprintf "fanout of add %d" k) expected (G.fanout g a))
-    adds
+    adds;
+  (* fanout counts consuming ports without the successor table; the two
+     must agree on every node of every built-in app *)
+  List.iter
+    (fun (a : Apex_halide.Apps.t) ->
+      let g = a.Apex_halide.Apps.graph in
+      let succs = G.succs g in
+      for i = 0 to G.length g - 1 do
+        check int
+          (Printf.sprintf "%s node %d" a.Apex_halide.Apps.name i)
+          (List.length succs.(i)) (G.fanout g i)
+      done)
+    (Apex_halide.Apps.evaluated () @ Apex_halide.Apps.unseen ())
 
 let test_histogram () =
   let g = conv4 () in

@@ -517,6 +517,45 @@ let test_all_apps_clean_optimized () =
   check Alcotest.int "no warnings on optimized apps" 0 (Engine.warnings report);
   check Alcotest.int "werror-clean" 0 (Engine.exit_code ~werror:true report)
 
+let test_lint_independent_of_store () =
+  (* the first run misses a fresh store (merging runs width inference on
+     the mined patterns), the second hits it (merging is skipped); with
+     fresh memos each time, both must lint the same artifacts the same *)
+  let module Store = Apex_exec.Store in
+  let dir = Filename.temp_file "apex-lint-test" "" in
+  Sys.remove dir;
+  let prev_dir = Store.cache_dir () and prev_enabled = Store.enabled () in
+  Store.set_dir dir;
+  Store.set_enabled true;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.set_dir prev_dir;
+      Store.set_enabled prev_enabled;
+      if Sys.file_exists dir then rm dir)
+  @@ fun () ->
+  let lint () =
+    Apex.Dse.with_local_memo @@ fun () ->
+    Apex.Variants.with_local_memo @@ fun () ->
+    (Apex.Lint_run.run [ Apps.by_name "fast" ]).Engine.findings
+  in
+  let cold = lint () in
+  let warm = lint () in
+  let show (f : Engine.finding) =
+    Printf.sprintf "%s %s: %s" f.Engine.artifact f.Engine.diag.Diag.code
+      f.Engine.diag.Diag.message
+  in
+  check
+    Alcotest.(list string)
+    "cold and warm store lint alike" (List.map show cold) (List.map show warm);
+  Alcotest.(check bool) "identical findings" true (cold = warm)
+
 (* --- width checker (APX11x) and code filters --- *)
 
 (* x&0xff + y&0xff: the sum has 9 live bits, the masked inputs 8 *)
@@ -542,7 +581,8 @@ let test_width_opportunity_note () =
 let test_width_clean_after_inference () =
   (* a graph annotated by the inference itself carries no width errors *)
   let g = narrowable_graph () in
-  ignore (Apex_analysis.Width.infer g);
+  let w = Apex_analysis.Width.infer g in
+  let g = G.with_widths g w.Apex_analysis.Width.widths in
   let diags = Apex_lint.Checks_width.run g in
   Alcotest.(check bool)
     (Printf.sprintf "no errors after inference (got: %s)"
@@ -555,14 +595,14 @@ let test_width_truncation () =
   let w = Array.make (G.length g) 16 in
   (* the Add (node 5) provably needs 9 live bits; claiming 4 is unsound *)
   w.(5) <- 4;
-  G.annotate_widths g w;
+  let g = G.with_widths g w in
   assert_emits "truncating annotation" "APX111" (Apex_lint.Checks_width.run g)
 
 let test_width_out_of_range () =
   let g = narrowable_graph () in
   let w = Array.make (G.length g) 16 in
   w.(0) <- 0;
-  G.annotate_widths g w;
+  let g = G.with_widths g w in
   assert_emits "width 0" "APX111" (Apex_lint.Checks_width.run g)
 
 let test_width_mux_inconsistent () =
@@ -577,7 +617,7 @@ let test_width_mux_inconsistent () =
   w.(s) <- 1;
   (* full-width arms through a 4-bit mux *)
   w.(m) <- 4;
-  G.annotate_widths g w;
+  let g = G.with_widths g w in
   assert_emits "narrow mux, wide arms" "APX112"
     (Apex_lint.Checks_width.run g)
 
@@ -703,4 +743,6 @@ let () =
           Alcotest.test_case "catalog" `Quick test_catalog_complete;
           Alcotest.test_case "all apps clean" `Quick test_all_apps_clean;
           Alcotest.test_case "all apps clean (optimized)" `Quick
-            test_all_apps_clean_optimized ] ) ]
+            test_all_apps_clean_optimized;
+          Alcotest.test_case "cold and warm store alike" `Quick
+            test_lint_independent_of_store ] ) ]

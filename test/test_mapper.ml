@@ -155,6 +155,44 @@ let test_utilization_metric () =
   Alcotest.(check bool) "one op per PE on baseline" true
     (Cover.utilization mapped >= 0.99 && Cover.utilization mapped <= 1.01)
 
+(* A probe shares the caller's successor table across every root.
+   Sharing must not change what a probe finds: for every root of every
+   app, the shared table yields the same bindings, in the same order, as
+   a table built fresh for that one probe — and no probe mutates it. *)
+let test_shared_succs_same_bindings () =
+  let rule_sets =
+    [ ("base", (Apex.Dse.variant_for "base").Apex.Variants.rules);
+      ("spec:camera", (Apex.Dse.variant_for "spec:camera").Apex.Variants.rules) ]
+  in
+  List.iter
+    (fun (vname, rules) ->
+      List.iter
+        (fun (app : Apps.t) ->
+          let g = app.graph in
+          let shared = G.succs g in
+          List.iter
+            (fun (rule : Rules.t) ->
+              let wild_consts = rule.wild_consts in
+              for root = 0 to G.length g - 1 do
+                let a =
+                  Apex_mining.Match.matches_at ~wild_consts ~succs:shared
+                    rule.pattern g ~root
+                in
+                let b =
+                  Apex_mining.Match.matches_at ~wild_consts
+                    ~succs:(G.succs g) rule.pattern g ~root
+                in
+                if a <> b then
+                  Alcotest.failf "%s/%s rule %s root %d: bindings differ" vname
+                    app.name rule.config.D.label root
+              done)
+            rules;
+          if shared <> G.succs g then
+            Alcotest.failf "%s/%s: a probe mutated the successor table" vname
+              app.name)
+        (Apps.evaluated () @ Apps.unseen ()))
+    rule_sets
+
 let () =
   Alcotest.run "mapper"
     [ ( "rules",
@@ -167,4 +205,6 @@ let () =
           Alcotest.test_case "specialization reduces PEs" `Quick test_map_specialized_fewer_pes;
           Alcotest.test_case "unmappable detected" `Quick test_unmappable_without_rules;
           Alcotest.test_case "simple-first ablation" `Quick test_simple_first_ablation;
-          Alcotest.test_case "utilization" `Quick test_utilization_metric ] ) ]
+          Alcotest.test_case "utilization" `Quick test_utilization_metric;
+          Alcotest.test_case "shared successor table" `Quick
+            test_shared_succs_same_bindings ] ) ]
