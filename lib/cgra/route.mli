@@ -32,8 +32,9 @@ type t = {
 val route : ?max_iters:int -> Place.t -> Apex_mapper.Cover.t -> t
 
 val tiles_touched : t -> (int * int) list
-(** In-fabric tiles any route passes through, sorted. *)
+(** Tiles any route passes through, sorted: fabric tiles and the IO
+    column tiles (x = -1 and x = width) where streams enter and exit. *)
 
-val routing_only_tiles : t -> Place.t -> Apex_mapper.Cover.t -> int
+val routing_only_tiles : t -> Place.t -> int
 (** Tiles that only forward data: touched by routing but hosting no PE
     instance (Table 3's "routing-only tiles"). *)

@@ -96,7 +96,12 @@ let post_pnr ?(effort = 1) (v : Variants.t) (app : Apps.t) =
   let fabric = fabric_for mapped in
   let placement = Place.place ~effort fabric mapped in
   let routes = Route.route placement mapped in
-  let routing_tiles = Route.routing_only_tiles routes placement mapped in
+  if routes.Route.overuse > 0 then begin
+    Apex_telemetry.Counter.add "cgra.route_overuse" routes.Route.overuse;
+    Apex_guard.Outcome.record ~phase:"pnr"
+      (Apex_guard.Outcome.Degraded Apex_guard.Outcome.Fuel)
+  end;
+  let routing_tiles = Route.routing_only_tiles routes placement in
   let params = fabric.Fabric.params in
   let word_inputs = D.n_word_inputs v.dp in
   let bit_inputs = D.n_bit_inputs v.dp in

@@ -54,7 +54,9 @@ val post_mapping :
 val post_pnr :
   ?effort:int -> Variants.t -> Apex_halide.Apps.t -> post_pnr * Apex_mapper.Cover.t
 (** Place and route on an auto-sized fabric (32x16 unless the
-    application needs more rows). *)
+    application needs more rows).  A routing still over capacity when
+    negotiation stops is priced as is, but recorded as a degraded
+    ["pnr"] outcome and counted in [cgra.route_overuse]. *)
 
 val post_pipelining :
   ?effort:int -> ?rf_cutoff:int -> Variants.t -> Apex_halide.Apps.t -> post_pipelining

@@ -107,6 +107,28 @@ let test_post_pnr_includes_interconnect () =
   Alcotest.(check bool) "energy grows" true
     (pnr.total_energy_per_output > pnr.pm.Metrics.pe_energy_per_output)
 
+(* camera on PE Base with the greedy placement stays 3 boundaries over
+   capacity after all 30 negotiation rounds: still priced, but reported
+   as a degraded pnr outcome *)
+let test_post_pnr_overuse_degraded () =
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  Registry.reset ();
+  Registry.enable ();
+  Fun.protect ~finally:Registry.disable @@ fun () ->
+  let pnr, _ =
+    Metrics.post_pnr ~effort:0 (Dse.variant_for "base") (Apps.by_name "camera")
+  in
+  Alcotest.(check bool) "priced" true (pnr.Metrics.total_area > 0.0);
+  check int "cgra.route_overuse" 3 (Counter.get "cgra.route_overuse");
+  check int "guard.outcome.degraded" 1 (Counter.get "guard.outcome.degraded");
+  check int "guard.degraded.pnr.fuel" 1 (Counter.get "guard.degraded.pnr.fuel");
+  Registry.reset ();
+  ignore (Metrics.post_pnr ~effort:0 (Dse.variant_for "base") gaussian);
+  check int "legal routing: no overuse" 0 (Counter.get "cgra.route_overuse");
+  check int "legal routing: not degraded" 0
+    (Counter.get "guard.outcome.degraded")
+
 let test_post_pipelining_performance () =
   let v = Dse.variant_for "base" in
   let r = Metrics.post_pipelining ~effort:0 v gaussian in
@@ -171,6 +193,8 @@ let () =
             test_specialization_monotone_area;
           Alcotest.test_case "PE Spec beats baseline" `Quick test_pe_spec_beats_baseline;
           Alcotest.test_case "post-PnR interconnect" `Quick test_post_pnr_includes_interconnect;
+          Alcotest.test_case "post-PnR overuse degrades" `Quick
+            test_post_pnr_overuse_degraded;
           Alcotest.test_case "post-pipelining performance" `Quick
             test_post_pipelining_performance ] );
       ( "domains",
