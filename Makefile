@@ -14,6 +14,8 @@ CI_SERVE_SOCK := /tmp/apex-ci-serve.sock
 CI_SERVE_CACHE := /tmp/apex-ci-serve-cache
 CI_SERVE_TRACE := /tmp/apex-ci-serve-trace.json
 CI_SERVE_OUT := /tmp/apex-ci-serve-out.json
+CI_SERVE_CLI_LINT := /tmp/apex-ci-serve-cli-lint.json
+CI_SERVE_CLI_DSE := /tmp/apex-ci-serve-cli-dse.json
 CI_CRASH_SOCK := /tmp/apex-ci-crash.sock
 CI_CRASH_CACHE := /tmp/apex-ci-crash-cache
 CI_CRASH_CLEAN_CACHE := /tmp/apex-ci-crash-clean-cache
@@ -116,9 +118,13 @@ ci: build test
 # artifacts are invisible across tenants), alice's rerun hits without a
 # single miss (intra-tenant sharing).  Then a clean SIGTERM shutdown,
 # whose daemon-side trace must show admitted requests.
+# While the daemon is up, the one-execution-path contract: the CLI's
+# `lint camera` and `dse camera` --trace reports carry the same results
+# section as alice's served lint and dse reports.
 .PHONY: ci-serve
 ci-serve:
 	rm -rf $(CI_SERVE_CACHE) && rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE)
+	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE)
 	set -e; \
 	APEX_CACHE_DIR=$(CI_SERVE_CACHE) $(APEX_BIN) serve \
 	  --socket $(CI_SERVE_SOCK) --jobs 4 --trace=$(CI_SERVE_TRACE) & \
@@ -135,6 +141,14 @@ ci-serve:
 	  --out $(CI_SERVE_OUT) '{"kind":"lint","apps":["camera"]}'; \
 	$(APEX_BIN) trace-check $(CI_SERVE_OUT) \
 	  --require exec.cache_hits --forbid exec.cache_misses; \
+	$(APEX_BIN) lint camera --no-cache --trace=$(CI_SERVE_CLI_LINT) > /dev/null; \
+	$(APEX_BIN) trace-check $(CI_SERVE_CLI_LINT) --require lint.checks_run; \
+	$(APEX_BIN) report-diff --results-only $(CI_SERVE_CLI_LINT) $(CI_SERVE_OUT); \
+	$(APEX_BIN) submit --socket $(CI_SERVE_SOCK) --tenant alice \
+	  --out $(CI_SERVE_OUT) '{"kind":"dse","apps":["camera"]}'; \
+	$(APEX_BIN) dse camera --no-cache --trace=$(CI_SERVE_CLI_DSE) > /dev/null; \
+	$(APEX_BIN) trace-check $(CI_SERVE_CLI_DSE) --require dse.memo_misses; \
+	$(APEX_BIN) report-diff --results-only $(CI_SERVE_CLI_DSE) $(CI_SERVE_OUT); \
 	kill -TERM $$pid; \
 	wait $$pid; \
 	trap - EXIT
@@ -295,6 +309,7 @@ clean:
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
+	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
 	rm -rf $(CI_CACHE) $(CI_FAULT_CACHE) $(CI_SNAP) $(CI_SERVE_CACHE)

@@ -16,12 +16,27 @@ let app_arg =
   let doc = "Application name (see `apex apps`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
-let app_by_name name =
-  match Apps.by_name name with
-  | a -> a
-  | exception Not_found ->
-      invalid_arg
-        (Printf.sprintf "unknown application %S (see `apex apps`)" name)
+(* the positional APPs of a multi-app subcommand, or --all, as a job's
+   [apps] field: --all is the empty list, which [Jobs] reads as "all".
+   Resolved when the body calls it, so the body's own flag checks come
+   first (and `lint --list-codes` needs no APP at all). *)
+let apps_t cmd ~verb ~all_doc =
+  let apps =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"APP"
+          ~doc:(Printf.sprintf "Applications to %s (see `apex apps`)." verb))
+  in
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  let select apps all () =
+    if all then []
+    else if apps = [] then
+      invalid_arg (cmd ^ ": name at least one application, or pass --all")
+    else apps
+  in
+  Term.(const select $ apps $ all)
+
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
 
 let variant_arg =
   let doc =
@@ -46,31 +61,47 @@ let trace_arg =
     & opt ~vopt:(Some "") (some string) None
     & info [ "trace" ] ~docv:"FILE" ~doc)
 
-(* resolve the report path: an explicit --trace=FILE wins over APEX_TRACE *)
-let trace_report_path trace =
-  match trace with
-  | Some file when file <> "" -> Some file
-  | _ -> Report.env_trace_path ()
-
-let emit_trace ~print trace =
-  let snap = Registry.snapshot () in
-  if print then Format.printf "@.%a" Report.pp snap;
-  match trace_report_path trace with
-  | None -> ()
-  | Some path -> (
-      (* a failed report write must not change the run's outcome *)
-      match Report.write_file path snap with
-      | () -> Format.eprintf "telemetry: JSON report written to %s@." path
-      | exception Sys_error m ->
-          Format.eprintf "telemetry: cannot write JSON report: %s@." m)
-
-let with_trace trace f =
-  if trace = None && Report.env_trace_path () = None then f ()
-  else begin
-    Registry.enable ();
-    Registry.reset ();
-    Fun.protect f ~finally:(fun () -> emit_trace ~print:(trace <> None) trace)
-  end
+(* The one report writer.  [body] returns the subcommand's exit code
+   and, for a Jobs-backed subcommand, the report's results section.
+   Telemetry is on when --trace or APEX_TRACE asks for it, or when
+   [always] is set; afterwards the span tree is printed ([print]
+   defaults to "--trace was given") and the JSON report written, then
+   the process exits with the body's code.  A body that raises still
+   gets its report before the exception reaches the main handler's
+   exit-code map. *)
+let with_report ?(always = false) ?print trace body =
+  (* an explicit --trace=FILE wins over APEX_TRACE *)
+  let path =
+    match trace with
+    | Some file when file <> "" -> Some file
+    | _ -> Report.env_trace_path ()
+  in
+  if not (always || trace <> None || path <> None) then exit (fst (body ()));
+  Registry.enable ();
+  Registry.reset ();
+  let write ?results () =
+    let snap = Registry.snapshot () in
+    if Option.value print ~default:(trace <> None) then
+      Format.printf "@.%a" Report.pp snap;
+    match path with
+    | None -> ()
+    | Some path -> (
+        (* a failed report write must not change the run's outcome *)
+        match Report.write_file ?results path snap with
+        | () -> Format.eprintf "telemetry: JSON report written to %s@." path
+        | exception Sys_error m ->
+            Format.eprintf "telemetry: cannot write JSON report: %s@." m)
+  in
+  let code, results =
+    match body () with
+    | outcome -> outcome
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        write ();
+        Printexc.raise_with_backtrace e bt
+  in
+  write ?results ();
+  exit code
 
 (* --- phase-boundary verification: a --check flag shared by the flow
    subcommands.  LLVM -verify-each style: every phase hands its output
@@ -197,6 +228,100 @@ let exec_t =
     const setup $ jobs_arg $ no_cache_arg $ deadline_arg $ phase_deadline_arg
     $ inject_fault_arg)
 
+(* --- the Jobs-backed subcommands (dse, mine, map, analyze, lint):
+   parse the flags into a [Jobs.t], run it through [Jobs.execute] — the
+   code a served request runs — and render the typed result.  Text goes
+   through the phases' pp functions; --json and the --trace=FILE
+   report's results section are [Jobs.results_json], the bytes `apex
+   submit` receives for the same job. *)
+
+type view = { json : bool; widths : bool; werror : bool; resume : bool }
+
+let text = { json = false; widths = false; werror = false; resume = false }
+
+(* print the text form of [result] (unless --json) and return the
+   subcommand's exit code *)
+let render view (result : Apex.Jobs.result) =
+  let as_text = not view.json in
+  match result with
+  | Dse_rows rows ->
+      if as_text then begin
+        let count status =
+          List.length
+            (List.filter (fun (_, r) -> Apex.Dse.pair_status r = status) rows)
+        in
+        List.iter
+          (fun ((_, (v : Apex.Variants.t), (a : Apps.t)), r) ->
+            match Apex.Dse.mapped_opt r with
+            | Some (pp : Apex.Metrics.post_pipelining) ->
+                Format.printf
+                  "dse %-10s on %-12s %8.2f runs/ms/mm^2  %3d PEs  %5d \
+                   cycles/run@."
+                  a.Apps.name v.name pp.Apex.Metrics.perf_per_mm2
+                  pp.pnr.pm.n_pes pp.cycles_per_run
+            | None ->
+                Format.printf "dse %-10s on %-12s %s@." a.Apps.name v.name
+                  (Apex.Dse.pair_status r))
+          rows;
+        Format.printf
+          "dse: %d pairs — %d mapped, %d unmappable, %d skipped, %d failed@."
+          (List.length rows) (count "mapped") (count "unmappable")
+          (count "skipped") (count "failed")
+      end;
+      if view.resume then
+        Format.eprintf
+          "dse: resumed %d/%d pairs from checkpoints, %d evaluated and newly \
+           checkpointed@."
+          (Apex_telemetry.Counter.get "dse.pairs_resumed")
+          (List.length rows)
+          (Apex_telemetry.Counter.get "dse.pairs_checkpointed");
+      0
+  | Analyze_reports reports ->
+      if as_text then
+        Format.printf "%a" (Apex.Analyze_run.pp ~width_table:view.widths) reports;
+      (* a failed validation is a soundness bug in the optimizer (resp.
+         the width-inference ladder) *)
+      if
+        List.for_all
+          (fun (r : Apex.Analyze_run.app_report) ->
+            r.validated && r.width.Apex_analysis.Width.validated)
+          reports
+      then 0
+      else 1
+  | Configs_reports reports ->
+      if as_text then Format.printf "%a" Apex.Configspace_run.pp reports;
+      (* an unrealizable registered config is a merge bug; a reverted
+         pruning is a configspace-analysis soundness bug *)
+      if Apex.Configspace_run.any_failed reports then 1 else 0
+  | Lint_report report ->
+      if as_text then Format.printf "%a" Apex_lint.Engine.pp_report report;
+      Apex_lint.Engine.exit_code ~werror:view.werror report
+  | Mapped { post = pm; cover; _ } ->
+      if as_text then begin
+        Format.printf "%a@." Apex_mapper.Cover.pp_stats cover;
+        Format.printf
+          "PE area %.1f um^2 -> total %.0f um^2; PE-core energy %.1f \
+           fJ/output@."
+          pm.pe_area pm.total_pe_area pm.pe_energy_per_output
+      end;
+      0
+  | Mined { app; n_patterns; top; ranked } ->
+      if as_text then begin
+        Format.printf "%d frequent subgraphs for %s; top %d by MIS:@."
+          n_patterns app.Apps.name top;
+        List.iter (fun r -> Format.printf "  %a@." Analysis.pp_ranked r) ranked
+      end;
+      0
+  | Slept _ -> 0
+
+(* parse → Jobs → render: the body of every Jobs-backed subcommand,
+   returning its exit code and the report's results section *)
+let run_job ?(filter = Fun.id) view job =
+  let result = filter (Apex.Jobs.execute job) in
+  let results = Apex.Jobs.results_json result in
+  if view.json then print_endline (Json.to_string results);
+  (render view result, Some results)
+
 (* --- apps --- *)
 
 let apps_cmd =
@@ -221,15 +346,9 @@ let apps_cmd =
 
 let mine_cmd =
   let run () trace optimize app top =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     set_optimize optimize;
-    let a = app_by_name app in
-    let ranked = Apex.Variants.analysis_of a in
-    Format.printf "%d frequent subgraphs for %s; top %d by MIS:@."
-      (List.length ranked) app top;
-    List.iteri
-      (fun i r -> if i < top then Format.printf "  %a@." Analysis.pp_ranked r)
-      ranked
+    run_job text (Apex.Jobs.Mine { app; top })
   in
   let top =
     Arg.(value & opt int 10 & info [ "top" ] ~doc:"How many subgraphs to print.")
@@ -242,55 +361,18 @@ let mine_cmd =
 (* --- analyze (static analysis facts + validated reduction) --- *)
 
 let analyze_cmd =
-  let run () trace optimize apps all json widths configs =
-    with_trace trace @@ fun () ->
+  let run () trace optimize apps json widths configs =
+    with_report trace @@ fun () ->
     set_optimize optimize;
-    let apps =
-      if all then Apex.Lint_run.all_apps ()
-      else if apps = [] then
-        invalid_arg "analyze: name at least one application, or pass --all"
-      else List.map app_by_name apps
-    in
-    if configs then begin
-      let reports = Apex.Configspace_run.run apps in
-      if json then
-        print_endline (Json.to_string (Apex.Configspace_run.to_json reports))
-      else Format.printf "%a" Apex.Configspace_run.pp reports;
-      (* an unrealizable registered config is a merge bug; a reverted
-         pruning is a configspace-analysis soundness bug *)
-      if Apex.Configspace_run.any_failed reports then exit 1
-    end
-    else begin
-      let reports = Apex.Analyze_run.run apps in
-      if json then
-        print_endline (Json.to_string (Apex.Analyze_run.to_json reports))
-      else Format.printf "%a" (Apex.Analyze_run.pp ~width_table:widths) reports;
-      (* a failed validation is a soundness bug in the optimizer (resp.
-         the width-inference ladder) *)
-      if
-        not
-          (List.for_all
-             (fun (r : Apex.Analyze_run.app_report) ->
-               r.validated && r.width.Apex_analysis.Width.validated)
-             reports)
-      then exit 1
-    end
+    run_job { text with json; widths }
+      (let apps = apps () in
+       if configs then Apex.Jobs.Configs { apps } else Apex.Jobs.Analyze { apps })
   in
   let apps =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"APP" ~doc:"Applications to analyze (see `apex apps`).")
+    apps_t "analyze" ~verb:"analyze"
+      ~all_doc:"Analyze all nine built-in applications."
   in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Analyze all nine built-in applications.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the report as machine-readable JSON.")
-  in
+  let json = json_arg "Print the report as machine-readable JSON." in
   let widths =
     Arg.(
       value & flag
@@ -324,14 +406,14 @@ let analyze_cmd =
           datapaths instead (reachability, mutual exclusion, validated \
           pruning).")
     Term.(
-      const run $ exec_t $ trace_arg $ optimize_arg $ apps $ all $ json
-      $ widths $ configs)
+      const run $ exec_t $ trace_arg $ optimize_arg $ apps $ json $ widths
+      $ configs)
 
 (* --- pe (show a variant) --- *)
 
 let pe_cmd =
   let run () trace check optimize variant verilog dot =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
     let v = Apex.Dse.variant_for variant in
@@ -357,7 +439,8 @@ let pe_cmd =
       in
       print_string (Apex_peak.Verilog.emit ?stages spec)
     end;
-    if dot then print_string (D.to_dot ~name:(Apex_peak.Verilog.sanitize v.name) v.dp)
+    if dot then print_string (D.to_dot ~name:(Apex_peak.Verilog.sanitize v.name) v.dp);
+    (0, None)
   in
   let verilog =
     Arg.(value & flag & info [ "verilog" ] ~doc:"Emit the PE's (pipelined) Verilog.")
@@ -375,20 +458,10 @@ let pe_cmd =
 
 let map_cmd =
   let run () trace check optimize app variant =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
-    let a = app_by_name app in
-    let v = Apex.Dse.variant_for variant in
-    match Apex.Metrics.post_mapping v a with
-    | pm, mapped ->
-        Format.printf "%a@." Apex_mapper.Cover.pp_stats mapped;
-        Format.printf
-          "PE area %.1f um^2 -> total %.0f um^2; PE-core energy %.1f fJ/output@."
-          pm.Apex.Metrics.pe_area pm.total_pe_area pm.pe_energy_per_output
-    | exception Apex_mapper.Cover.Unmappable m ->
-        Format.printf "unmappable: %s@." m;
-        exit 1
+    run_job text (Apex.Jobs.Map { app; variant })
   in
   Cmd.v
     (Cmd.info "map" ~doc:"Map an application onto a PE variant (post-mapping).")
@@ -400,12 +473,12 @@ let map_cmd =
 
 let evaluate_cmd =
   let run () trace check optimize app variant level effort =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
-    let a = app_by_name app in
+    let a = Apex.Jobs.app_by_name app in
     let v = Apex.Dse.variant_for variant in
-    match level with
+    (match level with
     | "mapping" ->
         let pm, _ = Apex.Metrics.post_mapping v a in
         Format.printf
@@ -425,8 +498,10 @@ let evaluate_cmd =
           pp.Apex.Metrics.pe_stages pp.period_ps pp.n_regs pp.n_reg_files
           pp.cycles_per_run pp.runtime_ms pp.perf_per_mm2
     | other ->
-        Format.printf "unknown level %s (mapping|pnr|pipeline)@." other;
-        exit 1
+        invalid_arg
+          (Printf.sprintf "evaluate: unknown level %S (mapping|pnr|pipeline)"
+             other));
+    (0, None)
   in
   let level =
     Arg.(value & opt string "mapping"
@@ -445,7 +520,7 @@ let evaluate_cmd =
 
 let verify_cmd =
   let run () trace variant =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     let v = Apex.Dse.variant_for variant in
     Format.printf "verifying the %d rewrite rules of %s:@."
       (List.length v.rules) v.name;
@@ -456,7 +531,8 @@ let verify_cmd =
         in
         Format.printf "  %-40s %a@." r.config.D.label Apex_verif.Verify.pp_verdict
           verdict)
-      v.rules
+      v.rules;
+    (0, None)
   in
   Cmd.v
     (Cmd.info "verify"
@@ -467,12 +543,12 @@ let verify_cmd =
 
 let compile_cmd =
   let run () trace check optimize app variant sim_frames emit_fabric =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
     (* the optimized kernel is what gets mapped AND what the golden
        simulation replays (identity when --optimize is off) *)
-    let a = Apex.Optimize.app (app_by_name app) in
+    let a = Apex.Optimize.app (Apex.Jobs.app_by_name app) in
     let v = Apex.Dse.variant_for variant in
     let spec = Apex_peak.Spec.of_datapath ~name:v.name v.dp in
     let mapped = Apex_mapper.Cover.map_app ~rules:v.rules a.graph in
@@ -493,7 +569,9 @@ let compile_cmd =
       (List.length routes.Apex_cgra.Route.nets)
       routes.word_hops routes.iterations routes.overuse plan.pe_latency
       plan.depth_cycles plan.n_regs plan.n_reg_files bitstream.total_bits;
-    if sim_frames > 0 then begin
+    let sim_ok =
+      sim_frames <= 0
+      ||
       let st = Random.State.make [| 7 |] in
       let frames =
         List.init sim_frames (fun _ -> Apex_dfg.Interp.random_env st a.graph)
@@ -511,9 +589,13 @@ let compile_cmd =
       Format.printf "  simulation: %d frames vs golden model -> %s@."
         sim_frames
         (if ok then "MATCH" else "MISMATCH");
-      if not ok then exit 1
-    end;
-    if emit_fabric then print_string (Apex_cgra.Verilog_top.emit fabric spec)
+      ok
+    in
+    if not sim_ok then (1, None)
+    else begin
+      if emit_fabric then print_string (Apex_cgra.Verilog_top.emit fabric spec);
+      (0, None)
+    end
   in
   let sim =
     Arg.(value & opt int 0
@@ -589,22 +671,18 @@ let profile_cmd =
         ("result", Json.Obj (pp_fields pp));
         ("reference", Json.Obj (pp_fields pp_ref)) ]
   in
-  let run () trace check optimize apps all variant chrome =
+  let run () trace check optimize apps variant chrome =
     set_check check;
     set_optimize optimize;
     let apps =
-      if all then Apps.evaluated ()
-      else if apps = [] then
-        invalid_arg "profile: name at least one application, or pass --all"
-      else List.map app_by_name apps
+      match apps () with
+      | [] -> Apps.evaluated ()
+      | names -> List.map Apex.Jobs.app_by_name names
     in
     (* profile implies tracing: the whole point is the report *)
-    Registry.enable ();
-    Registry.reset ();
+    with_report ~always:true ~print:true trace @@ fun () ->
     if chrome <> None then Registry.set_events true;
     let results = Json.List (List.map (profile_app variant) apps) in
-    let snap = Registry.snapshot () in
-    Format.printf "@.%a" Report.pp snap;
     (match chrome with
     | None -> ()
     | Some path -> (
@@ -621,24 +699,11 @@ let profile_cmd =
         | n ->
             Format.eprintf
               "telemetry: %d span events dropped (per-run event cap)@." n));
-    match trace_report_path trace with
-    | None -> ()
-    | Some path -> (
-        match Report.write_file ~results path snap with
-        | () -> Format.eprintf "telemetry: JSON report written to %s@." path
-        | exception Sys_error m ->
-            Format.eprintf "telemetry: cannot write JSON report: %s@." m)
+    (0, Some results)
   in
   let apps =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"APP" ~doc:"Applications to profile (see `apex apps`).")
-  in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:"Profile all six evaluated applications (Table 1).")
+    apps_t "profile" ~verb:"profile"
+      ~all_doc:"Profile all six evaluated applications (Table 1)."
   in
   let variant =
     let doc = "PE variant to profile (default: spec:<app>)." in
@@ -668,93 +733,31 @@ let profile_cmd =
           and counter tables (and write the JSON report — including a \
           per-application results section — with --trace=FILE or APEX_TRACE).")
     Term.(
-      const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps $ all
+      const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps
       $ variant $ chrome)
 
 (* --- dse: the (variant x application) evaluation fleet --- *)
 
 let dse_cmd =
-  let row_json = Apex.Jobs.dse_row_json in
-  let run () trace check optimize apps all variants json resume =
+  let run () trace check optimize apps variants json resume =
+    (* the fleet is the whole point: telemetry is always on, so the
+       degradation outcome counters land in the report *)
+    with_report ~always:true trace @@ fun () ->
     set_check check;
     set_optimize optimize;
     if resume && not (Apex_exec.Store.enabled ()) then
       invalid_arg
         "dse: --resume resumes from per-pair checkpoints in the artifact \
          cache; drop --no-cache";
-    let apps =
-      if all then Apps.evaluated ()
-      else if apps = [] then
-        invalid_arg "dse: name at least one application, or pass --all"
-      else List.map app_by_name apps
-    in
-    (* the fleet is the whole point: telemetry is always on, so the
-       degradation outcome counters land in the report *)
-    Registry.enable ();
-    Registry.reset ();
     (* variant construction is serial (shared memo tables); one
        construction failure is a configuration error and aborts, unlike
-       per-pair evaluation failures below, which never do *)
-    let pairs = Apex.Jobs.dse_pairs ~apps ~variants in
-    let results =
-      Apex.Dse.evaluate_pairs (List.map (fun (_, v, a) -> (v, a)) pairs)
-    in
-    let rows = List.combine pairs results in
-    let count status =
-      List.length
-        (List.filter (fun (_, r) -> Apex.Dse.pair_status r = status) rows)
-    in
-    if json then
-      print_endline (Json.to_string (Json.List (List.map row_json rows)))
-    else begin
-      List.iter
-        (fun ((_, (v : Apex.Variants.t), (a : Apps.t)), r) ->
-          match Apex.Dse.mapped_opt r with
-          | Some (pp : Apex.Metrics.post_pipelining) ->
-              Format.printf
-                "dse %-10s on %-12s %8.2f runs/ms/mm^2  %3d PEs  %5d \
-                 cycles/run@."
-                a.Apps.name v.name pp.Apex.Metrics.perf_per_mm2 pp.pnr.pm.n_pes
-                pp.cycles_per_run
-          | None ->
-              Format.printf "dse %-10s on %-12s %s@." a.Apps.name v.name
-                (Apex.Dse.pair_status r))
-        rows;
-      Format.printf
-        "dse: %d pairs — %d mapped, %d unmappable, %d skipped, %d failed@."
-        (List.length rows) (count "mapped") (count "unmappable")
-        (count "skipped") (count "failed")
-    end;
-    if resume then
-      Format.eprintf
-        "dse: resumed %d/%d pairs from checkpoints, %d evaluated and newly \
-         checkpointed@."
-        (Apex_telemetry.Counter.get "dse.pairs_resumed")
-        (List.length rows)
-        (Apex_telemetry.Counter.get "dse.pairs_checkpointed");
-    let snap = Registry.snapshot () in
-    if trace <> None then Format.printf "@.%a" Report.pp snap;
-    match trace_report_path trace with
-    | None -> ()
-    | Some path -> (
-        match
-          Report.write_file ~results:(Json.List (List.map row_json rows)) path
-            snap
-        with
-        | () -> Format.eprintf "telemetry: JSON report written to %s@." path
-        | exception Sys_error m ->
-            Format.eprintf "telemetry: cannot write JSON report: %s@." m)
+       per-pair evaluation failures, which never do *)
+    run_job { text with json; resume }
+      (Apex.Jobs.Dse { apps = apps (); variants })
   in
   let apps =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"APP" ~doc:"Applications to evaluate (see `apex apps`).")
-  in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:"Evaluate all six evaluated applications (Table 1).")
+    apps_t "dse" ~verb:"evaluate"
+      ~all_doc:"Evaluate all six evaluated applications (Table 1)."
   in
   let variants =
     let doc =
@@ -763,11 +766,7 @@ let dse_cmd =
     in
     Arg.(value & opt_all string [] & info [ "variant"; "v" ] ~docv:"VARIANT" ~doc)
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the per-pair results as JSON.")
-  in
+  let json = json_arg "Print the per-pair results as JSON." in
   let resume =
     Arg.(
       value & flag
@@ -790,7 +789,7 @@ let dse_cmd =
           deadlines and injected faults degrade phases to their documented \
           fallbacks, flagged as guard.outcome.* in the telemetry report.")
     Term.(
-      const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps $ all
+      const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps
       $ variants $ json $ resume)
 
 (* --- lint: run the checker registry over the flow's artifacts --- *)
@@ -837,44 +836,30 @@ let lint_cmd =
             i.D.layer i.D.invariant)
         D.catalog
   in
-  let run () trace optimize apps all json werror only except codes =
-    with_trace trace @@ fun () ->
+  let run () trace optimize apps json werror only except codes =
+    with_report trace @@ fun () ->
     if codes then begin
       list_codes json;
-      exit 0
-    end;
-    set_optimize optimize;
-    let only = parse_codes "--only" only
-    and except = parse_codes "--except" except in
-    let apps =
-      if all then Apex.Lint_run.all_apps ()
-      else if apps = [] then
-        invalid_arg "lint: name at least one application, or pass --all"
-      else List.map app_by_name apps
-    in
-    let report =
-      Apex_lint.Engine.filter_report ~only ~except (Apex.Lint_run.run apps)
-    in
-    if json then
-      print_endline (Json.to_string (Apex_lint.Engine.report_to_json report))
-    else Format.printf "%a" Apex_lint.Engine.pp_report report;
-    exit (Apex_lint.Engine.exit_code ~werror report)
+      (0, None)
+    end
+    else begin
+      set_optimize optimize;
+      let only = parse_codes "--only" only
+      and except = parse_codes "--except" except in
+      let filter = function
+        | Apex.Jobs.Lint_report r ->
+            Apex.Jobs.Lint_report
+              (Apex_lint.Engine.filter_report ~only ~except r)
+        | r -> r
+      in
+      run_job ~filter { text with json; werror }
+        (Apex.Jobs.Lint { apps = apps () })
+    end
   in
   let apps =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"APP" ~doc:"Applications to lint (see `apex apps`).")
+    apps_t "lint" ~verb:"lint" ~all_doc:"Lint all nine built-in applications."
   in
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Lint all nine built-in applications.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the report as machine-readable JSON.")
-  in
+  let json = json_arg "Print the report as machine-readable JSON." in
   let werror =
     Arg.(
       value & flag
@@ -916,35 +901,29 @@ let lint_cmd =
           against the APX invariant catalog (see DESIGN.md).  \
           $(b,--list-codes) prints the catalog itself.")
     Term.(
-      const run $ exec_t $ trace_arg $ optimize_arg $ apps $ all $ json
-      $ werror $ only $ except $ codes)
+      const run $ exec_t $ trace_arg $ optimize_arg $ apps $ json $ werror
+      $ only $ except $ codes)
+
+(* read and parse a JSON file; [fail] gets the io error or the parse
+   error, as a one-line message *)
+let load_json ~fail file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error m -> fail m
+  | contents -> (
+      match Json.of_string contents with
+      | Ok j -> j
+      | Error m -> fail (Printf.sprintf "%s: invalid JSON: %s" file m))
 
 (* --- trace-check: validate a JSON telemetry report (used by `make ci`) --- *)
 
 let trace_check_cmd =
   let run file requires forbids =
-    let fail fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.printf "trace-check: %s: %s@." file m;
-          exit 1)
-        fmt
+    let die m =
+      Format.printf "trace-check: %s@." m;
+      exit 1
     in
-    let contents =
-      match
-        let ic = open_in_bin file in
-        Fun.protect
-          (fun () -> really_input_string ic (in_channel_length ic))
-          ~finally:(fun () -> close_in ic)
-      with
-      | s -> s
-      | exception Sys_error m -> fail "%s" m
-    in
-    let json =
-      match Json.of_string contents with
-      | Ok j -> j
-      | Error m -> fail "invalid JSON: %s" m
-    in
+    let fail fmt = Format.kasprintf (fun m -> die (file ^ ": " ^ m)) fmt in
+    let json = load_json ~fail:die file in
     let schema =
       match Option.bind (Json.member "schema" json) Json.to_string_opt with
       | Some s -> s
@@ -1173,21 +1152,7 @@ let report_diff_cmd =
           exit 2)
         fmt
     in
-    let load file =
-      let contents =
-        match
-          let ic = open_in_bin file in
-          Fun.protect
-            (fun () -> really_input_string ic (in_channel_length ic))
-            ~finally:(fun () -> close_in ic)
-        with
-        | s -> s
-        | exception Sys_error m -> fail "%s" m
-      in
-      match Json.of_string contents with
-      | Ok j -> j
-      | Error m -> fail "%s: invalid JSON: %s" file m
-    in
+    let load = load_json ~fail:(fail "%s") in
     (* normalization: drop wall-clock and GC fields everywhere (both
        are measurements of *how* the run went, not *what* it computed),
        drop timing distributions (the `_ms` naming convention), and
@@ -1283,21 +1248,7 @@ let bench_diff_cmd =
     in
     if tolerance < 0 then
       fail "--tolerance: %d is negative (band count expected)" tolerance;
-    let load file =
-      let contents =
-        match
-          let ic = open_in_bin file in
-          Fun.protect
-            (fun () -> really_input_string ic (in_channel_length ic))
-            ~finally:(fun () -> close_in ic)
-        with
-        | s -> s
-        | exception Sys_error m -> fail "%s" m
-      in
-      match Json.of_string contents with
-      | Ok j -> j
-      | Error m -> fail "%s: invalid JSON: %s" file m
-    in
+    let load = load_json ~fail:(fail "%s") in
     let old_j = load old_file in
     let new_j = load new_file in
     match Apex.Snapshot.diff ~tolerance old_j new_j with
@@ -1351,7 +1302,7 @@ let socket_arg =
 
 let serve_cmd =
   let run trace socket jobs max_queue deadline quota_mb journal =
-    with_trace trace @@ fun () ->
+    with_report trace @@ fun () ->
     let config =
       { Apex_serve.Server.socket_path = socket;
         jobs;
@@ -1368,7 +1319,8 @@ let serve_cmd =
       socket jobs max_queue;
     Format.print_flush ();
     Apex_serve.Server.join t;
-    Format.printf "apex serve: shut down@."
+    Format.printf "apex serve: shut down@.";
+    (0, None)
   in
   let jobs =
     Arg.(
@@ -1452,14 +1404,8 @@ let submit_cmd =
         in
         match resp with
         | Apex_serve.Proto.Ok report ->
-            (match out with
-            | Some path ->
-                (* several jobs sharing --out: the last report wins *)
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () -> output_string oc (Json.to_string report))
-            | None -> ());
+            (* several jobs sharing --out: the last report wins *)
+            Option.iter (fun path -> Json.write_file path report) out;
             if json_flag then
               print_endline
                 (Json.to_string
@@ -1501,10 +1447,7 @@ let submit_cmd =
              report-diff` consume it directly.")
   in
   let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print the results section (or the error object) as JSON.")
+    json_arg "Print the results section (or the error object) as JSON."
   in
   let job_specs =
     Arg.(
@@ -1539,7 +1482,7 @@ let chaos_cmd =
   in
   let run app seed faults json =
     if faults < 1 then invalid_arg "chaos: --faults must be at least 1";
-    ignore (app_by_name app : Apps.t);
+    ignore (Apex.Jobs.app_by_name app : Apps.t);
     Registry.enable ();
     (* serial, so the order in which fault sites are reached — and
        therefore which occurrence each shot hits — is deterministic;
@@ -1679,13 +1622,9 @@ let chaos_cmd =
           ~doc:"How many (site, occurrence) shots to draw (default 3).")
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print the chaos report as JSON — deterministic for a given \
-             (APP, --seed, --faults), which is what the CI determinism \
-             check compares.")
+    json_arg
+      "Print the chaos report as JSON — deterministic for a given (APP, \
+       --seed, --faults), which is what the CI determinism check compares."
   in
   Cmd.v
     (Cmd.info "chaos"

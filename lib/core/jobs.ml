@@ -75,16 +75,39 @@ let of_json j =
                 | Some n when n >= 0 -> n
                 | _ -> bad "job: \"top\" must be a non-negative integer")) }
   | Some (Json.String "sleep") ->
-      Sleep
-        { seconds =
-            (match Json.member "seconds" j with
-            | Some (Json.Float s) -> s
-            | Some (Json.Int s) -> float_of_int s
-            | _ -> bad "job: missing number field \"seconds\"") }
+      let seconds =
+        match Option.bind (Json.member "seconds" j) Json.to_number_opt with
+        | Some s -> s
+        | None -> bad "job: missing number field \"seconds\""
+      in
+      (* range-checked here, so a served sleep is rejected before
+         admission (and never reaches the journal) *)
+      if not (Float.is_finite seconds && seconds >= 0.0 && seconds <= 3600.0)
+      then bad "sleep: %g seconds out of range [0, 3600]" seconds;
+      Sleep { seconds }
   | Some (Json.String k) -> bad "job: unknown kind %S" k
   | _ -> bad "job: missing string field \"kind\""
 
 (* --- execution --- *)
+
+type result =
+  | Dse_rows of ((string * Variants.t * Apps.t) * Dse.pair_result) list
+  | Analyze_reports of Analyze_run.app_report list
+  | Configs_reports of Configspace_run.app_report list
+  | Lint_report of Apex_lint.Engine.report
+  | Mapped of {
+      app : Apps.t;
+      variant : Variants.t;
+      post : Metrics.post_mapping;
+      cover : Apex_mapper.Cover.t;
+    }
+  | Mined of {
+      app : Apps.t;
+      n_patterns : int;
+      top : int;
+      ranked : Apex_mining.Analysis.ranked list;
+    }
+  | Slept of float
 
 let app_by_name name =
   match Apps.by_name name with
@@ -103,6 +126,50 @@ let dse_pairs ~apps ~variants =
     (fun (a : Apps.t) ->
       List.map (fun spec -> (spec, Dse.variant_for spec, a)) (specs_for a))
     apps
+
+let execute = function
+  | Dse { apps; variants } ->
+      let apps = resolve_apps ~all:Apps.evaluated apps in
+      let pairs = dse_pairs ~apps ~variants in
+      let results =
+        Dse.evaluate_pairs (List.map (fun (_, v, a) -> (v, a)) pairs)
+      in
+      Dse_rows (List.combine pairs results)
+  | Analyze { apps } ->
+      Analyze_reports
+        (Analyze_run.run (resolve_apps ~all:Lint_run.all_apps apps))
+  | Configs { apps } ->
+      Configs_reports
+        (Configspace_run.run (resolve_apps ~all:Lint_run.all_apps apps))
+  | Lint { apps } ->
+      Lint_report (Lint_run.run (resolve_apps ~all:Lint_run.all_apps apps))
+  | Map { app; variant } ->
+      let app = app_by_name app in
+      let variant = Dse.variant_for variant in
+      let post, cover = Metrics.post_mapping variant app in
+      Mapped { app; variant; post; cover }
+  | Mine { app; top } ->
+      let app = app_by_name app in
+      let all = Variants.analysis_of app in
+      Mined
+        { app;
+          n_patterns = List.length all;
+          top;
+          ranked = List.filteri (fun i _ -> i < top) all }
+  | Sleep { seconds } ->
+      (* cancellable wait: short naps with a guard tick between them, so
+         a deadline or server shutdown interrupts the hold promptly *)
+      let t0 = Unix.gettimeofday () in
+      let rec nap () =
+        Apex_guard.tick ();
+        let left = seconds -. (Unix.gettimeofday () -. t0) in
+        if left > 0.0 then begin
+          Unix.sleepf (Float.min 0.01 left);
+          nap ()
+        end
+      in
+      nap ();
+      Slept seconds
 
 let dse_row_json ((spec, (v : Variants.t), (a : Apps.t)), r) =
   let fields =
@@ -125,63 +192,34 @@ let dse_row_json ((spec, (v : Variants.t), (a : Apps.t)), r) =
   in
   Json.Obj fields
 
-let run = function
-  | Dse { apps; variants } ->
-      let apps = resolve_apps ~all:Apps.evaluated apps in
-      let pairs = dse_pairs ~apps ~variants in
-      let results =
-        Dse.evaluate_pairs (List.map (fun (_, v, a) -> (v, a)) pairs)
-      in
-      Json.List (List.map dse_row_json (List.combine pairs results))
-  | Analyze { apps } ->
-      let apps = resolve_apps ~all:Lint_run.all_apps apps in
-      Analyze_run.to_json (Analyze_run.run apps)
-  | Configs { apps } ->
-      let apps = resolve_apps ~all:Lint_run.all_apps apps in
-      Configspace_run.to_json (Configspace_run.run apps)
-  | Lint { apps } ->
-      let apps = resolve_apps ~all:Lint_run.all_apps apps in
-      Apex_lint.Engine.report_to_json (Lint_run.run apps)
-  | Map { app; variant } ->
-      let a = app_by_name app in
-      let v = Dse.variant_for variant in
-      let pm, _ = Metrics.post_mapping v a in
+let results_json = function
+  | Dse_rows rows -> Json.List (List.map dse_row_json rows)
+  | Analyze_reports reports -> Analyze_run.to_json reports
+  | Configs_reports reports -> Configspace_run.to_json reports
+  | Lint_report report -> Apex_lint.Engine.report_to_json report
+  | Mapped { app; variant; post = pm; _ } ->
       Json.Obj
-        [ ("app", Json.String a.Apps.name);
-          ("variant", Json.String v.name);
+        [ ("app", Json.String app.Apps.name);
+          ("variant", Json.String variant.name);
           ("n_pes", Json.Int pm.n_pes);
           ("pe_area", Json.Float pm.pe_area);
           ("total_pe_area", Json.Float pm.total_pe_area);
           ("pe_energy_per_output", Json.Float pm.pe_energy_per_output);
           ("utilization", Json.Float pm.utilization) ]
-  | Mine { app; top } ->
-      let a = app_by_name app in
-      let ranked = Variants.analysis_of a in
+  | Mined { app; n_patterns; ranked; _ } ->
       let rows =
-        List.filteri (fun i _ -> i < top) ranked
-        |> List.map (fun (r : Apex_mining.Analysis.ranked) ->
-               Json.Obj
-                 [ ("pattern", Json.String (Apex_mining.Pattern.code r.pattern));
-                   ("support", Json.Int r.support);
-                   ("mis_size", Json.Int r.mis_size) ])
+        List.map
+          (fun (r : Apex_mining.Analysis.ranked) ->
+            Json.Obj
+              [ ("pattern", Json.String (Apex_mining.Pattern.code r.pattern));
+                ("support", Json.Int r.support);
+                ("mis_size", Json.Int r.mis_size) ])
+          ranked
       in
       Json.Obj
-        [ ("app", Json.String a.Apps.name);
-          ("n_patterns", Json.Int (List.length ranked));
+        [ ("app", Json.String app.Apps.name);
+          ("n_patterns", Json.Int n_patterns);
           ("top", Json.List rows) ]
-  | Sleep { seconds } ->
-      if seconds < 0.0 || seconds > 3600.0 then
-        bad "sleep: %g seconds out of range [0, 3600]" seconds;
-      (* cancellable wait: short naps with a guard tick between them, so
-         a deadline or server shutdown interrupts the hold promptly *)
-      let t0 = Unix.gettimeofday () in
-      let rec nap () =
-        Apex_guard.tick ();
-        let left = seconds -. (Unix.gettimeofday () -. t0) in
-        if left > 0.0 then begin
-          Unix.sleepf (Float.min 0.01 left);
-          nap ()
-        end
-      in
-      nap ();
-      Json.Obj [ ("slept_s", Json.Float seconds) ]
+  | Slept seconds -> Json.Obj [ ("slept_s", Json.Float seconds) ]
+
+let run job = results_json (execute job)

@@ -1,15 +1,16 @@
 (** Job specifications shared by the CLI subcommands and the serve
-    daemon.
+    daemon, and the one code path that runs them.
 
     A job names one unit of flow work — a DSE fleet, a static-analysis
     run, a lint pass, a single mapping, a mining pass — plus its JSON
-    spec encoding (the serve wire format's ["job"] object) and one
-    runner producing the results JSON both front ends embed in their
-    reports.  Factoring this out is what makes the acceptance check
-    meaningful: `apex dse camera --json` and a served
-    [{"kind":"dse","apps":["camera"]}] go through the same pair
-    construction and the same row serializer, so their results sections
-    are byte-identical by construction. *)
+    spec encoding (the serve wire format's ["job"] object).  {!execute}
+    runs it to a typed {!result}; {!results_json} serializes that.  The
+    CLI's flow subcommands parse their flags into a job, {!execute} it
+    and render the result (their [--json] output and [--trace=FILE]
+    results section are {!results_json}); the daemon calls {!run}.  So
+    `apex dse camera --json` and a served
+    [{"kind":"dse","apps":["camera"]}] run the same code and print the
+    same results bytes. *)
 
 type t =
   | Dse of { apps : string list; variants : string list }
@@ -36,7 +37,12 @@ val to_json : t -> Apex_telemetry.Json.t
 
 val of_json : Apex_telemetry.Json.t -> t
 (** Parse a wire spec.
-    @raise Invalid_argument on unknown kinds or malformed fields. *)
+    @raise Invalid_argument on unknown kinds or malformed fields,
+    including a sleep whose [seconds] is not a finite number in
+    [0, 3600]. *)
+
+val app_by_name : string -> Apex_halide.Apps.t
+(** @raise Invalid_argument on an unknown application name. *)
 
 val dse_pairs :
   apps:Apex_halide.Apps.t list ->
@@ -47,15 +53,37 @@ val dse_pairs :
     serial and memoized; it raises [Invalid_argument] on unknown
     variant specs. *)
 
-val dse_row_json :
-  (string * Variants.t * Apex_halide.Apps.t) * Dse.pair_result ->
-  Apex_telemetry.Json.t
-(** One DSE result row ({"app", "variant", "spec", "status"} plus the
-    metric fields when mapped) — the schema `apex dse --json` prints
-    and `--trace` embeds as its results section. *)
+type result =
+  | Dse_rows of ((string * Variants.t * Apex_halide.Apps.t) * Dse.pair_result) list
+      (** One row per {!dse_pairs} entry, in fleet order. *)
+  | Analyze_reports of Analyze_run.app_report list
+  | Configs_reports of Configspace_run.app_report list
+  | Lint_report of Apex_lint.Engine.report
+  | Mapped of {
+      app : Apex_halide.Apps.t;
+      variant : Variants.t;
+      post : Metrics.post_mapping;
+      cover : Apex_mapper.Cover.t;
+    }
+  | Mined of {
+      app : Apex_halide.Apps.t;
+      n_patterns : int;
+      top : int;
+      ranked : Apex_mining.Analysis.ranked list;  (** the first [top] *)
+    }
+  | Slept of float
+(** A job's typed outcome: one constructor per job kind. *)
+
+val execute : t -> result
+(** Execute the job.  Raises what the flow raises — [Invalid_argument]
+    on bad names, [Cover.Unmappable], [Apex_guard.Cancelled] — so front
+    ends map failures onto the shared exit-code/error-object taxonomy. *)
+
+val results_json : result -> Apex_telemetry.Json.t
+(** The results section: DSE rows ({"app", "variant", "spec",
+    "status"} plus the metric fields when mapped), the analyze,
+    configspace and lint JSON reports, the map metrics, the mining
+    ranking, or the slept time. *)
 
 val run : t -> Apex_telemetry.Json.t
-(** Execute the job and return its results JSON.  Raises what the flow
-    raises — [Invalid_argument] on bad names, [Cover.Unmappable],
-    [Apex_guard.Cancelled] — so front ends map failures onto the
-    shared exit-code/error-object taxonomy. *)
+(** [results_json (execute job)]. *)

@@ -131,13 +131,7 @@ let request_of_json j =
                       match Json.member "deadline_s" j with
                       | None -> Result.Ok { tenant; job; deadline_s = None }
                       | Some v -> (
-                          let s =
-                            match v with
-                            | Json.Float s -> Some s
-                            | Json.Int i -> Some (float_of_int i)
-                            | _ -> None
-                          in
-                          match s with
+                          match Json.to_number_opt v with
                           | Some s when s > 0.0 ->
                               Result.Ok { tenant; job; deadline_s = Some s }
                           | _ ->

@@ -42,8 +42,4 @@ let to_json events =
        Json.List (List.map thread_meta tids @ List.map event_json events));
       ("displayTimeUnit", Json.String "ms") ]
 
-let write_file path events =
-  let oc = open_out path in
-  Fun.protect
-    (fun () -> output_string oc (Json.to_string (to_json events)))
-    ~finally:(fun () -> close_out oc)
+let write_file path events = Json.write_file path (to_json events)

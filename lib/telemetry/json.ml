@@ -247,6 +247,9 @@ let of_string s =
       else Ok v
   | exception Parse_error msg -> Error msg
 
+let write_file path j =
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string j))
+
 (* --- accessors (for tests and trace-check) --- *)
 
 let member key = function
@@ -254,6 +257,11 @@ let member key = function
   | _ -> None
 
 let to_int_opt = function Int i -> Some i | _ -> None
+
+let to_number_opt = function
+  | Float f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None
 
 let to_string_opt = function String s -> Some s | _ -> None
 

@@ -113,11 +113,7 @@ let to_json ?results (snap : Registry.snapshot) =
                       ("p95", Json.Float (Registry.percentile d 0.95)) ] ))
               snap.dists)) ])
 
-let write_file ?results path snap =
-  let oc = open_out path in
-  Fun.protect
-    (fun () -> output_string oc (Json.to_string (to_json ?results snap)))
-    ~finally:(fun () -> close_out oc)
+let write_file ?results path snap = Json.write_file path (to_json ?results snap)
 
 (* Path of the JSON report requested by the environment, if any. *)
 let env_trace_path () = Sys.getenv_opt "APEX_TRACE"
@@ -137,8 +133,4 @@ let bench_json cases =
                 [ ("name", Json.String name); ("report", to_json snap) ])
             cases)) ]
 
-let write_bench_file path cases =
-  let oc = open_out path in
-  Fun.protect
-    (fun () -> output_string oc (Json.to_string (bench_json cases)))
-    ~finally:(fun () -> close_out oc)
+let write_bench_file path cases = Json.write_file path (bench_json cases)

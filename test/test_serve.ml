@@ -106,7 +106,29 @@ let test_request_validation_errors () =
   check Alcotest.int "missing job is code 2" 2
     (err_of (Json.Obj [ ("schema", Json.String Proto.schema_version);
                         ("tenant", Json.String "a") ]))
-      .Proto.code
+      .Proto.code;
+  (* a sleep outside [0, 3600] s (or not finite) is rejected at decode
+     time, before admission could journal it *)
+  let sleep seconds =
+    Json.Obj
+      [ ("schema", Json.String Proto.schema_version);
+        ("tenant", Json.String "a");
+        ("job", Json.Obj [ ("kind", Json.String "sleep"); ("seconds", seconds) ])
+      ]
+  in
+  List.iter
+    (fun (label, seconds) ->
+      check Alcotest.int label 2 (err_of (sleep seconds)).Proto.code)
+    [ ("negative sleep is code 2", Json.Int (-1));
+      ("hour-plus sleep is code 2", Json.Int 5000);
+      ("nan sleep is code 2", Json.Float Float.nan);
+      ("infinite sleep is code 2", Json.Float Float.infinity) ];
+  List.iter
+    (fun seconds ->
+      match Proto.request_of_json (sleep seconds) with
+      | Result.Ok _ -> ()
+      | Result.Error e -> Alcotest.fail e.Proto.message)
+    [ Json.Int 0; Json.Float 3600.0 ]
 
 let test_error_taxonomy () =
   let code e = (Proto.error_of_exn e).Proto.code in
@@ -437,7 +459,8 @@ let test_e2e_namespace_isolation t socket =
 let test_e2e_results_match_cli t socket =
   ignore t;
   (* the served result payload must be byte-identical to what the same
-     job computes standalone (the CLI path runs the same Jobs.run) *)
+     job computes standalone (the CLI's mine subcommand executes the
+     same job through Jobs.execute and writes Jobs.results_json) *)
   let job = Apex.Jobs.Mine { app = "camera"; top = 3 } in
   let standalone = Json.to_string (Apex.Jobs.run job) in
   match submit_job ~socket ~tenant:"cli-twin" job with
