@@ -76,7 +76,10 @@ bench-snapshot:
 #                  identical to --jobs 1 modulo timing fields;
 #   cache        — a warm rerun against a scratch cache must hit
 #                  (exec.cache_hits > 0) and compute identical results.
+# First, a flag check: --jobs 0 is an invalid argument (exit exactly 2)
+# on the flow subcommands, as it is on serve.
 ci: build test
+	dune exec bin/apex_cli.exe -- mine gaussian --jobs 0 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE) \
 	  --require analysis.facts_computed \

@@ -7,9 +7,8 @@
      dune exec bench/main.exe -- table2 fig11 run selected experiments
      dune exec bench/main.exe -- --timing     Bechamel micro-benchmarks
      dune exec bench/main.exe -- --fast       greedy placement (effort 0)
-     dune exec bench/main.exe -- --jobs-sweep parallel-scaling + cache sweep
      dune exec bench/main.exe -- --snapshot  committable BENCH_<area>.json
-     dune exec bench/main.exe -- --jobs=N    pool width for any of the above
+     dune exec bench/main.exe -- --jobs=N    pool width (pair evaluation)
 
    Absolute numbers come from our synthetic technology model; the point
    of each experiment is the paper's *shape*: who wins, by what factor,
@@ -577,127 +576,6 @@ let timing () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* --jobs-sweep: scaling of the parallel phases and the artifact cache *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = Apex_exec.Pool
-module Store = Apex_exec.Store
-module Json = Apex_telemetry.Json
-
-let parallel_schema_version = "apex.bench.parallel/1"
-
-let time_s f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-let jobs_sweep file =
-  section "Parallel scaling: phase wall-clock per --jobs";
-  (* raw phase entry points, bypassing both the in-memory memo tables
-     and the artifact store: this measures compute, not caching *)
-  Store.set_enabled false;
-  let camera = Apps.by_name "camera" in
-  let patterns_of (app : Apps.t) =
-    List.filteri (fun i _ -> i < 3)
-      (Variants.interesting_patterns (Variants.analysis_of app))
-  in
-  let dp_for (app : Apps.t) patterns =
-    List.fold_left (fun dp p -> fst (Merge.merge dp p))
-      (Library.subset ~ops:(Library.ops_of_graph app.graph))
-      patterns
-  in
-  (* built once, serially, so the sweep times *phases*, not setup;
-     variant construction feeds shared memo tables and must not move
-     onto the pool (see DESIGN.md) *)
-  let patterns = patterns_of camera in
-  let dp = dp_for camera patterns in
-  let rules = Rules.rule_set dp ~patterns in
-  let v =
-    { Variants.name = "sweep"; dp; patterns; rules; configspace = None }
-  in
-  let eval_apps =
-    List.filter
-      (fun (app : Apps.t) ->
-        match Cover.map_app ~rules app.graph with
-        | _ -> true
-        | exception Cover.Unmappable _ -> false)
-      (Apps.evaluated ())
-  in
-  let phases =
-    [ ("mining",
-       fun () -> ignore (Analysis.analyze camera.graph));
-      ("merging", fun () -> ignore (dp_for camera patterns));
-      ("synthesis", fun () -> ignore (Rules.rule_set dp ~patterns));
-      ("evaluation",
-       fun () ->
-         ignore
-           (Dse.evaluate_pairs ~effort:!effort
-              (List.map (fun app -> (v, app)) eval_apps))) ]
-  in
-  let sweep = [ 1; 2; 4 ] in
-  let rows =
-    List.map
-      (fun jobs ->
-        Pool.set_jobs jobs;
-        let timings =
-          List.map (fun (name, f) -> (name, fst (time_s f))) phases
-        in
-        (jobs, timings))
-      sweep
-  in
-  Pool.set_jobs 1;
-  Format.printf "%-12s" "phase";
-  List.iter (fun j -> Format.printf " %9s" (Printf.sprintf "jobs=%d" j)) sweep;
-  Format.printf "@.";
-  List.iter
-    (fun (name, _) ->
-      Format.printf "%-12s" name;
-      List.iter
-        (fun (_, timings) ->
-          Format.printf " %8.1fms" (1e3 *. List.assoc name timings))
-        rows;
-      Format.printf "@.")
-    phases;
-  (* cache effectiveness: the same synthesis phase against a scratch
-     store, cold then warm *)
-  let scratch = Filename.temp_file "apex-bench-cache" "" in
-  Sys.remove scratch;
-  Store.set_dir scratch;
-  Store.set_enabled true;
-  let cold, _ = time_s (fun () -> Rules.rule_set dp ~patterns) in
-  let warm, _ = time_s (fun () -> Rules.rule_set dp ~patterns) in
-  Store.set_enabled false;
-  ignore (Store.gc ());
-  (try Unix.rmdir scratch with Unix.Unix_error _ -> ());
-  Format.printf "cache: synthesis cold %.1f ms -> warm %.1f ms (%.0fx)@."
-    (1e3 *. cold) (1e3 *. warm) (cold /. Float.max 1e-9 warm);
-  let json =
-    Json.Obj
-      [ ("schema", Json.String parallel_schema_version);
-        ("phases",
-         Json.List
-           (List.map
-              (fun (jobs, timings) ->
-                Json.Obj
-                  [ ("jobs", Json.Int jobs);
-                    ("seconds",
-                     Json.Obj
-                       (List.map (fun (n, s) -> (n, Json.Float s)) timings))
-                  ])
-              rows));
-        ("cache",
-         Json.Obj
-           [ ("phase", Json.String "synthesis");
-             ("cold_s", Json.Float cold);
-             ("warm_s", Json.Float warm) ]) ]
-  in
-  let oc = open_out file in
-  Fun.protect
-    (fun () -> output_string oc (Json.to_string json))
-    ~finally:(fun () -> close_out oc);
-  Format.printf "jobs sweep written to %s@." file
-
-(* ------------------------------------------------------------------ *)
 (* --snapshot: committable phase benchmarks (BENCH_<area>.json)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -722,6 +600,14 @@ module Server = Apex_serve.Server
 module Client = Apex_serve.Client
 module Proto = Apex_serve.Proto
 module Registry = Apex_telemetry.Registry
+module Pool = Apex_exec.Pool
+module Store = Apex_exec.Store
+module Json = Apex_telemetry.Json
+
+let time_s f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (Unix.gettimeofday () -. t0, r)
 
 (* the mixed batch every tenant submits: one request per job kind the
    daemon serves, sized so a sweep stays under ~10 s end to end *)
@@ -908,9 +794,6 @@ let () =
   in
   match args with
   | [ "--timing" ] -> timing ()
-  | [ "--jobs-sweep" ] -> jobs_sweep "BENCH_parallel.json"
-  | [ a ] when String.length a > 13 && String.sub a 0 13 = "--jobs-sweep=" ->
-      jobs_sweep (String.sub a 13 (String.length a - 13))
   | [ "--snapshot" ] -> snapshot "."
   | [ a ] when String.length a > 11 && String.sub a 0 11 = "--snapshot=" ->
       snapshot (String.sub a 11 (String.length a - 11))

@@ -138,8 +138,9 @@ let set_optimize optimize = if optimize then Apex.Optimize.enable ()
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel phases (mining, rule synthesis, \
-     evaluation). Defaults to the APEX_JOBS environment variable, else the \
+    "Worker domains for DSE pair evaluation, the one parallel phase (each \
+     (variant, app) pair is a task; mining, merging and rule synthesis run \
+     serially). Defaults to the APEX_JOBS environment variable, else the \
      machine's core count. Results are bit-identical whatever $(docv) is."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
@@ -220,7 +221,11 @@ let setup_guard deadline phase_deadlines fault =
 
 let exec_t =
   let setup jobs no_cache deadline phase_deadlines fault =
-    Option.iter Apex_exec.Pool.set_jobs jobs;
+    Option.iter
+      (fun n ->
+        if n < 1 then invalid_arg (Printf.sprintf "--jobs %d < 1" n);
+        Apex_exec.Pool.set_jobs n)
+      jobs;
     if no_cache then Apex_exec.Store.set_enabled false;
     setup_guard deadline phase_deadlines fault
   in

@@ -10,7 +10,7 @@
      runners (N-1 spawned + the caller), and [--jobs 1] never spawns.
    - Spawned domains are per-batch.  Domain spawn costs tens of
      microseconds; every batch in the flow is orders of magnitude
-     coarser (pattern synthesis, clique rows, evaluation runs), and
+     coarser ((variant, app) pair evaluations, serve requests), and
      per-batch domains keep the scheduler stateless: no idle workers,
      no shutdown protocol, no cross-batch queue to corrupt.
    - Nested calls (a task itself calling [map]) run serially inline:
@@ -134,14 +134,11 @@ let parallel_map ~runners f xs =
       | None -> assert false (* every slot filled or a failure raised *))
     results
 
-let map_array f xs =
+let map f xs =
+  let xs = Array.of_list xs in
   let n = Array.length xs in
   let runners = min (jobs ()) n in
-  if n = 0 then [||]
-  else if runners <= 1 || !(Domain.DLS.get in_task) then serial_map f xs
-  else parallel_map ~runners f xs
-
-let map f xs = Array.to_list (map_array f (Array.of_list xs))
-
-let map_reduce ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map f xs)
+  Array.to_list
+    (if n = 0 then [||]
+     else if runners <= 1 || !(Domain.DLS.get in_task) then serial_map f xs
+     else parallel_map ~runners f xs)

@@ -1,9 +1,12 @@
 (** Deterministic fork-join scheduler on OCaml 5 domains.
 
-    The pool runs independent units of a DSE phase — per-root embedding
-    enumeration, per-pattern rule synthesis, per-pair compatibility
-    rows, per-variant evaluation — across a fixed number of domains
-    while keeping the *observable result identical to a serial run*:
+    The pool has two callers: DSE pair evaluation (one task per
+    (variant, app) pair) and the serve scheduler (one task per admitted
+    request).  Mining, merging and rule synthesis run serially: on 2
+    cores their fan-outs measured slower than a serial pass, while pair
+    evaluation gains (DESIGN.md, "Execution runtime").
+    The pool runs its tasks across a fixed number of domains while
+    keeping the *observable result identical to a serial run*:
 
     - [map f xs] always delivers results in submission order, whatever
       order tasks finish in;
@@ -41,12 +44,3 @@ val serially : (unit -> 'a) -> 'a
 
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map] with submission-order results. *)
-
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with submission-order results. *)
-
-val map_reduce : map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
-  'a list -> 'c
-(** [map_reduce ~map ~reduce ~init xs] maps in parallel, then folds the
-    results in submission order — equivalent to
-    [List.fold_left reduce init (List.map map xs)]. *)

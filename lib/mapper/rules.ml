@@ -169,14 +169,10 @@ let rule_set ?verify (dp : D.t) ~patterns =
         Store.fingerprint verify ]
   in
   (* SMT rule synthesis dominates warm-path cost; a hit skips it
-     entirely.  Per-pattern synthesis runs are independent, so the
-     cold path fans them out on the pool. *)
+     entirely. *)
   let rules =
     Store.memoize ~ns:"rules" ~key @@ fun () ->
-    let complex =
-      List.filter_map Fun.id
-        (Apex_exec.Pool.map (pattern_rule ?verify dp) patterns)
-    in
+    let complex = List.filter_map (pattern_rule ?verify dp) patterns in
     let simple = single_op_rules dp in
     List.sort (fun a b -> compare b.size a.size) (complex @ simple)
   in

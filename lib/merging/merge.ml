@@ -258,13 +258,9 @@ let merge ?(strategy = Max_weight_clique) ?(clique_budget = 2_000_000)
   let ops = Array.of_list ops in
   let n = Array.length ops in
   let weight = Array.map (opportunity_weight a b) ops in
-  (* compatibility rows are independent, so they parallelize cleanly;
-     the clique search itself stays serial — see DESIGN.md, a shared
-     best-weight bound cannot prune deterministically across domains *)
-  let row i = Array.init n (fun j -> i <> j && compatible ops.(i) ops.(j)) in
   let adj =
-    if n >= 128 then Apex_exec.Pool.map_array row (Array.init n Fun.id)
-    else Array.init n row
+    Array.init n (fun i ->
+        Array.init n (fun j -> i <> j && compatible ops.(i) ops.(j)))
   in
   let problem = { Clique.n; weight; adj } in
   let solution =

@@ -59,14 +59,13 @@ exception Budget
 
 module Counter = Apex_telemetry.Counter
 module Span = Apex_telemetry.Span
-module Pool = Apex_exec.Pool
 module Guard = Apex_guard
 
 (* Reusable canonical-coding scratch: one buffer and two index tables
-   per enumeration (or per pool task) instead of fresh allocations for
-   every embedding — the position table and key buffer are rebuilt in
-   place, and the caller passes the node list already sorted so it is
-   not re-sorted both here and for the embedding record. *)
+   per enumeration instead of fresh allocations for every embedding —
+   the position table and key buffer are rebuilt in place, and the
+   caller passes the node list already sorted so it is not re-sorted
+   both here and for the embedding record. *)
 type scratch = {
   buf : Buffer.t;
   pos : (int, int) Hashtbl.t;
@@ -159,46 +158,6 @@ let enumerate cfg adj in_sub ~root ~emit =
   extend [ root ] 1 ext;
   in_sub.(root) <- false
 
-(* One enumerated embedding, as handed from a (possibly parallel) root
-   enumeration to the serial recording pass: the sorted node set, and
-   its shape key when it contains a compute node (only those become
-   patterns). *)
-type emitted = { sorted : int list; skey : string option }
-
-(* Enumerate a contiguous range of roots, pre-computing shape keys and
-   one canonical pattern per locally-new key.  Pure with respect to
-   shared state, so ranges can run on pool domains; the recording pass
-   below replays the emissions in root order, which makes the result —
-   including every telemetry counter — bit-identical to a serial run. *)
-let enumerate_range cfg g adj ok ~lo ~hi =
-  let in_sub = Array.make (G.length g) false in
-  let scratch = make_scratch () in
-  let patterns : (string, Pattern.t) Hashtbl.t = Hashtbl.create 64 in
-  let acc = ref [] in
-  let emit sub =
-    (* cancellation check on the worker domain: under a deadline the
-       pool task must stop enumerating, not just the serial replay *)
-    Guard.tick ();
-    let entry =
-      if List.exists (fun i -> Op.is_compute (G.node g i).op) sub then begin
-        let sorted = List.sort compare sub in
-        let skey = shape_key cfg g scratch sorted in
-        if not (Hashtbl.mem patterns skey) then
-          (* first local representative; the recorder only consults this
-             table for the *globally* first representative, which is
-             necessarily also locally first in its range *)
-          Hashtbl.replace patterns skey (canonicalize cfg g sub);
-        { sorted; skey = Some skey }
-      end
-      else { sorted = List.sort compare sub; skey = None }
-    in
-    acc := entry :: !acc
-  in
-  for root = lo to hi - 1 do
-    if ok.(root) then enumerate cfg adj ~root ~emit in_sub
-  done;
-  (List.rev !acc, patterns)
-
 (* ESU enumeration: each connected node set of size in [2, max_size] is
    visited exactly once. *)
 let mine cfg g =
@@ -219,82 +178,43 @@ let mine cfg g =
      repeated stencil structure) share one canonicalization *)
   let canon_cache : (string, Pattern.t) Hashtbl.t = Hashtbl.create 256 in
   let canon_hits = ref 0 in
-  (* serial recording of one embedding: grouping, canonicalization
-     cache, budget.  [pattern_for] supplies the canonical pattern for a
-     cache-missing key (computed inline serially, pre-computed on a
-     worker domain in the parallel path). *)
-  let record ~pattern_for sorted skey =
+  let in_sub = Array.make n false in
+  let scratch = make_scratch () in
+  (* one pass: enumerate and record each embedding as it is visited —
+     grouping, canonicalization cache, budget; nothing materialized *)
+  let emit sub =
     Guard.tick ();
     incr enumerated;
     if !enumerated > cfg.max_subgraphs then raise Budget;
-    match skey with
-    | None -> () (* only patterns with >= 1 compute node are interesting *)
-    | Some sk ->
-        let p =
-          match Hashtbl.find_opt canon_cache sk with
-          | Some p ->
-              incr canon_hits;
-              p
-          | None ->
-              let p = pattern_for sk in
-              Hashtbl.replace canon_cache sk p;
-              p
-        in
-        let key = Pattern.code p in
-        let prev, count =
-          match Hashtbl.find_opt groups key with
-          | Some (_, embs, count) -> (embs, count)
-          | None -> ([], 0)
-        in
-        let prev = if count < max_embeddings then sorted :: prev else prev in
-        Hashtbl.replace groups key (p, prev, count + 1)
+    (* only patterns with >= 1 compute node are interesting *)
+    if List.exists (fun i -> Op.is_compute (G.node g i).op) sub then begin
+      let sorted = List.sort compare sub in
+      let sk = shape_key cfg g scratch sorted in
+      let p =
+        match Hashtbl.find_opt canon_cache sk with
+        | Some p ->
+            incr canon_hits;
+            p
+        | None ->
+            let p = canonicalize cfg g sub in
+            Hashtbl.replace canon_cache sk p;
+            p
+      in
+      let key = Pattern.code p in
+      let prev, count =
+        match Hashtbl.find_opt groups key with
+        | Some (_, embs, count) -> (embs, count)
+        | None -> ([], 0)
+      in
+      let prev = if count < max_embeddings then sorted :: prev else prev in
+      Hashtbl.replace groups key (p, prev, count + 1)
+    end
   in
-  let roots = Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 ok in
-  let jobs = Pool.jobs () in
   let outcome = ref Guard.Outcome.Exact in
   (try
-     if jobs <= 1 || roots < 2 then begin
-       (* serial: enumerate and record in one pass, nothing materialized *)
-       let in_sub = Array.make n false in
-       let scratch = make_scratch () in
-       let emit sub =
-         if List.exists (fun i -> Op.is_compute (G.node g i).op) sub then begin
-           let sorted = List.sort compare sub in
-           let sk = shape_key cfg g scratch sorted in
-           record sorted (Some sk)
-             ~pattern_for:(fun _ -> canonicalize cfg g sub)
-         end
-         else record (List.sort compare sub) None ~pattern_for:(fun _ -> assert false)
-       in
-       for root = 0 to n - 1 do
-         if ok.(root) then enumerate cfg adj ~root ~emit in_sub
-       done
-     end
-     else begin
-       (* parallel: enumerate root ranges on the pool, then *replay* the
-          emissions in root order so grouping, the canonicalization
-          cache, the budget cut-off and every counter behave exactly as
-          the serial pass above *)
-       let chunk = max 1 (n / (jobs * 8)) in
-       let ranges =
-         List.init
-           ((n + chunk - 1) / chunk)
-           (fun i -> (i * chunk, min n ((i + 1) * chunk)))
-       in
-       let parts =
-         Pool.map (fun (lo, hi) -> enumerate_range cfg g adj ok ~lo ~hi) ranges
-       in
-       List.iter
-         (fun (entries, patterns) ->
-           List.iter
-             (fun { sorted; skey } ->
-               record sorted skey ~pattern_for:(fun sk ->
-                   (* the first global representative of [sk] was
-                      enumerated by this very range, so its table has it *)
-                   Hashtbl.find patterns sk))
-             entries)
-         parts
-     end
+     for root = 0 to n - 1 do
+       if ok.(root) then enumerate cfg adj ~root ~emit in_sub
+     done
    with
   | Budget ->
       (* the pre-existing enumeration cap: a fuel-shaped truncation *)
@@ -315,7 +235,7 @@ let mine cfg g =
         let embs = List.sort_uniq compare embs in
         if count >= cfg.min_support then begin
           (* deterministic value distribution (order-insensitive), so
-             percentiles stay identical across --jobs configurations *)
+             percentiles do not depend on hash-table iteration order *)
           Counter.observe "mining.embeddings_per_pattern"
             (float_of_int count);
           { pattern = p; embeddings = embs; support = count } :: acc

@@ -389,9 +389,3 @@ let cegis ?(width = 8) ?(max_instrs = 100_000) (spec : Spec.t) p =
      with Exit -> ());
     !result
   end
-
-let rules_for_ops dp ops =
-  (* per-op synthesis runs are independent (fresh verifier state each),
-     and each task emits the same "synth" span + rules.* counters it
-     would serially, so the pool keeps reports bit-identical *)
-  Apex_exec.Pool.map (fun op -> (op, structural dp (op_pattern op))) ops

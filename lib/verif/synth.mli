@@ -40,11 +40,5 @@ val cegis :
     set, verifying promising candidates.  Only practical when the
     instruction space is small (e.g. single-FU PEs). *)
 
-val rules_for_ops :
-  Apex_merging.Datapath.t -> Apex_dfg.Op.t list -> (Apex_dfg.Op.t * rule option) list
-(** Synthesize one rule per primitive operation — the rule set every
-    application needs (Section 4.1.1: "we synthesize rewrite rules for
-    every operation necessary to execute any application"). *)
-
 val op_pattern : Apex_dfg.Op.t -> Apex_mining.Pattern.t
 (** The single-operation pattern for a compute op. *)

@@ -177,6 +177,41 @@ let test_ml_variant_improves_ml () =
         (m.Metrics.n_pes < b.Metrics.n_pes))
     (Dse.ml_apps ())
 
+(* --- where parallelism lives --- *)
+
+let test_only_pair_evaluation_fans_out () =
+  (* variant construction (mining, merging, configspace, synthesis) is
+     serial whatever --jobs is; only pair evaluation uses the pool *)
+  let module Pool = Apex_exec.Pool in
+  let module Store = Apex_exec.Store in
+  let module Registry = Apex_telemetry.Registry in
+  let parallel_batches () =
+    Apex_telemetry.Counter.get "exec.pool_parallel_batches"
+  in
+  let store_was = Store.enabled () in
+  let jobs_was = Pool.jobs () in
+  Store.set_enabled false;
+  Registry.enable ();
+  Registry.reset ();
+  Pool.set_jobs 4;
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_jobs jobs_was;
+      Registry.disable ();
+      Registry.reset ();
+      Store.set_enabled store_was)
+  @@ fun () ->
+  Dse.with_local_memo @@ fun () ->
+  Variants.with_local_memo @@ fun () ->
+  let camera = Apps.by_name "camera" in
+  let v = Dse.pe_k camera 2 in
+  check int "no parallel batch while building the variant" 0
+    (parallel_batches ());
+  ignore (Dse.evaluate_pairs ~effort:0 [ (v, camera); (v, gaussian) ]);
+  Alcotest.(check bool)
+    "pair evaluation runs a parallel batch" true
+    (parallel_batches () >= 1)
+
 let () =
   Alcotest.run "core"
     [ ( "variants",
@@ -188,6 +223,9 @@ let () =
           Alcotest.test_case "unknown application" `Quick test_variant_for_unknown_app;
           Alcotest.test_case "bad subgraph count" `Quick
             test_variant_for_bad_subgraph_count ] );
+      ( "parallelism",
+        [ Alcotest.test_case "only pair evaluation fans out" `Quick
+            test_only_pair_evaluation_fans_out ] );
       ( "metrics",
         [ Alcotest.test_case "specialization shrinks area" `Quick
             test_specialization_monotone_area;

@@ -48,13 +48,6 @@ let test_map_matches_serial () =
     "empty input" []
     (with_jobs 4 (fun () -> Pool.map f []) ())
 
-let test_map_reduce () =
-  let xs = List.init 50 (fun i -> i + 1) in
-  check Alcotest.int "fold in submission order" (50 * 51 / 2)
-    (with_jobs 4
-       (fun () -> Pool.map_reduce ~map:Fun.id ~reduce:( + ) ~init:0 xs)
-       ())
-
 let test_exception_propagation () =
   (* the lowest failing submission index wins, as in a serial map *)
   let f x = if x >= 30 then failwith (string_of_int x) else x in
@@ -396,7 +389,6 @@ let () =
   Alcotest.run "exec"
     [ ( "pool",
         [ Alcotest.test_case "map matches serial" `Quick test_map_matches_serial;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested map degrades" `Quick

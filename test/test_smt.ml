@@ -444,16 +444,15 @@ let test_cegis_small_pe () =
   | None -> Alcotest.fail "cegis found no sub rule"
   | Some _ -> ()
 
-let test_rules_for_ops () =
+let test_structural_rules_for_ops () =
   let ops = [ Op.Add; Op.Sub; Op.Smin ] in
   let dp = Library.subset ~ops in
-  let rules = Synth.rules_for_ops dp ops in
   List.iter
-    (fun (op, rule) ->
-      match rule with
+    (fun op ->
+      match Synth.structural dp (Synth.op_pattern op) with
       | Some _ -> ()
       | None -> Alcotest.failf "missing rule for %s" (Op.mnemonic op))
-    rules
+    ops
 
 let bv_props =
   List.map QCheck_alcotest.to_alcotest
@@ -485,4 +484,4 @@ let () =
           Alcotest.test_case "structural: missing op" `Quick test_structural_fails_for_missing_op;
           Alcotest.test_case "structural: merged PE" `Quick test_structural_on_merged_pe;
           Alcotest.test_case "cegis: small PE" `Quick test_cegis_small_pe;
-          Alcotest.test_case "rules for ops" `Quick test_rules_for_ops ] ) ]
+          Alcotest.test_case "rules for ops" `Quick test_structural_rules_for_ops ] ) ]
