@@ -16,6 +16,7 @@ CI_SERVE_TRACE := /tmp/apex-ci-serve-trace.json
 CI_SERVE_OUT := /tmp/apex-ci-serve-out.json
 CI_SERVE_CLI_LINT := /tmp/apex-ci-serve-cli-lint.json
 CI_SERVE_CLI_DSE := /tmp/apex-ci-serve-cli-dse.json
+CI_SERVE_CLI_PROFILE := /tmp/apex-ci-serve-cli-profile.json
 CI_CRASH_SOCK := /tmp/apex-ci-crash.sock
 CI_CRASH_CACHE := /tmp/apex-ci-crash-cache
 CI_CRASH_CLEAN_CACHE := /tmp/apex-ci-crash-clean-cache
@@ -75,11 +76,15 @@ bench-snapshot:
 #   determinism  — the full profile with --jobs 4 must produce a report
 #                  identical to --jobs 1 modulo timing fields;
 #   cache        — a warm rerun against a scratch cache must hit
-#                  (exec.cache_hits > 0) and compute identical results.
-# First, a flag check: --jobs 0 is an invalid argument (exit exactly 2)
-# on the flow subcommands, as it is on serve.
+#                  (exec.cache_hits > 0) and compute identical results;
+#                  between the two runs, a negative `cache gc` budget is
+#                  rejected (exit exactly 2) and deletes nothing.
+# First, flag checks: --jobs 0 is an invalid argument (exit exactly 2)
+# on the flow subcommands, as it is on serve, and so is mine --top=-1,
+# as it is in a served mine spec.
 ci: build test
 	dune exec bin/apex_cli.exe -- mine gaussian --jobs 0 2> /dev/null; test $$? -eq 2
+	dune exec bin/apex_cli.exe -- mine gaussian --top=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE) \
 	  --require analysis.facts_computed \
@@ -106,6 +111,7 @@ ci: build test
 	dune exec bin/apex_cli.exe -- report-diff $(CI_J1) $(CI_J4)
 	rm -rf $(CI_CACHE)
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_COLD) > /dev/null
+	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- cache gc --budget-mb=-1 2> /dev/null; test $$? -eq 2
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_WARM) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_WARM) --require exec.cache_hits
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_COLD) $(CI_WARM)
@@ -123,11 +129,12 @@ ci: build test
 # whose daemon-side trace must show admitted requests.
 # While the daemon is up, the one-execution-path contract: the CLI's
 # `lint camera` and `dse camera` --trace reports carry the same results
-# section as alice's served lint and dse reports.
+# section as alice's served lint and dse reports, and `profile camera`
+# carries that of the served DSE job spec:camera + pe1:camera.
 .PHONY: ci-serve
 ci-serve:
 	rm -rf $(CI_SERVE_CACHE) && rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE)
-	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE)
+	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
 	set -e; \
 	APEX_CACHE_DIR=$(CI_SERVE_CACHE) $(APEX_BIN) serve \
 	  --socket $(CI_SERVE_SOCK) --jobs 4 --trace=$(CI_SERVE_TRACE) & \
@@ -152,6 +159,11 @@ ci-serve:
 	$(APEX_BIN) dse camera --no-cache --trace=$(CI_SERVE_CLI_DSE) > /dev/null; \
 	$(APEX_BIN) trace-check $(CI_SERVE_CLI_DSE) --require dse.memo_misses; \
 	$(APEX_BIN) report-diff --results-only $(CI_SERVE_CLI_DSE) $(CI_SERVE_OUT); \
+	$(APEX_BIN) submit --socket $(CI_SERVE_SOCK) --tenant alice \
+	  --out $(CI_SERVE_OUT) \
+	  '{"kind":"dse","apps":["camera"],"variants":["spec:camera","pe1:camera"]}'; \
+	$(APEX_BIN) profile camera --no-cache --trace=$(CI_SERVE_CLI_PROFILE) > /dev/null; \
+	$(APEX_BIN) report-diff --results-only $(CI_SERVE_CLI_PROFILE) $(CI_SERVE_OUT); \
 	kill -TERM $$pid; \
 	wait $$pid; \
 	trap - EXIT
@@ -312,7 +324,7 @@ clean:
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
-	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE)
+	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
 	rm -rf $(CI_CACHE) $(CI_FAULT_CACHE) $(CI_SNAP) $(CI_SERVE_CACHE)

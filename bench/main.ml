@@ -1,18 +1,19 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation (Section 5), plus the ablations listed in
-   DESIGN.md and Bechamel micro-benchmarks of the core algorithms.
+   DESIGN.md, and writes the committed benchmark snapshots.
 
    Usage:
-     dune exec bench/main.exe                 run every experiment
-     dune exec bench/main.exe -- table2 fig11 run selected experiments
-     dune exec bench/main.exe -- --timing     Bechamel micro-benchmarks
-     dune exec bench/main.exe -- --fast       greedy placement (effort 0)
-     dune exec bench/main.exe -- --snapshot  committable BENCH_<area>.json
-     dune exec bench/main.exe -- --jobs=N    pool width (pair evaluation)
+     dune exec bench/main.exe                  run every experiment
+     dune exec bench/main.exe -- table2 fig11  run selected experiments
+     dune exec bench/main.exe -- --snapshot[=DIR]
+                                 committable BENCH_<area>.json snapshots
+     dune exec bench/main.exe -- --serve-sweep[=DIR]
+                                 serve daemon sweep, BENCH_serve.json
 
-   Absolute numbers come from our synthetic technology model; the point
-   of each experiment is the paper's *shape*: who wins, by what factor,
-   and where the crossovers sit.  EXPERIMENTS.md records both. *)
+   The pool width for pair evaluation comes from APEX_JOBS.  Absolute
+   numbers come from our synthetic technology model; the point of each
+   experiment is the paper's *shape*: who wins, by what factor, and
+   where the crossovers sit.  EXPERIMENTS.md records both. *)
 
 module Op = Apex_dfg.Op
 module G = Apex_dfg.Graph
@@ -32,29 +33,6 @@ module Dse = Apex.Dse
 module Variants = Apex.Variants
 module Snapshot = Apex.Snapshot
 
-let effort = ref 1
-
-(* --trace[=FILE] (or APEX_TRACE): run each experiment with telemetry on
-   and bundle one JSON report per case into a bench report *)
-let trace_file = ref (Apex_telemetry.Report.env_trace_path ())
-
-let run_experiments cases =
-  match !trace_file with
-  | None -> List.iter (fun (_, f) -> f ()) cases
-  | Some path ->
-      Apex_telemetry.Registry.enable ();
-      let reports =
-        List.map
-          (fun (name, f) ->
-            Apex_telemetry.Registry.reset ();
-            Apex_telemetry.Span.with_ name f;
-            (name, Apex_telemetry.Registry.snapshot ()))
-          cases
-      in
-      Apex_telemetry.Report.write_bench_file path reports;
-      Format.printf "@.telemetry: bench JSON report (%d cases) written to %s@."
-        (List.length reports) path
-
 let section title = Format.printf "@.=== %s ===@." title
 
 (* memoized post-pipelining evaluation: several figures share it *)
@@ -66,7 +44,7 @@ let eval_pp (v : Variants.t) (app : Apps.t) =
   match Hashtbl.find_opt pp_cache key with
   | Some r -> r
   | None ->
-      let r = Metrics.post_pipelining ~effort:!effort v app in
+      let r = Metrics.post_pipelining v app in
       Hashtbl.replace pp_cache key r;
       r
 
@@ -513,69 +491,6 @@ let ablation_isel () =
     [ ("complex-first", Cover.Complex_first); ("simple-first", Cover.Simple_first) ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  let open Bechamel in
-  let gaussian = Apps.by_name "gaussian" in
-  let base = Dse.variant_for "base" in
-  let rules = base.Variants.rules in
-  let mapped = Cover.map_app ~rules gaussian.graph in
-  let fabric = Apex_cgra.Fabric.create () in
-  let placement = Apex_cgra.Place.place ~effort:0 fabric mapped in
-  let patterns =
-    List.filteri (fun i _ -> i < 2)
-      (Variants.interesting_patterns (Variants.analysis_of gaussian))
-  in
-  let tests =
-    [ Test.make ~name:"mine(gaussian)" (Staged.stage (fun () ->
-          Miner.mine { Miner.default_config with max_size = 3 } gaussian.graph));
-      Test.make ~name:"mis(top pattern)" (Staged.stage (fun () ->
-          let ranked = Variants.analysis_of gaussian in
-          Mis.mis_size (List.hd ranked).Analysis.embeddings));
-      Test.make ~name:"merge(2 patterns)" (Staged.stage (fun () ->
-          Merge.merge_all patterns));
-      Test.make ~name:"synthesize rule(add)" (Staged.stage (fun () ->
-          Apex_verif.Synth.structural base.Variants.dp
-            (Apex_verif.Synth.op_pattern Op.Add)));
-      Test.make ~name:"map(gaussian)" (Staged.stage (fun () ->
-          Cover.map_app ~rules gaussian.graph));
-      Test.make ~name:"place(gaussian)" (Staged.stage (fun () ->
-          Apex_cgra.Place.place ~effort:0 fabric mapped));
-      Test.make ~name:"route(gaussian)" (Staged.stage (fun () ->
-          Apex_cgra.Route.route placement mapped));
-      Test.make ~name:"pe retime(baseline)" (Staged.stage (fun () ->
-          Apex_pipelining.Pe_pipeline.plan base.Variants.dp)) ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  Format.printf "%-24s %16s@." "algorithm" "time/run";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name result ->
-          let ns =
-            match Analyze.OLS.estimates result with
-            | Some (e :: _) -> e
-            | _ -> nan
-          in
-          let pretty =
-            if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-            else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-            else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-            else Printf.sprintf "%8.0f ns" ns
-          in
-          Format.printf "%-24s %16s@." name pretty)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* --snapshot: committable phase benchmarks (BENCH_<area>.json)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -600,7 +515,6 @@ module Server = Apex_serve.Server
 module Client = Apex_serve.Client
 module Proto = Apex_serve.Proto
 module Registry = Apex_telemetry.Registry
-module Pool = Apex_exec.Pool
 module Store = Apex_exec.Store
 module Json = Apex_telemetry.Json
 
@@ -755,62 +669,25 @@ let experiments =
     ("ablation_fifo", ablation_fifo); ("ablation_isel", ablation_isel) ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "--fast" then begin
-          effort := 0;
-          false
-        end
-        else if a = "--trace" then begin
-          trace_file := Some "apex-bench-telemetry.json";
-          false
-        end
-        else if String.length a > 8 && String.sub a 0 8 = "--trace=" then begin
-          trace_file := Some (String.sub a 8 (String.length a - 8));
-          false
-        end
-        else if String.length a > 11 && String.sub a 0 11 = "--deadline=" then begin
-          (* global wall-clock budget: a bench run past its slot degrades
-             (truncated mining, greedy merges, skipped pairs) instead of
-             hanging the harness *)
-          let s = String.sub a 11 (String.length a - 11) in
-          (match float_of_string_opt s with
-          | Some sec when sec > 0.0 ->
-              Apex_guard.set_root (Apex_guard.Budget.v ~deadline_s:sec ())
-          | _ -> invalid_arg ("bench: bad --deadline value " ^ s));
-          false
-        end
-        else if String.length a > 7 && String.sub a 0 7 = "--jobs=" then begin
-          let s = String.sub a 7 (String.length a - 7) in
-          (match int_of_string_opt s with
-          | Some n when n >= 1 -> Pool.set_jobs n
-          | _ -> invalid_arg ("bench: bad --jobs value " ^ s));
-          false
-        end
-        else true)
-      args
+  let after prefix a =
+    String.sub a (String.length prefix) (String.length a - String.length prefix)
   in
-  match args with
-  | [ "--timing" ] -> timing ()
+  match List.tl (Array.to_list Sys.argv) with
   | [ "--snapshot" ] -> snapshot "."
-  | [ a ] when String.length a > 11 && String.sub a 0 11 = "--snapshot=" ->
-      snapshot (String.sub a 11 (String.length a - 11))
+  | [ a ] when String.starts_with ~prefix:"--snapshot=" a ->
+      snapshot (after "--snapshot=" a)
   | [ "--serve-sweep" ] -> serve_sweep "."
-  | [ a ] when String.length a > 14 && String.sub a 0 14 = "--serve-sweep=" ->
-      serve_sweep (String.sub a 14 (String.length a - 14))
+  | [ a ] when String.starts_with ~prefix:"--serve-sweep=" a ->
+      serve_sweep (after "--serve-sweep=" a)
   | [] ->
       Format.printf "APEX evaluation harness: regenerating every table and figure.@.";
-      run_experiments experiments
+      List.iter (fun (_, f) -> f ()) experiments
   | names ->
-      List.filter_map
+      List.iter
         (fun name ->
           match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
+          | Some f -> f ()
           | None ->
               Format.printf "unknown experiment %s; available: %s@." name
-                (String.concat " " (List.map fst experiments));
-              None)
+                (String.concat " " (List.map fst experiments)))
         names
-      |> run_experiments

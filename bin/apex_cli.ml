@@ -353,7 +353,7 @@ let mine_cmd =
   let run () trace optimize app top =
     with_report trace @@ fun () ->
     set_optimize optimize;
-    run_job text (Apex.Jobs.Mine { app; top })
+    run_job text (Apex.Jobs.mine ~app ~top)
   in
   let top =
     Arg.(value & opt int 10 & info [ "top" ] ~doc:"How many subgraphs to print.")
@@ -619,62 +619,36 @@ let compile_cmd =
 (* --- profile: the full DSE flow with telemetry always on --- *)
 
 let profile_cmd =
+  (* one DSE job per app: the variant under study against the
+     single-op PE 1 baseline; when the variant is the default
+     spec:<app>, its search already built PE 1, so that is a memo hit *)
   let profile_app variant (a : Apps.t) =
-    let vspec =
-      match variant with Some v -> v | None -> "spec:" ^ a.Apps.name
+    let app = a.Apps.name in
+    let vspec = Option.value variant ~default:("spec:" ^ app) in
+    let job =
+      Apex.Jobs.Dse { apps = [ app ]; variants = [ vspec; "pe1:" ^ app ] }
     in
-    let ranked = Apex.Variants.analysis_of a in
-    let v = Apex.Dse.variant_for vspec in
-    (* compare against the single-op PE 1 baseline; when [vspec] is the
-       default spec:<app>, the variant search already built it, so this
-       is a memo hit *)
-    let reference = Apex.Dse.pe_k a 0 in
-    let pp, pp_ref =
-      match Apex.Dse.evaluate_pairs [ (v, a); (reference, a) ] with
-      | [ pp; pp_ref ] -> (pp, pp_ref)
-      | _ -> assert false
-    in
-    Format.printf "profile %s on %s: %d mined subgraphs, %d rules@." a.Apps.name
-      v.name (List.length ranked) (List.length v.rules);
-    (match (Apex.Dse.mapped_opt pp, Apex.Dse.mapped_opt pp_ref) with
-    | Some pp, Some pr ->
-        Format.printf
-          "  %.2f runs/ms/mm^2 vs %.2f on %s (%.2fx); %d PEs, %d cycles/run@."
-          pp.Apex.Metrics.perf_per_mm2 pr.Apex.Metrics.perf_per_mm2
-          reference.name
-          (pp.Apex.Metrics.perf_per_mm2
-          /. Float.max 1e-9 pr.Apex.Metrics.perf_per_mm2)
-          pp.pnr.pm.n_pes pp.cycles_per_run
-    | Some pp, None ->
-        Format.printf "  %.2f runs/ms/mm^2; %d PEs, %d cycles/run@."
-          pp.Apex.Metrics.perf_per_mm2 pp.pnr.pm.n_pes pp.cycles_per_run
-    | None, _ ->
-        Format.printf "  %s on %s@." (Apex.Dse.pair_status pp) v.name);
-    (* machine-readable record of what the run *computed*, as opposed
-       to how it ran — `apex report-diff --results-only` compares
-       exactly this section across cold/warm cache runs, whose counter
-       and span sections legitimately differ *)
-    let pp_fields r =
-      let status = ("status", Json.String (Apex.Dse.pair_status r)) in
-      match Apex.Dse.mapped_opt r with
-      | None -> [ status; ("mappable", Json.Bool false) ]
-      | Some (pp : Apex.Metrics.post_pipelining) ->
-          [ status;
-            ("mappable", Json.Bool true);
-            ("n_pes", Json.Int pp.pnr.pm.n_pes);
-            ("cycles_per_run", Json.Int pp.cycles_per_run);
-            ("pe_stages", Json.Int pp.pe_stages);
-            ("period_ps", Json.Float pp.period_ps);
-            ("total_area", Json.Float pp.pnr.total_area);
-            ("perf_per_mm2", Json.Float pp.perf_per_mm2) ]
-    in
-    Json.Obj
-      [ ("app", Json.String a.Apps.name);
-        ("variant", Json.String v.name);
-        ("mined_subgraphs", Json.Int (List.length ranked));
-        ("rules", Json.Int (List.length v.rules));
-        ("result", Json.Obj (pp_fields pp));
-        ("reference", Json.Obj (pp_fields pp_ref)) ]
+    match Apex.Jobs.execute job with
+    | Dse_rows ([ ((_, v, _), r); ((_, pe1, _), r_pe1) ] as rows) ->
+        let v = v.Apex.Variants.name in
+        (match (Apex.Dse.mapped_opt r, Apex.Dse.mapped_opt r_pe1) with
+        | Some pp, Some pr ->
+            Format.printf
+              "profile %s on %s: %.2f runs/ms/mm^2 vs %.2f on %s (%.2fx); %d \
+               PEs, %d cycles/run@."
+              app v pp.Apex.Metrics.perf_per_mm2 pr.Apex.Metrics.perf_per_mm2
+              pe1.Apex.Variants.name
+              (pp.perf_per_mm2 /. Float.max 1e-9 pr.perf_per_mm2)
+              pp.pnr.pm.n_pes pp.cycles_per_run
+        | Some pp, None ->
+            Format.printf
+              "profile %s on %s: %.2f runs/ms/mm^2; %d PEs, %d cycles/run@." app
+              v pp.Apex.Metrics.perf_per_mm2 pp.pnr.pm.n_pes pp.cycles_per_run
+        | None, _ ->
+            Format.printf "profile %s on %s: %s@." app v
+              (Apex.Dse.pair_status r));
+        rows
+    | _ -> assert false
   in
   let run () trace check optimize apps variant chrome =
     set_check check;
@@ -687,7 +661,7 @@ let profile_cmd =
     (* profile implies tracing: the whole point is the report *)
     with_report ~always:true ~print:true trace @@ fun () ->
     if chrome <> None then Registry.set_events true;
-    let results = Json.List (List.map (profile_app variant) apps) in
+    let rows = List.concat_map (profile_app variant) apps in
     (match chrome with
     | None -> ()
     | Some path -> (
@@ -704,7 +678,9 @@ let profile_cmd =
         | n ->
             Format.eprintf
               "telemetry: %d span events dropped (per-run event cap)@." n));
-    (0, Some results)
+    (* the results section is a served DSE job's results bytes, so
+       `report-diff --results-only` compares a profile with a dse run *)
+    (0, Some (Apex.Jobs.results_json (Dse_rows rows)))
   in
   let apps =
     apps_t "profile" ~verb:"profile"
@@ -733,10 +709,11 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run mining, variant search, mapping, PnR and pipelining for one or \
-          more applications with telemetry enabled, then print the span tree \
-          and counter tables (and write the JSON report — including a \
-          per-application results section — with --trace=FILE or APEX_TRACE).")
+         "Evaluate each application on its PE variant and on PE 1 (one DSE \
+          job per application: variant search, mapping, PnR and pipelining) \
+          with telemetry enabled, print the perf ratio and the span tree and \
+          counter tables, and write the JSON report — whose results section \
+          is the DSE job's rows — with --trace=FILE or APEX_TRACE.")
     Term.(
       const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps
       $ variant $ chrome)
@@ -934,56 +911,33 @@ let trace_check_cmd =
       | Some s -> s
       | None -> fail "missing \"schema\" field"
     in
-    (* a bench report wraps one run report per case; a run report is
-       checked directly *)
-    let reports =
-      if schema = Report.schema_version then [ ("run", json) ]
-      else if schema = Report.bench_schema_version then
-        match Option.bind (Json.member "cases" json) Json.to_list_opt with
-        | Some (_ :: _ as cases) ->
-            List.map
-              (fun case ->
-                let name =
-                  Option.bind (Json.member "name" case) Json.to_string_opt
-                  |> Option.value ~default:"?"
-                in
-                match Json.member "report" case with
-                | Some r -> (name, r)
-                | None -> fail "case %s has no \"report\"" name)
-              cases
-        | _ -> fail "bench report has no cases"
-      else fail "unknown schema %S" schema
+    if schema <> Report.schema_version then fail "unknown schema %S" schema;
+    let counters =
+      match Json.member "counters" json with
+      | Some (Json.Obj fields) -> fields
+      | _ -> fail "missing counters object"
     in
-    let check (label, report) =
-      let counters =
-        match Json.member "counters" report with
-        | Some (Json.Obj fields) -> fields
-        | _ -> fail "%s: missing counters object" label
-      in
-      if counters = [] then fail "%s: empty counters object" label;
-      if Json.member "spans" report = None then
-        fail "%s: missing spans object" label;
-      List.iter
-        (fun name ->
-          match Option.bind (List.assoc_opt name counters) Json.to_int_opt with
-          | Some n when n > 0 -> ()
-          | Some _ -> fail "%s: counter %s is zero" label name
-          | None -> fail "%s: counter %s is missing" label name)
-        requires;
-      List.iter
-        (fun name ->
-          match Option.bind (List.assoc_opt name counters) Json.to_int_opt with
-          | Some n when n > 0 ->
-              fail "%s: counter %s is %d (forbidden non-zero)" label name n
-          | Some _ | None -> ())
-        forbids
+    if counters = [] then fail "empty counters object";
+    if Json.member "spans" json = None then fail "missing spans object";
+    let value name =
+      Option.bind (List.assoc_opt name counters) Json.to_int_opt
     in
-    List.iter check reports;
-    Format.printf
-      "trace-check: %s: ok (%d report%s, %d required, %d forbidden counters)@."
-      file (List.length reports)
-      (if List.length reports = 1 then "" else "s")
-      (List.length requires) (List.length forbids)
+    List.iter
+      (fun name ->
+        match value name with
+        | Some n when n > 0 -> ()
+        | Some _ -> fail "counter %s is zero" name
+        | None -> fail "counter %s is missing" name)
+      requires;
+    List.iter
+      (fun name ->
+        match value name with
+        | Some n when n > 0 ->
+            fail "counter %s is %d (forbidden non-zero)" name n
+        | Some _ | None -> ())
+      forbids;
+    Format.printf "trace-check: %s: ok (%d required, %d forbidden counters)@."
+      file (List.length requires) (List.length forbids)
   in
   let file =
     Arg.(
@@ -1010,7 +964,7 @@ let trace_check_cmd =
   in
   Cmd.v
     (Cmd.info "trace-check"
-       ~doc:"Validate a telemetry JSON report written by --trace or bench.")
+       ~doc:"Validate a telemetry JSON report written by --trace=FILE.")
     Term.(const run $ file $ requires $ forbids)
 
 (* --- cache: inspect and prune the on-disk artifact store --- *)
@@ -1046,7 +1000,9 @@ let cache_cmd =
         match max_bytes with
         | Some b when b >= 0 -> b
         | Some b -> invalid_arg (Printf.sprintf "--max-bytes %d: negative" b)
-        | None -> budget_mb * 1024 * 1024
+        | None when budget_mb >= 0 -> budget_mb * 1024 * 1024
+        | None ->
+            invalid_arg (Printf.sprintf "--budget-mb %d: negative" budget_mb)
       in
       let deleted, freed =
         match ns with

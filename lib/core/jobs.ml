@@ -55,6 +55,11 @@ let string_field j field =
   | Some (Json.String s) -> s
   | _ -> bad "job: missing string field %S" field
 
+(* range-checked here, so a served mine is rejected before admission *)
+let mine ~app ~top =
+  if top < 0 then bad "mine: top %d is negative" top;
+  Mine { app; top }
+
 let of_json j =
   match Json.member "kind" j with
   | Some (Json.String "dse") ->
@@ -65,15 +70,14 @@ let of_json j =
   | Some (Json.String "map") ->
       Map { app = string_field j "app"; variant = string_field j "variant" }
   | Some (Json.String "mine") ->
-      Mine
-        { app = string_field j "app";
-          top =
-            (match Json.member "top" j with
-            | None -> 10
-            | Some v -> (
-                match Json.to_int_opt v with
-                | Some n when n >= 0 -> n
-                | _ -> bad "job: \"top\" must be a non-negative integer")) }
+      mine ~app:(string_field j "app")
+        ~top:
+          (match Json.member "top" j with
+          | None -> 10
+          | Some v -> (
+              match Json.to_int_opt v with
+              | Some n -> n
+              | None -> bad "job: \"top\" must be an integer"))
   | Some (Json.String "sleep") ->
       let seconds =
         match Option.bind (Json.member "seconds" j) Json.to_number_opt with

@@ -39,7 +39,11 @@ val of_json : Apex_telemetry.Json.t -> t
 (** Parse a wire spec.
     @raise Invalid_argument on unknown kinds or malformed fields,
     including a sleep whose [seconds] is not a finite number in
-    [0, 3600]. *)
+    [0, 3600] and a mine whose [top] is negative. *)
+
+val mine : app:string -> top:int -> t
+(** The [Mine] job as both {!of_json} and the CLI build it.
+    @raise Invalid_argument when [top] is negative. *)
 
 val app_by_name : string -> Apex_halide.Apps.t
 (** @raise Invalid_argument on an unknown application name. *)

@@ -1,6 +1,6 @@
 (* Exporters for registry snapshots: a human-readable span tree and
    counter table via Format, and a stable JSON report (schema
-   "apex.telemetry/1") for the bench trajectory and `apex profile`. *)
+   "apex.telemetry/1") for --trace=FILE and `apex profile`. *)
 
 let schema_version = "apex.telemetry/1"
 
@@ -117,20 +117,3 @@ let write_file ?results path snap = Json.write_file path (to_json ?results snap)
 
 (* Path of the JSON report requested by the environment, if any. *)
 let env_trace_path () = Sys.getenv_opt "APEX_TRACE"
-
-(* A bench report bundles one run report per benchmark case:
-   {"schema": ..., "cases": [{"name": ..., "report": <run report>}]} *)
-let bench_schema_version = "apex.telemetry.bench/1"
-
-let bench_json cases =
-  Json.Obj
-    [ ("schema", Json.String bench_schema_version);
-      ("cases",
-       Json.List
-         (List.map
-            (fun (name, snap) ->
-              Json.Obj
-                [ ("name", Json.String name); ("report", to_json snap) ])
-            cases)) ]
-
-let write_bench_file path cases = Json.write_file path (bench_json cases)

@@ -128,7 +128,22 @@ let test_request_validation_errors () =
       match Proto.request_of_json (sleep seconds) with
       | Result.Ok _ -> ()
       | Result.Error e -> Alcotest.fail e.Proto.message)
-    [ Json.Int 0; Json.Float 3600.0 ]
+    [ Json.Int 0; Json.Float 3600.0 ];
+  (* a negative mine top: the check the mine subcommand calls too *)
+  (match Apex.Jobs.mine ~app:"gaussian" ~top:(-1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Jobs.mine accepted top = -1");
+  check Alcotest.int "negative mine top is code 2" 2
+    (err_of
+       (Json.Obj
+          [ ("schema", Json.String Proto.schema_version);
+            ("tenant", Json.String "a");
+            ("job",
+             Json.Obj
+               [ ("kind", Json.String "mine");
+                 ("app", Json.String "gaussian");
+                 ("top", Json.Int (-1)) ]) ]))
+      .Proto.code
 
 let test_error_taxonomy () =
   let code e = (Proto.error_of_exn e).Proto.code in
