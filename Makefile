@@ -101,6 +101,7 @@ ci: build test
 	dune exec bin/apex_cli.exe -- trace-check $(CI_TRACE) \
 	  --require mining.patterns_grown \
 	  --require mining.embeddings_enumerated \
+	  --require mining.canon_cache_hits \
 	  --require merging.clique_nodes \
 	  --require rules.synthesized \
 	  --require mapper.cover_attempts \

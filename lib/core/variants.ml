@@ -42,8 +42,8 @@ let with_local_memo f =
   Fun.protect f ~finally:(fun () -> r := saved)
 
 let config_key (c : Miner.config) =
-  Printf.sprintf "%d/%d/%b/%d" c.min_support c.max_size c.include_consts
-    c.max_subgraphs
+  Printf.sprintf "%d/%d/%b/%b/%d" c.min_support c.max_size c.include_consts
+    c.generalize_consts c.max_subgraphs
 
 module Store = Apex_exec.Store
 

@@ -134,22 +134,33 @@ let map_ops g f =
     widths = None }
 
 let induced g ids =
-  let keep = Hashtbl.create 16 in
-  List.iter (fun i -> Hashtbl.replace keep i ()) ids;
+  (* kept nodes are visited in ascending id order, which is topological
+     order, so every kept argument is remapped before its consumer *)
+  let ids = List.sort Int.compare ids in
+  let rec check prev = function
+    | [] -> ()
+    | i :: rest ->
+        if i < 0 || i >= length g then
+          invalid_arg (Printf.sprintf "Graph.induced: id %d out of range" i);
+        if i = prev then
+          invalid_arg (Printf.sprintf "Graph.induced: id %d listed twice" i);
+        check i rest
+  in
+  check (-1) ids;
   let b = Builder.create () in
   let remap = Hashtbl.create 16 in
   let fresh = ref 0 in
   let external_input w =
     incr fresh;
-    let name = Printf.sprintf "x%d" !fresh in
+    let name = "x" ^ string_of_int !fresh in
     match w with
     | Op.Word -> Builder.add0 b (Op.Input name)
     | Op.Bit -> Builder.add0 b (Op.Bit_input name)
   in
-  let mapping = ref [] in
-  Array.iter
-    (fun n ->
-      if Hashtbl.mem keep n.id then begin
+  let mapping =
+    List.map
+      (fun id ->
+        let n = g.nodes.(id) in
         let args =
           Array.map
             (fun a ->
@@ -165,11 +176,11 @@ let induced g ids =
         (* arguments outside the kept set get one shared fresh input per
            source node, preserving sharing inside the subgraph *)
         let id' = Builder.add b n.op args in
-        Hashtbl.replace remap n.id id';
-        mapping := (n.id, id') :: !mapping
-      end)
-    g.nodes;
-  (Builder.finish b, List.rev !mapping)
+        Hashtbl.replace remap id id';
+        (id, id'))
+      ids
+  in
+  (Builder.finish b, mapping)
 
 let with_widths g widths =
   if Array.length widths <> length g then

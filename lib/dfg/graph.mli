@@ -74,7 +74,10 @@ val induced : t -> int list -> t * (int * int) list
 (** [induced g ids] extracts the subgraph induced by [ids].  Arguments of
     kept nodes that fall outside [ids] become fresh [Input]/[Bit_input]
     nodes.  Returns the new graph and the mapping from old compute ids to
-    new ids. *)
+    new ids.  Costs O(k log k) in the number of kept ids, independent of
+    the size of [g].
+    @raise Invalid_argument naming the id when an id is out of range or
+    listed twice. *)
 
 val with_widths : t -> int array -> t
 (** The same graph carrying a result width (in bits) per node id, as

@@ -109,7 +109,7 @@ let mnemonic = function
   | Slt -> "slt" | Sle -> "sle" | Ult -> "ult" | Ule -> "ule"
   | Mux -> "mux"
   | Lut tt -> Printf.sprintf "lut%02x" (tt land 0xff)
-  | Const v -> Printf.sprintf "const%d" (v land 0xffff)
+  | Const v -> "const" ^ string_of_int (v land 0xffff)
   | Bit_const b -> if b then "bconst1" else "bconst0"
   | Input s -> "in:" ^ s
   | Bit_input s -> "bin:" ^ s

@@ -61,59 +61,39 @@ module Counter = Apex_telemetry.Counter
 module Span = Apex_telemetry.Span
 module Guard = Apex_guard
 
-(* Reusable canonical-coding scratch: one buffer and two index tables
-   per enumeration instead of fresh allocations for every embedding —
-   the position table and key buffer are rebuilt in place, and the
-   caller passes the node list already sorted so it is not re-sorted
-   both here and for the embedding record. *)
-type scratch = {
-  buf : Buffer.t;
-  pos : (int, int) Hashtbl.t;
-  ext : (int, int) Hashtbl.t;
+(* Integer shape keys.  An embedding's key lists, for each member in
+   ascending id order, the member's op code and then one entry per
+   argument: its position in the embedding (>= 0), or -(2k + w + 1) for
+   an external source, where k numbers the externals by first use (so
+   sharing is captured but the key is position-independent) and w is
+   the source's width bit.  The op code fixes the arity, so the key
+   parses uniquely: two embeddings share a key iff their induced
+   subgraphs agree node for node in sorted order, and then they share
+   one canonical pattern. *)
+type key = { ints : int array; mutable len : int }
+
+module Shapes = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    let rec from i = i = a.len || (a.ints.(i) = b.ints.(i) && from (i + 1)) in
+    a.len = b.len && from 0
+
+  let hash k =
+    let h = ref k.len in
+    for i = 0 to k.len - 1 do
+      h := (!h * 31) + k.ints.(i)
+    done;
+    !h land max_int
+end)
+
+(* one group per canonical code; [rep] is the pattern of the last
+   embedding visited (last wins: the merged datapaths depend on it) *)
+type group = {
+  mutable rep : Pattern.t;
+  mutable embs : int list list;  (* capped, most recent first *)
+  mutable count : int;
 }
-
-let make_scratch () =
-  { buf = Buffer.create 128; pos = Hashtbl.create 16; ext = Hashtbl.create 16 }
-
-let shape_key cfg g scratch sorted =
-  let { buf; pos; ext } = scratch in
-  Buffer.clear buf;
-  Hashtbl.reset pos;
-  Hashtbl.reset ext;
-  List.iteri (fun i id -> Hashtbl.replace pos id i) sorted;
-  (* externals are numbered by first use, so sharing is captured but
-     the key is position-independent *)
-  List.iter
-    (fun id ->
-      let nd = G.node g id in
-      let op = if cfg.generalize_consts then generalize_op nd.op else nd.op in
-      Buffer.add_string buf (Op.mnemonic op);
-      Buffer.add_char buf '(';
-      Array.iter
-        (fun a ->
-          (match Hashtbl.find_opt pos a with
-          | Some p -> Buffer.add_string buf (string_of_int p)
-          | None ->
-              let k =
-                match Hashtbl.find_opt ext a with
-                | Some k -> k
-                | None ->
-                    let k = Hashtbl.length ext in
-                    Hashtbl.replace ext a k;
-                    k
-              in
-              Buffer.add_char buf 'x';
-              Buffer.add_string buf (string_of_int k);
-              (* keep the width in the key *)
-              Buffer.add_char buf
-                (match Op.result_width (G.node g a).op with
-                | Op.Word -> 'w'
-                | Op.Bit -> 'b'));
-          Buffer.add_char buf ',')
-        nd.args;
-      Buffer.add_string buf ");")
-    sorted;
-  Buffer.contents buf
 
 let canonicalize cfg g sub =
   let induced, _ = G.induced g sub in
@@ -125,8 +105,12 @@ let canonicalize cfg g sub =
 (* ESU enumeration rooted at [root]: every connected node set of size in
    [2, max_size] containing [root] as its minimum-id member is visited
    exactly once, in a deterministic DFS order.  [emit] receives the node
-   set in construction order (root last). *)
+   set sorted by id; sets extending one another share list tails. *)
 let enumerate cfg adj in_sub ~root ~emit =
+  let rec insert w = function
+    | x :: rest when x < w -> x :: insert w rest
+    | l -> w :: l
+  in
   let rec extend sub size ext =
     if size >= 2 then emit sub;
     if size < cfg.max_size then begin
@@ -146,7 +130,7 @@ let enumerate cfg adj in_sub ~root ~emit =
                 adj.(w)
             in
             in_sub.(w) <- true;
-            extend (w :: sub) (size + 1) (rest @ exclusive);
+            extend (insert w sub) (size + 1) (rest @ exclusive);
             in_sub.(w) <- false;
             loop rest
       in
@@ -165,49 +149,118 @@ let mine cfg g =
   Guard.with_phase "mining" @@ fun () ->
   let adj, ok = adjacency cfg g in
   let n = G.length g in
-  let groups : (string, Pattern.t * int list list * int) Hashtbl.t =
-    Hashtbl.create 64
+  let nodes = G.nodes g in
+  (* per node: interned (generalized) op, result width bit, compute *)
+  let op_ids = Hashtbl.create 32 in
+  let op_code =
+    Array.map
+      (fun (nd : G.node) ->
+        let op = if cfg.generalize_consts then generalize_op nd.op else nd.op in
+        match Hashtbl.find_opt op_ids op with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length op_ids in
+            Hashtbl.replace op_ids op c;
+            c)
+      nodes
   in
+  let width_bit =
+    Array.map
+      (fun (nd : G.node) ->
+        match Op.result_width nd.op with Op.Word -> 0 | Op.Bit -> 1)
+      nodes
+  in
+  let compute = Array.map (fun (nd : G.node) -> Op.is_compute nd.op) nodes in
+  let groups : (string, group) Hashtbl.t = Hashtbl.create 64 in
   (* embedding lists are capped per pattern; the true occurrence count
      is tracked separately and capped patterns are reported in stats *)
   let max_embeddings = 4000 in
   let enumerated = ref 0 in
   let truncated = ref false in
-  (* canonicalization cache: embeddings whose induced subgraphs have the
-     same shape relative to their sorted node order (the common case for
-     repeated stencil structure) share one canonicalization *)
-  let canon_cache : (string, Pattern.t) Hashtbl.t = Hashtbl.create 256 in
+  (* canonicalization cache: embeddings with the same shape key (the
+     common case for repeated stencil structure) share one
+     canonicalization and one group, found with a single lookup *)
+  let shapes : (Pattern.t * group) Shapes.t = Shapes.create 256 in
   let canon_hits = ref 0 in
   let in_sub = Array.make n false in
-  let scratch = make_scratch () in
+  let max_arity =
+    Array.fold_left (fun m (nd : G.node) -> max m (Array.length nd.args)) 0 nodes
+  in
+  let key =
+    { ints = Array.make (max 1 cfg.max_size * (1 + max_arity)) 0; len = 0 }
+  in
+  let push v =
+    key.ints.(key.len) <- v;
+    key.len <- key.len + 1
+  in
+  (* embedding position / external number per node id, -1 when unset;
+     [externals] lists the numbered ids so they can be reset *)
+  let pos = Array.make n (-1) in
+  let ext = Array.make n (-1) in
+  let externals = Array.make (Array.length key.ints) 0 in
+  let encode sorted =
+    key.len <- 0;
+    let n_ext = ref 0 in
+    (* arguments precede their consumers in id order, so an argument in
+       the embedding already has its position *)
+    let rec members i = function
+      | [] -> ()
+      | id :: rest ->
+          pos.(id) <- i;
+          push op_code.(id);
+          let args = nodes.(id).args in
+          for j = 0 to Array.length args - 1 do
+            let a = args.(j) in
+            if pos.(a) >= 0 then push pos.(a)
+            else begin
+              if ext.(a) < 0 then begin
+                ext.(a) <- !n_ext;
+                externals.(!n_ext) <- a;
+                incr n_ext
+              end;
+              push (-((2 * ext.(a)) + width_bit.(a) + 1))
+            end
+          done;
+          members (i + 1) rest
+    in
+    members 0 sorted;
+    List.iter (fun id -> pos.(id) <- -1) sorted;
+    for j = 0 to !n_ext - 1 do
+      ext.(externals.(j)) <- -1
+    done
+  in
   (* one pass: enumerate and record each embedding as it is visited —
      grouping, canonicalization cache, budget; nothing materialized *)
-  let emit sub =
+  let emit sorted =
     Guard.tick ();
     incr enumerated;
     if !enumerated > cfg.max_subgraphs then raise Budget;
     (* only patterns with >= 1 compute node are interesting *)
-    if List.exists (fun i -> Op.is_compute (G.node g i).op) sub then begin
-      let sorted = List.sort compare sub in
-      let sk = shape_key cfg g scratch sorted in
-      let p =
-        match Hashtbl.find_opt canon_cache sk with
-        | Some p ->
+    if List.exists (fun i -> compute.(i)) sorted then begin
+      encode sorted;
+      let p, grp =
+        match Shapes.find_opt shapes key with
+        | Some shape ->
             incr canon_hits;
-            p
+            shape
         | None ->
-            let p = canonicalize cfg g sub in
-            Hashtbl.replace canon_cache sk p;
-            p
+            let p = canonicalize cfg g sorted in
+            let grp =
+              match Hashtbl.find_opt groups (Pattern.code p) with
+              | Some grp -> grp
+              | None ->
+                  let grp = { rep = p; embs = []; count = 0 } in
+                  Hashtbl.replace groups (Pattern.code p) grp;
+                  grp
+            in
+            Shapes.replace shapes
+              { ints = Array.sub key.ints 0 key.len; len = key.len }
+              (p, grp);
+            (p, grp)
       in
-      let key = Pattern.code p in
-      let prev, count =
-        match Hashtbl.find_opt groups key with
-        | Some (_, embs, count) -> (embs, count)
-        | None -> ([], 0)
-      in
-      let prev = if count < max_embeddings then sorted :: prev else prev in
-      Hashtbl.replace groups key (p, prev, count + 1)
+      grp.rep <- p;
+      if grp.count < max_embeddings then grp.embs <- sorted :: grp.embs;
+      grp.count <- grp.count + 1
     end
   in
   let outcome = ref Guard.Outcome.Exact in
@@ -230,9 +283,9 @@ let mine cfg g =
   let rejected = ref 0 in
   let found =
     Hashtbl.fold
-      (fun _ (p, embs, count) acc ->
+      (fun _ { rep = p; embs; count } acc ->
         if count > max_embeddings then incr capped;
-        let embs = List.sort_uniq compare embs in
+        let embs = List.sort_uniq (List.compare Int.compare) embs in
         if count >= cfg.min_support then begin
           (* deterministic value distribution (order-insensitive), so
              percentiles do not depend on hash-table iteration order *)

@@ -2,9 +2,14 @@
 
     This replaces GRAMI [13] in the APEX flow: it enumerates every
     connected induced subgraph of the compute portion of the graph up to
-    a size bound (ESU-style enumeration, each node set visited exactly
-    once), canonicalizes each occurrence with {!Pattern}, and reports
-    the patterns whose occurrence count reaches the support threshold. *)
+    a size bound (ESU enumeration, each node set visited exactly once),
+    and reports the patterns whose occurrence count reaches the support
+    threshold.  Each occurrence gets an integer shape key (op codes,
+    in-embedding argument positions, external inputs by first use with
+    their widths); one lookup on it yields the canonical pattern and its
+    group, and only a new key is canonicalized with {!Pattern}, so
+    canonicalization runs once per distinct shape.  A pattern's
+    representative graph comes from the last occurrence visited. *)
 
 type config = {
   min_support : int;   (** minimum number of occurrences (paper: the

@@ -15,95 +15,114 @@ type t = { graph : G.t; code : string; size : int; n_inputs : int }
 
 type state = {
   g : G.t;
-  internal : int array;              (* internal node ids *)
-  preds : (int, int list) Hashtbl.t; (* internal -> internal preds *)
+  internal : int array;     (* internal node ids, ascending *)
+  preds : int array array;  (* per node id: its internal arguments *)
+  mnemonic : string array;  (* per internal node id *)
 }
 
 let is_internal op = Op.is_compute op || Op.is_const op
 
 let build_state g =
+  let nodes = G.nodes g in
+  let internal_set = Array.map (fun (nd : G.node) -> is_internal nd.op) nodes in
   let internal =
     Array.of_list
-      (List.filter
-         (fun i -> is_internal (G.node g i).op)
-         (List.init (G.length g) Fun.id))
+      (List.filter (fun i -> internal_set.(i)) (List.init (G.length g) Fun.id))
   in
-  let internal_set = Hashtbl.create 16 in
-  Array.iter (fun i -> Hashtbl.replace internal_set i ()) internal;
-  let preds = Hashtbl.create 16 in
-  Array.iter
-    (fun i ->
-      let n = G.node g i in
-      let ps =
-        Array.to_list n.args
-        |> List.filter (fun a -> Hashtbl.mem internal_set a)
-      in
-      Hashtbl.replace preds i ps)
-    internal;
-  { g; internal; preds }
-
-(* A naming environment maps external source node ids to "i0"/"b0"
-   style labels, assigned in first-use order. *)
-type naming = { mutable next : int; tbl : (int, string) Hashtbl.t }
-
-let resolve st naming placed_pos arg =
-  match Hashtbl.find_opt placed_pos arg with
-  | Some pos -> (Printf.sprintf "n%d" pos, false)
-  | None -> (
-      match Hashtbl.find_opt naming.tbl arg with
-      | Some l -> (l, false)
-      | None ->
-          let w = Op.result_width (G.node st.g arg).op in
-          let prefix = match w with Op.Word -> "i" | Op.Bit -> "b" in
-          let l = Printf.sprintf "%s%d" prefix naming.next in
-          naming.next <- naming.next + 1;
-          Hashtbl.replace naming.tbl arg l;
-          (l, true))
-
-let copy_naming n = { next = n.next; tbl = Hashtbl.copy n.tbl }
-
-(* Emit the token for a node under the current naming, returning the
-   token together with the updated naming.  For commutative binary
-   operations we return up to two (token, naming) alternatives. *)
-let node_tokens st naming placed_pos id =
-  let n = G.node st.g id in
-  let emit args_order naming =
-    let naming = copy_naming naming in
-    let labels =
-      List.map (fun a -> fst (resolve st naming placed_pos a)) args_order
-    in
-    (Printf.sprintf "%s(%s)" (Op.mnemonic n.op) (String.concat "," labels), naming)
+  let preds =
+    Array.map
+      (fun (nd : G.node) ->
+        Array.of_list
+          (List.filter (fun a -> internal_set.(a)) (Array.to_list nd.args)))
+      nodes
   in
-  let args = Array.to_list n.args in
-  if Op.is_commutative n.op && List.length args = 2 then
-    match args with
-    | [ a; b ] when a <> b ->
-        let t1 = emit [ a; b ] naming and t2 = emit [ b; a ] naming in
-        if String.equal (fst t1) (fst t2) then [ t1 ] else [ t1; t2 ]
-    | _ -> [ emit args naming ]
-  else [ emit args naming ]
+  let mnemonic =
+    Array.map
+      (fun (nd : G.node) ->
+        if internal_set.(nd.id) then Op.mnemonic nd.op else "")
+      nodes
+  in
+  { g; internal; preds; mnemonic }
 
+(* The search extends the partial code in one buffer and truncates it
+   on backtrack.  Placed internal nodes are named "n<position>" through
+   [pos]; external sources "i<k>"/"b<k>" in first-use order through
+   [name] (-1 = unset).  Both are undone on backtrack, so the inner loop
+   allocates nothing but the placement list. *)
 let canonical_code g =
   let st = build_state g in
   let n = Array.length st.internal in
   if n = 0 then ("", [])
   else begin
+    let len = G.length g in
+    let pos = Array.make len (-1) in
+    let name = Array.make len (-1) in
+    let next = ref 0 in
+    let buf = Buffer.create 64 in
     let best = ref None in
     let best_order = ref [] in
-    let better partial =
-      (* [partial] is the reversed token list; compare against best *)
+    let is_word a = Op.result_width (G.node g a).op = Op.Word in
+    let add_int k =
+      if k < 10 then Buffer.add_char buf (Char.chr (48 + k))
+      else Buffer.add_string buf (string_of_int k)
+    in
+    let add_label a =
+      if pos.(a) >= 0 then begin
+        Buffer.add_char buf 'n';
+        add_int pos.(a)
+      end
+      else begin
+        if name.(a) < 0 then begin
+          name.(a) <- !next;
+          incr next
+        end;
+        Buffer.add_char buf (if is_word a then 'i' else 'b');
+        add_int name.(a)
+      end
+    in
+    (* [swap] emits the two arguments of a binary node in reverse *)
+    let add_token id args swap =
+      Buffer.add_string buf st.mnemonic.(id);
+      Buffer.add_char buf '(';
+      for j = 0 to Array.length args - 1 do
+        if j > 0 then Buffer.add_char buf ',';
+        add_label args.(if swap then 1 - j else j)
+      done;
+      Buffer.add_char buf ')'
+    in
+    let unname args first =
+      for j = 0 to Array.length args - 1 do
+        let a = args.(j) in
+        if pos.(a) < 0 && name.(a) >= first then name.(a) <- -1
+      done;
+      next := first
+    in
+    (* the two orders of a commutative (a, b), a <> b, yield the same
+       token iff both are unnamed externals of one width *)
+    let unnamed a = pos.(a) < 0 && name.(a) < 0 in
+    let same_token a b = unnamed a && unnamed b && is_word a = is_word b in
+    (* the buffer is no greater than the matching prefix of the best
+       code: prune when strictly greater *)
+    let better () =
       match !best with
       | None -> true
       | Some b ->
-          let s = String.concat ";" (List.rev partial) in
-          (* prefix comparison: prune when strictly greater *)
-          let bl = String.length b and sl = String.length s in
-          let prefix = if sl <= bl then String.sub b 0 sl else b in
-          String.compare s prefix <= 0
+          let sl = Buffer.length buf and bl = String.length b in
+          let m = min sl bl in
+          let rec cmp i =
+            if i = m then sl <= bl
+            else
+              let c = Char.compare (Buffer.nth buf i) b.[i] in
+              c < 0 || (c = 0 && cmp (i + 1))
+          in
+          cmp 0
     in
-    let rec go placed placed_pos naming tokens count =
+    let rec ready ps i =
+      i = Array.length ps || (pos.(ps.(i)) >= 0 && ready ps (i + 1))
+    in
+    let rec go placed count =
       if count = n then begin
-        let code = String.concat ";" (List.rev tokens) in
+        let code = Buffer.contents buf in
         match !best with
         | Some b when String.compare b code <= 0 -> ()
         | _ ->
@@ -111,28 +130,40 @@ let canonical_code g =
             best_order := List.rev placed
       end
       else
-        Array.iter
-          (fun id ->
-            if not (Hashtbl.mem placed_pos id) then begin
-              let ready =
-                List.for_all
-                  (fun p -> Hashtbl.mem placed_pos p)
-                  (Hashtbl.find st.preds id)
-              in
-              if ready then
-                List.iter
-                  (fun (token, naming') ->
-                    let tokens' = token :: tokens in
-                    if better tokens' then begin
-                      Hashtbl.replace placed_pos id count;
-                      go (id :: placed) placed_pos naming' tokens' (count + 1);
-                      Hashtbl.remove placed_pos id
-                    end)
-                  (node_tokens st naming placed_pos id)
-            end)
-          st.internal
+        for i = 0 to n - 1 do
+          let id = st.internal.(i) in
+          if pos.(id) < 0 && ready st.preds.(id) 0 then begin
+            let nd = G.node g id in
+            let args = nd.args in
+            (* for commutative binary operations both argument orders
+               are explored, unless they yield the same token.  The
+               skipped order would name the two inputs the other way
+               round, so swapping such arguments can change the code of
+               an isomorphic pattern (ROADMAP item 4); the rule is kept
+               because the mined results depend on it. *)
+            let both =
+              Array.length args = 2 && Op.is_commutative nd.op
+              && args.(0) <> args.(1)
+              && not (same_token args.(0) args.(1))
+            in
+            place placed count id args false;
+            if both then place placed count id args true
+          end
+        done
+    and place placed count id args swap =
+      let first = !next in
+      let mark = Buffer.length buf in
+      if count > 0 then Buffer.add_char buf ';';
+      add_token id args swap;
+      if better () then begin
+        pos.(id) <- count;
+        go (id :: placed) (count + 1);
+        pos.(id) <- -1
+      end;
+      Buffer.truncate buf mark;
+      unname args first
     in
-    go [] (Hashtbl.create 16) { next = 0; tbl = Hashtbl.create 16 } [] 0;
+    go [] 0;
     (Option.get !best, !best_order)
   end
 
@@ -151,10 +182,10 @@ let rebuild g order =
           match w with
           | Op.Word ->
               incr n_inputs;
-              G.Builder.add0 b (Op.Input (Printf.sprintf "x%d" !n_inputs))
+              G.Builder.add0 b (Op.Input ("x" ^ string_of_int !n_inputs))
           | Op.Bit ->
               incr n_inputs;
-              G.Builder.add0 b (Op.Bit_input (Printf.sprintf "p%d" !n_inputs))
+              G.Builder.add0 b (Op.Bit_input ("p" ^ string_of_int !n_inputs))
         in
         Hashtbl.replace remap arg a;
         a
@@ -188,7 +219,7 @@ let rebuild g order =
         in
         if not internal_succ then begin
           incr n_out;
-          let name = Printf.sprintf "y%d" !n_out in
+          let name = "y" ^ string_of_int !n_out in
           let id' = Hashtbl.find remap id in
           match Op.result_width node.op with
           | Op.Word -> ignore (G.Builder.add1 b (Op.Output name) id')

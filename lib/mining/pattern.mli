@@ -2,9 +2,11 @@
 
     A pattern is a small connected dataflow graph whose boundary is made
     of fresh [Input] nodes; two patterns are equal iff their canonical
-    codes are equal, i.e. iff they are isomorphic (respecting operations,
-    port order of non-commutative operations, and sharing of external
-    sources). *)
+    codes are equal.  Equal codes mean isomorphic patterns (respecting
+    operations, port order of non-commutative operations, and sharing of
+    external sources).  The converse has one known gap: swapping the
+    arguments of a commutative node whose two arguments are external
+    inputs first used there can change the code. *)
 
 type t
 
@@ -21,7 +23,8 @@ val graph : t -> Apex_dfg.Graph.t
     order, with [Output] markers on every sink compute node. *)
 
 val code : t -> string
-(** Canonical code; equal codes iff isomorphic patterns. *)
+(** Canonical code; equal codes imply isomorphic patterns (see above for
+    the one case where isomorphic patterns can differ). *)
 
 val size : t -> int
 (** Number of compute nodes. *)

@@ -177,6 +177,47 @@ let test_ml_variant_improves_ml () =
         (m.Metrics.n_pes < b.Metrics.n_pes))
     (Dse.ml_apps ())
 
+let test_analysis_key_covers_config () =
+  (* every mining config field is part of the memo and store keys:
+     with constants kept exact, gaussian mines more patterns than the
+     default (generalized) analysis already memoized and stored *)
+  let module Store = Apex_exec.Store in
+  let exact =
+    { Apex_mining.Miner.default_config with
+      max_size = 4; generalize_consts = false }
+  in
+  let direct, _ = Apex_mining.Analysis.analyze ~config:exact gaussian.graph in
+  let dir = Filename.temp_file "apex-core-test" "" in
+  Sys.remove dir;
+  let prev_dir = Store.cache_dir () and prev_enabled = Store.enabled () in
+  Store.set_dir dir;
+  Store.set_enabled true;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.set_dir prev_dir;
+      Store.set_enabled prev_enabled;
+      if Sys.file_exists dir then rm dir)
+  @@ fun () ->
+  let exact_count () = List.length (Variants.analysis_of ~config:exact gaussian) in
+  Variants.with_local_memo (fun () ->
+      let default = Variants.analysis_of gaussian in
+      Alcotest.(check bool)
+        "exact constants give more patterns" true
+        (List.length direct > List.length default);
+      check int "memo keeps the configs apart" (List.length direct)
+        (exact_count ()));
+  Variants.with_local_memo (fun () ->
+      ignore (Variants.analysis_of gaussian);
+      check int "store keeps the configs apart" (List.length direct)
+        (exact_count ()))
+
 (* --- where parallelism lives --- *)
 
 let test_only_pair_evaluation_fans_out () =
@@ -219,6 +260,8 @@ let () =
           Alcotest.test_case "pe1 smaller" `Quick test_pe1_smaller_than_base;
           Alcotest.test_case "specialized patterns" `Quick test_specialized_variant_patterns;
           Alcotest.test_case "interesting filter" `Quick test_interesting_patterns_filter;
+          Alcotest.test_case "analysis key covers the config" `Quick
+            test_analysis_key_covers_config;
           Alcotest.test_case "unknown variant" `Quick test_variant_for_unknown;
           Alcotest.test_case "unknown application" `Quick test_variant_for_unknown_app;
           Alcotest.test_case "bad subgraph count" `Quick

@@ -143,35 +143,61 @@ let test_embeddings_are_occurrences () =
           (Pattern.code f.pattern) (List.length embs) (List.length occs))
     found
 
-let test_parallel_mine_is_identical () =
-  (* the pool's determinism contract, at the mining phase: any --jobs
-     width must reproduce the serial result and counters exactly *)
-  let mine_with jobs g =
+(* Golden mining census: every mined pattern (code, size, inputs,
+   representative graph), its embeddings and support, and the stats,
+   for the nine evaluated apps after optimization at max_size 4 and for
+   three of them at max_size 5.  The digest was recorded before the
+   miner's shape keys became integer arrays; any change to the miner
+   must reproduce it.  It must also hold at every pool width, with the
+   mining counters identical to serial mining. *)
+let golden_mining_digest = "4de4d85e2492f21d10eca3a14c9251e2"
+
+let test_golden_mining () =
+  let opt g = (Apex_analysis.Opt.run g).Apex_analysis.Opt.graph in
+  let runs =
+    List.map
+      (fun (a : Apex_halide.Apps.t) -> (a.name, 4, opt a.graph))
+      (Apex_halide.Apps.evaluated ())
+    @ List.map
+        (fun n -> (n, 5, opt (Apex_halide.Apps.by_name n).graph))
+        [ "gaussian"; "unsharp"; "laplacian" ]
+  in
+  let census (name, max_size, g) =
+    let found, (stats : Miner.stats) =
+      Miner.mine { Miner.default_config with max_size } g
+    in
+    let rows =
+      List.map
+        (fun (f : Miner.found) ->
+          ( Pattern.code f.pattern, Pattern.size f.pattern,
+            Pattern.n_inputs f.pattern, G.nodes (Pattern.graph f.pattern),
+            f.embeddings, f.support ))
+        found
+    in
+    Marshal.to_string (name, max_size, rows, stats) [ Marshal.No_sharing ]
+  in
+  let mine_with jobs =
     Apex_exec.Pool.set_jobs jobs;
     Fun.protect ~finally:(fun () -> Apex_exec.Pool.set_jobs 1) @@ fun () ->
     Apex_telemetry.Registry.enable ();
     Apex_telemetry.Registry.reset ();
-    let found, stats =
-      Miner.mine { Miner.default_config with max_size = 4 } g
+    let digest =
+      Digest.to_hex (Digest.string (String.concat "" (List.map census runs)))
     in
     let counters =
       List.filter
-        (fun (k, _) -> String.length k >= 7 && String.sub k 0 7 = "mining.")
+        (fun (k, _) -> String.starts_with ~prefix:"mining." k)
         (Apex_telemetry.Registry.snapshot ()).counters
     in
     Apex_telemetry.Registry.disable ();
     Apex_telemetry.Registry.reset ();
-    ( List.map
-        (fun (f : Miner.found) ->
-          (Pattern.code f.pattern, f.support, f.embeddings))
-        found,
-      stats, counters )
+    (digest, counters)
   in
-  let g = (Apex_halide.Apps.by_name "gaussian").graph in
-  let serial = mine_with 1 g in
+  let digest, counters = mine_with 1 in
+  Alcotest.(check string) "golden census" golden_mining_digest digest;
   List.iter
     (fun jobs ->
-      if mine_with jobs g <> serial then
+      if mine_with jobs <> (digest, counters) then
         Alcotest.failf "jobs=%d diverges from serial mining" jobs)
     [ 2; 4 ]
 
@@ -386,24 +412,29 @@ let brute_force_embeddings g max_size =
   |> List.filter (fun s -> List.length s <= max_size)
   |> List.sort compare
 
+(* small random DAG over word and bit values, with constants, the
+   commutative add/mul/smax/and, and sub, slt and mux *)
+let random_dag st =
+  let b = G.Builder.create () in
+  let words = ref [ G.Builder.add0 b (Op.Input "x"); G.Builder.add0 b (Op.Input "y") ] in
+  let bits = ref [ G.Builder.add0 b (Op.Bit_input "p") ] in
+  let pick l = List.nth !l (Random.State.int st (List.length !l)) in
+  for _ = 1 to 2 + Random.State.int st 6 do
+    match Random.State.int st 9 with
+    | 0 -> words := G.Builder.add0 b (Op.Const (Random.State.int st 4)) :: !words
+    | 1 -> bits := G.Builder.add2 b Op.Slt (pick words) (pick words) :: !bits
+    | 2 -> words := G.Builder.add3 b Op.Mux (pick bits) (pick words) (pick words) :: !words
+    | k ->
+        let op = [| Op.Add; Op.Sub; Op.Mul; Op.Smax; Op.And; Op.Add |].(k - 3) in
+        words := G.Builder.add2 b op (pick words) (pick words) :: !words
+  done;
+  ignore (G.Builder.add1 b (Op.Output "o") (List.hd !words));
+  G.Builder.finish b
+
 let prop_miner_matches_brute_force =
   QCheck.Test.make ~name:"ESU enumerates exactly the connected subgraphs"
     ~count:100 QCheck.int (fun seed ->
-      let st = Random.State.make [| seed |] in
-      (* small random DAG *)
-      let b = G.Builder.create () in
-      let x = G.Builder.add0 b (Op.Input "x") in
-      let y = G.Builder.add0 b (Op.Input "y") in
-      let words = ref [ x; y ] in
-      let pick l = List.nth l (Random.State.int st (List.length l)) in
-      let ops = [| Op.Add; Op.Sub; Op.Mul; Op.Smax; Op.And |] in
-      for _ = 1 to 2 + Random.State.int st 6 do
-        let op = ops.(Random.State.int st (Array.length ops)) in
-        let id = G.Builder.add2 b op (pick !words) (pick !words) in
-        words := id :: !words
-      done;
-      ignore (G.Builder.add1 b (Op.Output "o") (List.hd !words));
-      let g = G.Builder.finish b in
+      let g = random_dag (Random.State.make [| seed |]) in
       let cfg = { Miner.default_config with min_support = 1; max_size = 3 } in
       let mined, _ = Miner.mine cfg g in
       let mined_sets =
@@ -412,9 +443,57 @@ let prop_miner_matches_brute_force =
       in
       mined_sets = brute_force_embeddings g 3)
 
+(* the same DAG under a random topological renumbering (argument order
+   is kept: see ROADMAP on commutative swaps) *)
+let renumber st g =
+  let nodes = G.nodes g in
+  let n = Array.length nodes in
+  let remap = Array.make n (-1) in
+  let b = G.Builder.create () in
+  let ready i = remap.(i) < 0 && Array.for_all (fun a -> remap.(a) >= 0) nodes.(i).args in
+  for _ = 1 to n do
+    let candidates = List.filter ready (List.init n Fun.id) in
+    let i = List.nth candidates (Random.State.int st (List.length candidates)) in
+    remap.(i) <- G.Builder.add b nodes.(i).op (Array.map (fun a -> remap.(a)) nodes.(i).args)
+  done;
+  G.Builder.finish b
+
+let prop_code_invariant =
+  QCheck.Test.make ~name:"canonical code is invariant under renumbering"
+    ~count:200 QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let g = random_dag st in
+      let code g = Pattern.code (Pattern.of_graph g) in
+      code g = code (renumber st g))
+
+let prop_induced_rejects_bad_ids =
+  QCheck.Test.make ~name:"induced names an out-of-range or repeated id"
+    ~count:100 QCheck.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let g = random_dag st in
+      let n = G.length g in
+      let ids = List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id) in
+      let bad =
+        match Random.State.int st 3 with
+        | 0 -> n + Random.State.int st 5
+        | 1 -> -1 - Random.State.int st 5
+        | _ -> Random.State.int st n
+      in
+      let ids = if List.mem bad ids then bad :: ids else bad :: bad :: ids in
+      match G.induced g ids with
+      | _ -> false
+      | exception Invalid_argument m ->
+          let needle = Printf.sprintf "id %d " bad in
+          let rec has i =
+            i + String.length needle <= String.length m
+            && (String.sub m i (String.length needle) = needle || has (i + 1))
+          in
+          has 0)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_greedy_le_exact; prop_greedy_independent; prop_miner_matches_brute_force ]
+    [ prop_greedy_le_exact; prop_greedy_independent; prop_miner_matches_brute_force;
+      prop_code_invariant; prop_induced_rejects_bad_ids ]
 
 let () =
   Alcotest.run "mining"
@@ -431,8 +510,8 @@ let () =
           Alcotest.test_case "min support filters" `Quick test_min_support_filters;
           Alcotest.test_case "embeddings agree with matcher" `Quick
             test_embeddings_are_occurrences;
-          Alcotest.test_case "parallel mining identical" `Quick
-            test_parallel_mine_is_identical ] );
+          Alcotest.test_case "golden census, any width" `Quick
+            test_golden_mining ] );
       ( "mis",
         [ Alcotest.test_case "Fig. 4: overlapping chain" `Quick test_mis_add_add;
           Alcotest.test_case "disjoint" `Quick test_mis_disjoint;
