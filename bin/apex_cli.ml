@@ -478,6 +478,8 @@ let map_cmd =
 
 let evaluate_cmd =
   let run () trace check optimize app variant level effort =
+    if effort < 0 then
+      invalid_arg (Printf.sprintf "evaluate: --effort %d is negative" effort);
     with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
@@ -548,6 +550,8 @@ let verify_cmd =
 
 let compile_cmd =
   let run () trace check optimize app variant sim_frames emit_fabric =
+    if sim_frames < 0 then
+      invalid_arg (Printf.sprintf "compile: --sim %d is negative" sim_frames);
     with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
@@ -575,7 +579,7 @@ let compile_cmd =
       routes.word_hops routes.iterations routes.overuse plan.pe_latency
       plan.depth_cycles plan.n_regs plan.n_reg_files bitstream.total_bits;
     let sim_ok =
-      sim_frames <= 0
+      sim_frames = 0
       ||
       let st = Random.State.make [| 7 |] in
       let frames =

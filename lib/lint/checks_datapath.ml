@@ -101,8 +101,10 @@ let structure (dp : Dp.t) emit =
          (n - !seen)
          (if n - !seen = 1 then "" else "s"))
 
-let config_checks (dp : Dp.t) (cfg : Dp.config) emit =
-  let loc = D.Config cfg.Dp.label in
+(* A registered config fixes every select decision, so whether it
+   decodes under Configspace's legality encoding reduces to structural
+   conditions; APX023/APX024 check all of them, no solver needed. *)
+let config_checks ~loc (dp : Dp.t) (cfg : Dp.config) emit =
   let active = Hashtbl.create 8 in
   List.iter
     (fun (fu, op) ->
@@ -170,10 +172,23 @@ let config_checks (dp : Dp.t) (cfg : Dp.config) emit =
           (D.errorf ~loc ~code:"APX028"
              "constant register %d holds %d, outside 16 bits" creg v))
     cfg.Dp.consts;
+  let exposed = Hashtbl.create 4 in
   List.iter
-    (fun (_, node) ->
+    (fun (pos, node) ->
       if not (in_range dp node) then
-        emit (D.errorf ~loc ~code:"APX023" "exposes non-existent node %d" node))
+        emit (D.errorf ~loc ~code:"APX023" "exposes non-existent node %d" node)
+      else if is_fu dp node && not (Hashtbl.mem active node) then
+        emit
+          (D.errorf ~loc ~code:"APX023"
+             "exposes FU %d, which the config leaves inactive" node);
+      match Hashtbl.find_opt exposed pos with
+      | Some other when other <> node ->
+          emit
+            (D.errorf ~loc ~code:"APX023"
+               "exposes two nodes (%d and %d) at output position %d" other
+               node pos)
+      | Some _ -> ()
+      | None -> Hashtbl.replace exposed pos node)
     cfg.Dp.outputs
 
 (* Random-vector realization check shared with the rule linter: does the
@@ -235,8 +250,9 @@ let functional_mismatch (dp : Dp.t) (cfg : Dp.config) (p : Pattern.t) =
   !mismatch
 
 (* coverage + functional realization for configs that implement a mined
-   pattern (matched by canonical code = config label) *)
-let pattern_checks (dp : Dp.t) (cfg : Dp.config) (p : Pattern.t) emit =
+   pattern (matched by canonical code = config label); evaluating a
+   config that failed its own checks would only echo those findings *)
+let pattern_checks ~clean (dp : Dp.t) (cfg : Dp.config) (p : Pattern.t) emit =
   let loc = D.Config cfg.Dp.label in
   let pg = Pattern.graph p in
   let compute =
@@ -283,7 +299,7 @@ let pattern_checks (dp : Dp.t) (cfg : Dp.config) (p : Pattern.t) emit =
       end
     end
   in
-  if ok_coverage then
+  if ok_coverage && clean then
     match functional_mismatch dp cfg p with
     | Some m ->
         emit (D.errorf ~loc ~code:"APX026" "does not realize its pattern: %s" m)
@@ -360,10 +376,10 @@ let run ?(patterns = []) (dp : Dp.t) =
   List.iter
     (fun (cfg : Dp.config) ->
       let before = List.length !diags in
-      config_checks dp cfg emit;
+      config_checks ~loc:(D.Config cfg.Dp.label) dp cfg emit;
       let clean = List.length !diags = before in
       match Hashtbl.find_opt by_code cfg.Dp.label with
-      | Some p when structurally_sound && clean -> pattern_checks dp cfg p emit
+      | Some p when structurally_sound -> pattern_checks ~clean dp cfg p emit
       | _ -> ())
     dp.Dp.configs;
   if structurally_sound then cost_model dp emit;

@@ -1,27 +1,22 @@
 (* Rewrite-rule linting.
 
    A rule is only as good as three promises: its configuration is valid
-   for the PE datapath, Mapper.cover can actually apply it (inputs bound
-   to ports, compute nodes positionally paired with fu_ops, sinks exposed
-   on outputs, constants paired with registers), and the configured
-   datapath computes the pattern.  The last promise is re-established
-   here: random 16-bit vectors for every rule, plus a SAT equivalence
-   check for complex (multi-node) rules — a rule that was never
-   SMT-verified upstream surfaces as an APX044 note or an APX043 error. *)
+   for the PE datapath (the same APX023/APX024 checks as a registered
+   config, located at the rule), Mapper.cover can actually apply it
+   (inputs bound to ports, compute nodes positionally paired with fu_ops,
+   sinks exposed on outputs, constants paired with registers), and the
+   configured datapath computes the pattern.  The last promise is
+   checked on random 16-bit vectors (APX043) against the golden
+   interpreter; the SAT proof of complex rules belongs to
+   Rules.pattern_rule, which drops every refuted rule, and `apex verify`
+   reports its verdicts. *)
 
 module Op = Apex_dfg.Op
 module G = Apex_dfg.Graph
 module Pattern = Apex_mining.Pattern
 module Dp = Apex_merging.Datapath
 module Rules = Apex_mapper.Rules
-module Verify = Apex_verif.Verify
 module D = Diagnostic
-
-(* SAT budget for re-verification: small enough to keep `apex lint --all`
-   interactive, wide enough to prove the rule sets we generate *)
-let smt_width = 6
-let smt_conflict_budget = 60_000
-let smt_random_tests = 32
 
 let rule_label (r : Rules.t) = r.Rules.config.Dp.label
 
@@ -29,57 +24,6 @@ let pattern_nodes p pred =
   Array.to_list (G.nodes (Pattern.graph p))
   |> List.filter_map (fun (nd : G.node) ->
          if pred nd.op then Some nd.id else None)
-
-let config_structure (dp : Dp.t) (r : Rules.t) emit =
-  let loc = D.Rule (rule_label r) in
-  let cfg = r.Rules.config in
-  let n = Array.length dp.Dp.nodes in
-  let in_range id = id >= 0 && id < n in
-  let is_fu id =
-    in_range id
-    && match dp.Dp.nodes.(id).Dp.kind with Dp.Fu _ -> true | _ -> false
-  in
-  List.iter
-    (fun (fu, op) ->
-      if not (is_fu fu) then
-        emit (D.errorf ~loc ~code:"APX040" "activates node %d, not an FU" fu)
-      else if not (List.mem op dp.Dp.nodes.(fu).Dp.ops) then
-        emit
-          (D.errorf ~loc ~code:"APX040" "FU %d does not support op %s" fu
-             (Op.mnemonic op)))
-    cfg.Dp.fu_ops;
-  List.iter
-    (fun ((dst, port), src) ->
-      if
-        not
-          (List.exists
-             (fun (e : Dp.edge) ->
-               e.Dp.src = src && e.Dp.dst = dst && e.Dp.port = port)
-             dp.Dp.edges)
-      then
-        emit
-          (D.errorf ~loc ~code:"APX040" "routes a missing edge %d->%d.%d" src
-             dst port))
-    cfg.Dp.routes;
-  (* every active port must have a select *)
-  List.iter
-    (fun (fu, op) ->
-      if is_fu fu then
-        for port = 0 to Op.arity op - 1 do
-          if not (List.mem_assoc (fu, port) cfg.Dp.routes) then
-            emit
-              (D.errorf ~loc ~code:"APX040"
-                 "active FU %d (%s) has no route for port %d" fu
-                 (Op.mnemonic op) port)
-        done)
-    cfg.Dp.fu_ops;
-  List.iter
-    (fun (creg, _) ->
-      if not (in_range creg && dp.Dp.nodes.(creg).Dp.kind = Dp.Creg) then
-        emit
-          (D.errorf ~loc ~code:"APX040"
-             "assigns a constant to node %d, not a constant register" creg))
-    cfg.Dp.consts
 
 let cover_usability (dp : Dp.t) (r : Rules.t) emit =
   let loc = D.Rule (rule_label r) in
@@ -187,35 +131,12 @@ let shadowing rules emit =
     rules
 
 let semantics (dp : Dp.t) (r : Rules.t) emit =
-  let loc = D.Rule (rule_label r) in
   match Checks_datapath.functional_mismatch dp r.Rules.config r.Rules.pattern with
   | Some m ->
       emit
-        (D.errorf ~loc ~code:"APX043"
+        (D.errorf ~loc:(D.Rule (rule_label r)) ~code:"APX043"
            "config does not compute the rule's pattern: %s" m)
-  | None ->
-      if r.Rules.size >= 2 then begin
-        (* complex rules carry merged semantics: re-establish the SAT
-           verdict the synthesis pipeline claims *)
-        match
-          Verify.verify_config ~width:smt_width
-            ~conflict_budget:smt_conflict_budget
-            ~random_tests:smt_random_tests dp r.Rules.config r.Rules.pattern
-        with
-        | Verify.Proved _ -> ()
-        | Verify.Tested ->
-            emit
-              (D.notef ~loc ~code:"APX044"
-                 "verified by testing only; SAT proof exceeded its budget")
-        | Verify.Refuted cex ->
-            emit
-              (D.errorf ~loc ~code:"APX043"
-                 "refuted by SAT: counterexample %s"
-                 (String.concat ", "
-                    (List.map
-                       (fun (node, v) -> Printf.sprintf "n%d=%d" node v)
-                       cex)))
-      end
+  | None -> ()
 
 let run ~dp rules =
   let diags = ref [] in
@@ -224,7 +145,8 @@ let run ~dp rules =
   List.iter
     (fun (r : Rules.t) ->
       let before = List.length !diags in
-      config_structure dp r emit;
+      Checks_datapath.config_checks ~loc:(D.Rule (rule_label r)) dp
+        r.Rules.config emit;
       cover_usability dp r emit;
       (* semantics only when the rule is structurally sound: evaluating a
          broken config would just duplicate the structural finding *)

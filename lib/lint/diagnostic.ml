@@ -126,8 +126,9 @@ let catalog =
       invariant = "the static (all-edges) datapath graph is acyclic" };
     { code_info = "APX023"; layer = "datapath"; default_severity = Error;
       invariant =
-        "configs activate existing FUs with supported ops and route only \
-         existing edges" };
+        "configs activate existing FUs with supported ops, route only \
+         existing edges from active sources, and expose one existing node \
+         per output position, never an inactive FU" };
     { code_info = "APX024"; layer = "datapath"; default_severity = Error;
       invariant =
         "mux selects are exhaustive: every port of an active FU has a route" };
@@ -151,9 +152,6 @@ let catalog =
       invariant = "configs do not route or activate nodes outside their \
                    pattern (dead select encodings)" };
     (* rewrite rules *)
-    { code_info = "APX040"; layer = "rules"; default_severity = Error;
-      invariant = "a rule's configuration is structurally valid for its PE \
-                   datapath" };
     { code_info = "APX041"; layer = "rules"; default_severity = Error;
       invariant =
         "a rule is usable by Mapper.cover: inputs bound to ports, compute \
@@ -163,11 +161,8 @@ let catalog =
                    canonical pattern" };
     { code_info = "APX043"; layer = "rules"; default_severity = Error;
       invariant =
-        "a rule's config computes its pattern (random-vector check for all \
-         rules, SAT equivalence for complex rules)" };
-    { code_info = "APX044"; layer = "rules"; default_severity = Note;
-      invariant =
-        "complex rules are SAT-proved, not merely tested (budget exhausted)" };
+        "a rule's config computes its pattern (random 16-bit vectors \
+         against the golden interpreter)" };
     (* semantic facts (abstract interpretation) *)
     { code_info = "APX100"; layer = "analysis"; default_severity = Warning;
       invariant = "no mux with a provably constant select (dead arm)" };
@@ -191,24 +186,6 @@ let catalog =
       invariant =
         "mux widths are consistent across arms: live arm bits under the \
          mux's demand fit the mux's annotated width" };
-    (* configuration space (SAT-backed, see Configspace in lib/verif) *)
-    { code_info = "APX120"; layer = "configspace"; default_severity = Warning;
-      invariant =
-        "every FU is activatable by some legal configuration word (not \
-         SAT-dead: an op select with a satisfiable route assignment exists)" };
-    { code_info = "APX121"; layer = "configspace"; default_severity = Warning;
-      invariant =
-        "no dead mux arm: every edge into a port with fan-in >= 2 is routed \
-         by at least one registered config" };
-    { code_info = "APX122"; layer = "configspace"; default_severity = Error;
-      invariant =
-        "every registered pattern config is realizable as a legal \
-         configuration word (UNSAT means the merge emitted a config the \
-         fabric cannot decode)" };
-    { code_info = "APX123"; layer = "configspace"; default_severity = Note;
-      invariant =
-        "the config word is not over-encoded: n_config_bits matches the \
-         reachable resource set (pruning would shrink the word)" };
     (* pipelining *)
     { code_info = "APX060"; layer = "pipeline"; default_severity = Error;
       invariant =

@@ -32,84 +32,39 @@ let artifact_label = function
   | Pe_plan { label; _ }
   | App_plan { label; _ } -> label
 
-type checker = {
-  name : string;
-  check : artifact -> Diagnostic.t list option;
-}
-
-let builtins =
-  [ { name = "dfg";
-      check =
-        (function Dfg { graph; _ } -> Some (Checks_dfg.run graph) | _ -> None)
-    };
-    { name = "analysis";
-      check =
-        (function
-        | Dfg { graph; _ } -> Some (Checks_analysis.run graph) | _ -> None)
-    };
-    { name = "width";
-      check =
-        (function
-        | Dfg { graph; _ } -> Some (Checks_width.run graph) | _ -> None)
-    };
-    { name = "datapath";
-      check =
-        (function
-        | Datapath { dp; patterns; _ } ->
-            Some (Checks_datapath.run ~patterns dp)
-        | _ -> None)
-    };
-    { name = "configspace";
-      check =
-        (function
-        | Datapath { dp; patterns; _ } ->
-            Some (Checks_configspace.run ~patterns dp)
-        | _ -> None)
-    };
-    { name = "rules";
-      check =
-        (function
-        | Rule_set { dp; rules; _ } -> Some (Checks_rules.run ~dp rules)
-        | _ -> None)
-    };
-    { name = "pipeline";
-      check =
-        (function
-        | Pe_plan { dp; plan; _ } -> Some (Checks_pipeline.run_pe dp plan)
-        | App_plan { cover; plan; _ } ->
-            Some (Checks_pipeline.run_app cover plan)
-        | _ -> None)
-    } ]
-
-let extra : checker list ref = ref []
-
-let register c = extra := !extra @ [ c ]
-
-let checkers () = builtins @ !extra
+(* the checkers that apply to each artifact kind, in run order *)
+let checkers = function
+  | Dfg { graph; _ } ->
+      [ ("dfg", fun () -> Checks_dfg.run graph);
+        ("analysis", fun () -> Checks_analysis.run graph);
+        ("width", fun () -> Checks_width.run graph) ]
+  | Datapath { dp; patterns; _ } ->
+      [ ("datapath", fun () -> Checks_datapath.run ~patterns dp) ]
+  | Rule_set { dp; rules; _ } ->
+      [ ("rules", fun () -> Checks_rules.run ~dp rules) ]
+  | Pe_plan { dp; plan; _ } ->
+      [ ("pipeline", fun () -> Checks_pipeline.run_pe dp plan) ]
+  | App_plan { cover; plan; _ } ->
+      [ ("pipeline", fun () -> Checks_pipeline.run_app cover plan) ]
 
 type finding = { artifact : string; checker : string; diag : Diagnostic.t }
 
 type report = { findings : finding list; artifacts : int; checks : int }
 
-let run ?checkers:cs artifacts =
-  let cs = match cs with Some cs -> cs | None -> checkers () in
+let run artifacts =
   let checks = ref 0 in
   let findings = ref [] in
   List.iter
     (fun art ->
       let label = artifact_label art in
       List.iter
-        (fun c ->
-          match c.check art with
-          | None -> ()
-          | Some diags ->
-              incr checks;
-              List.iter
-                (fun diag ->
-                  findings :=
-                    { artifact = label; checker = c.name; diag } :: !findings)
-                diags)
-        cs)
+        (fun (checker, check) ->
+          incr checks;
+          List.iter
+            (fun diag ->
+              findings := { artifact = label; checker; diag } :: !findings)
+            (check ()))
+        (checkers art))
     artifacts;
   Counter.add "lint.checks_run" !checks;
   Counter.add "lint.violations" (List.length !findings);

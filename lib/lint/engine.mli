@@ -1,12 +1,16 @@
-(** The lint engine: a registry of pluggable checkers over every IR in
-    the flow, and a driver that runs them and aggregates diagnostics.
+(** The lint engine: a fixed set of checkers over every IR in the flow,
+    and a driver that runs them and aggregates diagnostics.  The
+    checkers are solver-free: facts a phase proves with SAT/SMT where it
+    makes them (rewrite rules in [Rules.pattern_rule], the configuration
+    space in [Configspace.analyze]) are reported by [apex verify] and
+    [apex analyze --configs], not re-proved here.
 
     Artifacts name the IRs the flow produces — application / pattern
     DFGs, merged datapaths (optionally with the patterns their configs
     claim to implement), rewrite-rule sets, PE pipeline plans and mapped
-    application pipeline plans.  Each checker declares which artifacts
-    it understands; {!run} dispatches every artifact to every applicable
-    checker and returns one flat, stably-sorted report.
+    application pipeline plans.  {!run} dispatches every artifact to
+    every checker of its kind and returns one flat, stably-sorted
+    report.
 
     When telemetry is enabled ({!Apex_telemetry.Registry.enable}), a run
     counts [lint.checks_run], [lint.violations] and [lint.errors]. *)
@@ -38,21 +42,6 @@ type artifact =
 
 val artifact_label : artifact -> string
 
-type checker = {
-  name : string;
-  check : artifact -> Diagnostic.t list option;
-      (** [None] when the checker does not apply to this artifact kind *)
-}
-
-val builtins : checker list
-(** The built-in checkers: ["dfg"], ["analysis"], ["width"],
-    ["datapath"], ["rules"], ["pipeline"] (PE and application plans). *)
-
-val register : checker -> unit
-(** Append a custom checker to the global registry (after builtins). *)
-
-val checkers : unit -> checker list
-
 type finding = {
   artifact : string;  (** label of the artifact the diagnostic is about *)
   checker : string;
@@ -65,8 +54,10 @@ type report = {
   checks : int;             (** (checker, artifact) pairs that applied *)
 }
 
-val run : ?checkers:checker list -> artifact list -> report
-(** Defaults to the global registry ({!checkers} [()]). *)
+val run : artifact list -> report
+(** Run every applicable checker on every artifact: ["dfg"],
+    ["analysis"] and ["width"] on DFGs, ["datapath"] on datapaths,
+    ["rules"] on rule sets, ["pipeline"] on PE and application plans. *)
 
 val count : report -> Diagnostic.severity -> int
 

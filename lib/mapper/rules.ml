@@ -137,42 +137,32 @@ let single_op_rules (dp : D.t) =
           | _ -> None))
     dp.D.configs
 
-let pattern_rule ?(verify = true) (dp : D.t) p =
+let pattern_rule (dp : D.t) p =
   let width = 8 in
   match Synth.structural ~width dp p with
   | None -> None
+  | Some { Synth.verdict = Verify.Refuted _; _ } -> None
   | Some rule ->
-      let ok =
-        (not verify)
-        ||
-        match rule.Synth.verdict with
-        | Verify.Proved _ | Verify.Tested -> true
-        | Verify.Refuted _ -> false
-      in
-      if ok then begin
-        Apex_telemetry.Counter.incr "rules.verified";
-        Some
-          { pattern = p; config = rule.Synth.config;
-            wild_consts = pattern_consts p <> [];
-            size = Pattern.size p }
-      end
-      else None
+      Apex_telemetry.Counter.incr "rules.verified";
+      Some
+        { pattern = p; config = rule.Synth.config;
+          wild_consts = pattern_consts p <> [];
+          size = Pattern.size p }
 
 module Store = Apex_exec.Store
 
-let rule_set ?verify (dp : D.t) ~patterns =
+let rule_set (dp : D.t) ~patterns =
   Apex_telemetry.Span.with_ "rules" @@ fun () ->
   let key =
-    Store.key ~version:"rules/1"
+    Store.key ~version:"rules/2"
       [ Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs);
-        Store.fingerprint (List.map Pattern.code patterns);
-        Store.fingerprint verify ]
+        Store.fingerprint (List.map Pattern.code patterns) ]
   in
   (* SMT rule synthesis dominates warm-path cost; a hit skips it
      entirely. *)
   let rules =
     Store.memoize ~ns:"rules" ~key @@ fun () ->
-    let complex = List.filter_map (pattern_rule ?verify dp) patterns in
+    let complex = List.filter_map (pattern_rule dp) patterns in
     let simple = single_op_rules dp in
     List.sort (fun a b -> compare b.size a.size) (complex @ simple)
   in

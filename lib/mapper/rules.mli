@@ -21,16 +21,13 @@ val single_op_rules : Apex_merging.Datapath.t -> t list
     (labels like "add", "add$c0", "add$c1", "mux", "lut"): one rule per
     plain operation, plus const-generic variants. *)
 
-val pattern_rule :
-  ?verify:bool -> Apex_merging.Datapath.t -> Apex_mining.Pattern.t -> t option
+val pattern_rule : Apex_merging.Datapath.t -> Apex_mining.Pattern.t -> t option
 (** Rule for a complex (merged) pattern via provenance or structural
-    synthesis; verified with the SAT engine when [verify] (default).
-    Patterns containing constants become const-generic rules. *)
+    synthesis; [None] when synthesis fails or the SAT engine refutes the
+    synthesized config.  Patterns containing constants become
+    const-generic rules. *)
 
 val rule_set :
-  ?verify:bool ->
-  Apex_merging.Datapath.t ->
-  patterns:Apex_mining.Pattern.t list ->
-  t list
+  Apex_merging.Datapath.t -> patterns:Apex_mining.Pattern.t list -> t list
 (** Complete rule set for a PE: complex rules for [patterns] plus all
     single-op rules, sorted complex-first (by decreasing size). *)

@@ -3,7 +3,8 @@
    datapaths stay structurally valid and functionally equivalent, any
    proof failure reverts), the mutual-exclusion gating facts the energy
    model consumes, the adversarial corners of [Datapath.evaluate] the
-   analysis leans on, and the APX12x diagnostics. *)
+   analysis leans on, the survey's dead-resource facts, and the
+   structural lint findings on an unrealizable config. *)
 
 module D = Apex_merging.Datapath
 module Op = Apex_dfg.Op
@@ -251,24 +252,31 @@ let test_gating_discount () =
     (Printf.sprintf "gating lowers config energy (%.3f < %.3f)" e_gated e_plain)
     true (e_gated < e_plain)
 
-(* --- APX12x diagnostics ------------------------------------------ *)
+(* --- survey facts, and what lint reports of them ----------------- *)
 
-let lint_dp dp =
+module Diag = Apex_lint.Diagnostic
+
+(* does linting [dp] report [code] at [loc] with [message]? *)
+let lint_reports dp ~code ~loc ?message () =
   let report = Engine.run [ Engine.Datapath { label = "t"; dp; patterns = [] } ] in
-  List.map
-    (fun (f : Engine.finding) -> f.Engine.diag.Apex_lint.Diagnostic.code)
+  List.exists
+    (fun (f : Engine.finding) ->
+      let d = f.Engine.diag in
+      d.Diag.code = code && d.Diag.loc = loc
+      && Option.fold ~none:true ~some:(String.equal d.Diag.message) message)
     report.Engine.findings
 
 let test_lint_unrealizable () =
   (* the config exposes FU 2 as an output but never activates it: no
-     legal word satisfies both, so APX122 must fire *)
+     legal word satisfies both; lint names the same fault structurally *)
   let dp = tiny_dp () in
   let cfg = List.hd dp.D.configs in
   let dp = { dp with D.configs = [ { cfg with D.fu_ops = [] } ] } in
   let s = Cs.survey dp in
   check Alcotest.(list string) "unrealizable" [ "t" ] s.Cs.unrealizable;
-  let codes = lint_dp dp in
-  Alcotest.(check bool) "APX122 fired" true (List.mem "APX122" codes)
+  Alcotest.(check bool) "APX023 exposes an inactive FU" true
+    (lint_reports dp ~code:"APX023" ~loc:(Diag.Config "t")
+       ~message:"exposes FU 2, which the config leaves inactive" ())
 
 let test_lint_dead_resources () =
   let dp = tiny_dp () in
@@ -281,19 +289,31 @@ let test_lint_dead_resources () =
           [| { D.id = 3; kind = D.Fu "alu"; ops = [ Op.Add; Op.Sub ];
                width = 16 } |] }
   in
-  let codes = lint_dp dp in
-  Alcotest.(check bool) "APX120 dead FU" true (List.mem "APX120" codes);
+  let s = Cs.survey dp in
+  Alcotest.(check bool) "dead FU" true
+    (List.mem (Cs.Fu_r 3, Cs.Dead) s.Cs.unreachable);
   (* the in1 -> alu.0 mux arm is never routed *)
-  Alcotest.(check bool) "APX121 dead mux arm" true (List.mem "APX121" codes);
-  Alcotest.(check bool) "APX123 over-encoding" true (List.mem "APX123" codes);
+  let fanin = D.mux_points dp in
+  Alcotest.(check bool) "dead mux arm" true
+    (List.exists
+       (function
+         | Cs.Edge_r { dst; port; _ }, _ -> List.mem_assoc (dst, port) fanin
+         | _ -> false)
+       s.Cs.unreachable);
+  Alcotest.(check bool)
+    (Printf.sprintf "over-encoding (%d > %d bits)" s.Cs.bits_total
+       s.Cs.bits_reachable)
+    true
+    (s.Cs.bits_total > s.Cs.bits_reachable);
+  (* lint's structural view: no registered config uses the FU *)
+  Alcotest.(check bool) "APX027 on the isolated FU" true
+    (lint_reports dp ~code:"APX027" ~loc:(Diag.Node 3) ());
   (* and analyze removes all of it with proofs intact *)
   let report, pruned = Cs.analyze ~label:"dead" dp in
   Alcotest.(check bool) "not reverted" false report.Cs.reverted;
   check Alcotest.int "isolated FU pruned" 3 (Array.length pruned.D.nodes);
-  Alcotest.(check bool) "pruned lint clean of APX12x" true
-    (List.for_all
-       (fun c -> not (String.length c = 6 && String.sub c 0 5 = "APX12"))
-       (lint_dp pruned))
+  Alcotest.(check bool) "pruned survey has nothing unreachable" true
+    ((Cs.survey pruned).Cs.unreachable = [])
 
 (* --- serve job kind ---------------------------------------------- *)
 

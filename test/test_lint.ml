@@ -199,6 +199,23 @@ let test_dp_inexhaustive_selects () =
   let dp = { dp with Dp.configs = [ cfg ] } in
   assert_emits "port without route" "APX024" (run_dp ~patterns:[ p ] dp)
 
+let test_dp_output_selects () =
+  (* the two output-select faults that make a registered config
+     undecodable: an exposed FU left inactive, and two nodes competing
+     for one output position *)
+  let p, cfg, dp = sub_dp () in
+  let dead = { Dp.id = 3; kind = Dp.Fu (Op.kind Op.Mul); ops = [ Op.Mul ]; width = 16 } in
+  let cfg = { cfg with Dp.outputs = [ (0, 2); (1, 3) ] } in
+  let dp =
+    { dp with Dp.nodes = Array.append dp.Dp.nodes [| dead |]; configs = [ cfg ] }
+  in
+  assert_emits "exposed inactive FU" "APX023" (run_dp ~patterns:[ p ] dp);
+  let p, cfg, dp = sub_dp () in
+  let cfg = { cfg with Dp.outputs = [ (0, 2); (0, 0) ] } in
+  let dp = { dp with Dp.configs = [ cfg ] } in
+  assert_emits "two nodes at one output position" "APX023"
+    (run_dp ~patterns:[ p ] dp)
+
 let test_dp_coverage () =
   let p, cfg, dp = sub_dp () in
   let cfg = { cfg with Dp.fu_ops = []; routes = [] } in
@@ -246,8 +263,15 @@ let test_rules_bad_config () =
       Rules.config =
         { r.Rules.config with Dp.routes = [ ((2, 0), 2); ((2, 1), 1) ] } }
   in
-  assert_emits "rule with broken config" "APX040"
-    (Apex_lint.Checks_rules.run ~dp [ r ])
+  let diags = Apex_lint.Checks_rules.run ~dp [ r ] in
+  assert_emits "rule with broken config" "APX023" diags;
+  (* the datapath's config checks, located at the rule *)
+  Alcotest.(check bool) "APX023 located at the rule" true
+    (List.exists
+       (fun (d : Diag.t) ->
+         d.Diag.code = "APX023"
+         && d.Diag.loc = Diag.Rule r.Rules.config.Dp.label)
+       diags)
 
 let test_rules_unusable () =
   let dp, r = sub_rule () in
@@ -460,6 +484,24 @@ let test_engine_counters () =
   Alcotest.(check bool) "lint.checks_run counted" true
     (Apex_telemetry.Counter.get "lint.checks_run" > 0)
 
+let test_engine_solver_free () =
+  (* the SAT facts stay with the phases that prove them: building the
+     artifacts may call the solver, linting them must not *)
+  let module Store = Apex_exec.Store in
+  let prev_enabled = Store.enabled () in
+  Store.set_enabled false;
+  Fun.protect ~finally:(fun () -> Store.set_enabled prev_enabled) @@ fun () ->
+  let artifacts =
+    Apex.Lint_run.base_artifacts ()
+    @ Apex.Lint_run.artifacts_for (Apps.by_name "gaussian")
+  in
+  Apex_telemetry.Registry.enable ();
+  Apex_telemetry.Registry.reset ();
+  Fun.protect ~finally:Apex_telemetry.Registry.disable @@ fun () ->
+  ignore (Engine.run artifacts);
+  check Alcotest.int "smt.solver_calls in Engine.run" 0
+    (Apex_telemetry.Counter.get "smt.solver_calls")
+
 let test_check_phase_boundary () =
   let bad = [ Engine.Dfg { label = "bad"; graph = bad_dfg () } ] in
   (* inert by default *)
@@ -487,7 +529,7 @@ let test_catalog_complete () =
       Alcotest.(check bool) (c ^ " in catalog") true (List.mem c catalog_codes))
     [ "APX001"; "APX002"; "APX003"; "APX004"; "APX005"; "APX006"; "APX007";
       "APX008"; "APX020"; "APX022"; "APX023"; "APX024"; "APX025"; "APX026";
-      "APX027"; "APX028"; "APX040"; "APX041"; "APX042"; "APX043"; "APX060";
+      "APX027"; "APX028"; "APX041"; "APX042"; "APX043"; "APX060";
       "APX061"; "APX063"; "APX064"; "APX065"; "APX100"; "APX101"; "APX102";
       "APX103"; "APX110"; "APX111"; "APX112" ]
 
@@ -692,6 +734,7 @@ let () =
             test_dp_missing_route_edge;
           Alcotest.test_case "inexhaustive selects" `Quick
             test_dp_inexhaustive_selects;
+          Alcotest.test_case "output selects" `Quick test_dp_output_selects;
           Alcotest.test_case "coverage" `Quick test_dp_coverage;
           Alcotest.test_case "functional mismatch" `Quick
             test_dp_functional_mismatch;
@@ -739,6 +782,7 @@ let () =
         [ Alcotest.test_case "dispatch" `Quick test_engine_dispatch;
           Alcotest.test_case "werror" `Quick test_engine_werror;
           Alcotest.test_case "telemetry counters" `Quick test_engine_counters;
+          Alcotest.test_case "solver-free" `Quick test_engine_solver_free;
           Alcotest.test_case "phase boundary" `Quick test_check_phase_boundary;
           Alcotest.test_case "catalog" `Quick test_catalog_complete;
           Alcotest.test_case "all apps clean" `Quick test_all_apps_clean;
