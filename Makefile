@@ -82,12 +82,17 @@ bench-snapshot:
 # First, flag checks: --jobs 0 is an invalid argument (exit exactly 2)
 # on the flow subcommands, as it is on serve, and so is mine --top=-1,
 # as it is in a served mine spec, and so are a negative placement
-# --effort and a negative compile --sim frame count.
+# --effort and a negative compile --sim frame count.  Then `compile`
+# runs end to end under PE Base (map, place, route and pipeline through
+# the DSE back end, bitstream, fabric simulation): a MISMATCH against
+# the golden model exits 1.
 ci: build test
 	dune exec bin/apex_cli.exe -- mine gaussian --jobs 0 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- mine gaussian --top=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- evaluate gaussian -l pnr --effort=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- compile gaussian --sim=-1 2> /dev/null; test $$? -eq 2
+	dune exec bin/apex_cli.exe -- compile gaussian --sim 3
+	dune exec bin/apex_cli.exe -- compile unsharp --sim 3
 	dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE) \
 	  --require analysis.facts_computed \

@@ -44,7 +44,7 @@ let eval_pp (v : Variants.t) (app : Apps.t) =
   match Hashtbl.find_opt pp_cache key with
   | Some r -> r
   | None ->
-      let r = Metrics.post_pipelining v app in
+      let r, _, _ = Metrics.post_pipelining v app in
       Hashtbl.replace pp_cache key r;
       r
 

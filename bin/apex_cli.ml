@@ -435,13 +435,7 @@ let pe_cmd =
     if verilog then begin
       let spec = Apex_peak.Spec.of_datapath ~name:v.name v.dp in
       (* pipeline the PE the way the flow would before emitting RTL *)
-      let plan = Apex_pipelining.Pe_pipeline.plan v.dp in
-      let stages =
-        if plan.stages > 1 then
-          Apex_pipelining.Pe_pipeline.assign_stages v.dp
-            ~period_ps:plan.period_ps ~stages:plan.stages
-        else None
-      in
+      let stages = Apex_pipelining.Pe_pipeline.rtl_stages v.dp in
       print_string (Apex_peak.Verilog.emit ?stages spec)
     end;
     if dot then print_string (D.to_dot ~name:(Apex_peak.Verilog.sanitize v.name) v.dp);
@@ -499,7 +493,7 @@ let evaluate_cmd =
           pnr.Apex.Metrics.total_area pnr.sb_area pnr.cb_area pnr.mem_area
           pnr.total_energy_per_output pnr.routing_tiles
     | "pipeline" ->
-        let pp = Apex.Metrics.post_pipelining ~effort v a in
+        let pp, _, _ = Apex.Metrics.post_pipelining ~effort v a in
         Format.printf
           "post-pipelining: %d PE stages @ %.0f ps, %d regs + %d RFs, %d cycles/run, %.3f ms, %.2f runs/ms/mm^2@."
           pp.Apex.Metrics.pe_stages pp.period_ps pp.n_regs pp.n_reg_files
@@ -555,24 +549,20 @@ let compile_cmd =
     with_report trace @@ fun () ->
     set_check check;
     set_optimize optimize;
-    (* the optimized kernel is what gets mapped AND what the golden
-       simulation replays (identity when --optimize is off) *)
-    let a = Apex.Optimize.app (Apex.Jobs.app_by_name app) in
+    (* the DSE back end maps the optimized kernel, which is also what
+       the golden simulation replays (identity when --optimize is off) *)
+    let raw = Apex.Jobs.app_by_name app in
+    let a = Apex.Optimize.app raw in
     let v = Apex.Dse.variant_for variant in
-    let spec = Apex_peak.Spec.of_datapath ~name:v.name v.dp in
-    let mapped = Apex_mapper.Cover.map_app ~rules:v.rules a.graph in
-    let fabric = Apex_cgra.Fabric.create () in
-    let placement = Apex_cgra.Place.place fabric mapped in
-    let routes = Apex_cgra.Route.route placement mapped in
-    let plan =
-      Apex_pipelining.App_pipeline.balance mapped
-        ~pe_latency:(Apex_pipelining.Pe_pipeline.plan v.dp).stages
+    let _, { Apex.Metrics.cover; fabric; placement; routes }, plan =
+      Apex.Metrics.post_pipelining v raw
     in
-    let bitstream = Apex_cgra.Bitstream.generate spec placement mapped routes in
+    let spec = Apex_peak.Spec.of_datapath ~name:v.name v.dp in
+    let bitstream = Apex_cgra.Bitstream.generate spec placement cover routes in
     Format.printf
       "compiled %s on %s:@.  %d PEs placed on a %dx%d fabric (HPWL %.0f)@.         %d nets, %d word hops, %d rip-up rounds, overuse %d@.  pipeline:        latency %d, depth %d cycles, %d regs + %d register files@.         bitstream: %d bits@."
       app v.name
-      (Apex_mapper.Cover.n_pes mapped)
+      (Apex_mapper.Cover.n_pes cover)
       fabric.Apex_cgra.Fabric.width fabric.Apex_cgra.Fabric.height
       placement.Apex_cgra.Place.wirelength
       (List.length routes.Apex_cgra.Route.nets)
@@ -586,7 +576,7 @@ let compile_cmd =
         List.init sim_frames (fun _ -> Apex_dfg.Interp.random_env st a.graph)
       in
       let report =
-        Apex_cgra.Sim.run ~spec ~mapped ~plan ~bitstream ~placement ~frames
+        Apex_cgra.Sim.run ~spec ~mapped:cover ~plan ~bitstream ~placement ~frames
       in
       let ok =
         List.for_all2

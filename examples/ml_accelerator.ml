@@ -33,7 +33,7 @@ let () =
   let profile = Apps.profile resnet in
   let fpga = Comparators.fpga profile in
   let simba = Comparators.simba profile in
-  let pp = Apex.Metrics.post_pipelining pe_ml resnet in
+  let pp, _, _ = Apex.Metrics.post_pipelining pe_ml resnet in
   let cgra_energy_uj =
     pp.Apex.Metrics.pnr.total_energy_per_output
     *. float_of_int resnet.outputs_per_run *. 1e-9

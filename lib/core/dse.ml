@@ -185,7 +185,7 @@ let eval_pair ?effort (v : Variants.t) (app : Apps.t) =
   | None ->
       let c =
         match Metrics.post_pipelining ?effort v app with
-        | pp -> Cached_mapped pp
+        | pp, _, _ -> Cached_mapped pp
         | exception Apex_mapper.Cover.Unmappable m -> Cached_unmappable m
       in
       Apex_exec.Store.store ~ns:"pairs" ~key c;

@@ -52,6 +52,13 @@ type post_pipelining = {
   reg_energy_per_output : float;
 }
 
+type layout = {
+  cover : Cover.t;
+  fabric : Fabric.t;
+  placement : Place.t;
+  routes : Route.t;
+}
+
 let post_mapping (v : Variants.t) (app : Apps.t) =
   let app = Optimize.app app in
   let mapped = Cover.map_app ~rules:v.rules app.graph in
@@ -144,16 +151,14 @@ let post_pnr ?(effort = 1) (v : Variants.t) (app : Apps.t) =
       routing_tiles;
       word_hops = routes.Route.word_hops;
       wirelength = placement.Place.wirelength },
-    mapped )
+    { cover = mapped; fabric; placement; routes } )
 
-let post_pipelining ?(effort = 1) ?(rf_cutoff = 2) (v : Variants.t)
-    (app : Apps.t) =
-  let pnr, mapped = post_pnr ~effort v app in
+let post_pipelining ?(effort = 1) (v : Variants.t) (app : Apps.t) =
+  let pnr, layout = post_pnr ~effort v app in
+  let mapped = layout.cover in
   Apex_telemetry.Span.with_ "pipelining" @@ fun () ->
   let pe_plan = Pe_pipeline.plan v.dp in
-  let app_plan =
-    App_pipeline.balance ~rf_cutoff mapped ~pe_latency:pe_plan.stages
-  in
+  let app_plan = App_pipeline.balance mapped ~pe_latency:pe_plan.stages in
   Check.verify "pipelining"
     [ Apex_lint.Engine.Pe_plan { label = v.name; dp = v.dp; plan = pe_plan };
       Apex_lint.Engine.App_plan
@@ -186,20 +191,22 @@ let post_pipelining ?(effort = 1) ?(rf_cutoff = 2) (v : Variants.t)
      the amortized pipeline fill *)
   Apex_telemetry.Counter.observe "pipelining.ii_achieved"
     (float_of_int cycles_per_run /. float_of_int (max 1 firings));
-  { pnr;
-    pe_stages = pe_plan.stages;
-    period_ps;
-    pre_period_ps;
-    n_regs = app_plan.n_regs;
-    n_reg_files = app_plan.n_reg_files;
-    depth_cycles = app_plan.depth_cycles;
-    cycles_per_run;
-    runtime_ms;
-    pre_runtime_ms;
-    perf_per_mm2 = perf runtime_ms;
-    pre_perf_per_mm2 = perf pre_runtime_ms;
-    reg_area;
-    reg_energy_per_output =
-      (App_pipeline.regs_energy app_plan
-      +. (float_of_int pnr.pm.n_pes *. pe_plan.reg_energy))
-      /. float_of_int app.unroll }
+  ( { pnr;
+      pe_stages = pe_plan.stages;
+      period_ps;
+      pre_period_ps;
+      n_regs = app_plan.n_regs;
+      n_reg_files = app_plan.n_reg_files;
+      depth_cycles = app_plan.depth_cycles;
+      cycles_per_run;
+      runtime_ms;
+      pre_runtime_ms;
+      perf_per_mm2 = perf runtime_ms;
+      pre_perf_per_mm2 = perf pre_runtime_ms;
+      reg_area;
+      reg_energy_per_output =
+        (App_pipeline.regs_energy app_plan
+        +. (float_of_int pnr.pm.n_pes *. pe_plan.reg_energy))
+        /. float_of_int app.unroll },
+    layout,
+    app_plan )

@@ -1,7 +1,12 @@
 (** Evaluation metrics at the paper's three reporting levels
     (Section 5.3): post-mapping (PE cores only, minutes-level estimate),
     post-place-and-route (adds the interconnect) and post-pipelining
-    (adds PE/application pipelining and performance). *)
+    (adds PE/application pipelining and performance).
+
+    This is the flow's one back end.  Each level hands back what it
+    built (cover, {!layout}, application plan) beside its metric record,
+    never inside it, so the DSE stores only metrics and [apex compile]
+    adds just the bitstream and the fabric simulation. *)
 
 type post_mapping = {
   n_pes : int;                 (** PE instances the application needs *)
@@ -45,6 +50,15 @@ type post_pipelining = {
   reg_energy_per_output : float;
 }
 
+type layout = {
+  cover : Apex_mapper.Cover.t;
+  fabric : Apex_cgra.Fabric.t;
+      (** the paper's 32x16 array, rows doubled until the cover fits *)
+  placement : Apex_cgra.Place.t;
+  routes : Apex_cgra.Route.t;
+}
+(** What place and route built for one (variant, application) pair. *)
+
 val post_mapping :
   Variants.t -> Apex_halide.Apps.t -> post_mapping * Apex_mapper.Cover.t
 (** Map the application and report PE-core metrics.
@@ -52,11 +66,14 @@ val post_mapping :
     cover the application. *)
 
 val post_pnr :
-  ?effort:int -> Variants.t -> Apex_halide.Apps.t -> post_pnr * Apex_mapper.Cover.t
-(** Place and route on an auto-sized fabric (32x16 unless the
-    application needs more rows).  A routing still over capacity when
-    negotiation stops is priced as is, but recorded as a degraded
-    ["pnr"] outcome and counted in [cgra.route_overuse]. *)
+  ?effort:int -> Variants.t -> Apex_halide.Apps.t -> post_pnr * layout
+(** Place ([effort], default 1) and route on the layout's fabric.  A
+    routing still over capacity when negotiation stops is priced as is,
+    but recorded as a degraded ["pnr"] outcome and counted in
+    [cgra.route_overuse]. *)
 
 val post_pipelining :
-  ?effort:int -> ?rf_cutoff:int -> Variants.t -> Apex_halide.Apps.t -> post_pipelining
+  ?effort:int -> Variants.t -> Apex_halide.Apps.t ->
+  post_pipelining * layout * Apex_pipelining.App_pipeline.plan
+(** {!post_pnr}, then pipeline the PE and balance the application at
+    its latency; the plan is what the fabric simulator replays. *)

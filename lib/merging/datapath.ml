@@ -261,37 +261,37 @@ let log2ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   if n <= 1 then 0 else go 0 1
 
-let mux_points dp =
-  (* distinct (dst, port) pairs with >= 2 sources *)
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let key = (e.dst, e.port) in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-      if not (List.mem e.src prev) then Hashtbl.replace tbl key (e.src :: prev))
-    dp.edges;
-  Hashtbl.fold (fun key srcs acc -> (key, List.length srcs) :: acc) tbl []
-  |> List.filter (fun (_, n) -> n >= 2)
+let fu_menu (n : node) = List.sort_uniq Op.compare n.ops
 
-let output_mux_sizes dp =
-  (* candidates per output position over all configs *)
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (pos, node) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl pos) in
-          if not (List.mem node prev) then Hashtbl.replace tbl pos (node :: prev))
-        c.outputs)
-    dp.configs;
-  Hashtbl.fold (fun _ cands acc -> List.length cands :: acc) tbl []
+(* (key, value) pairs grouped by key: (key, sorted distinct values) in
+   key order *)
+let group_sorted pairs =
+  List.fold_right
+    (fun (k, v) acc ->
+      match acc with
+      | (k', vs) :: rest when k' = k -> (k, v :: vs) :: rest
+      | _ -> (k, [ v ]) :: acc)
+    (List.sort_uniq compare pairs) []
+
+let mux_sources dp =
+  group_sorted (List.map (fun e -> ((e.dst, e.port), e.src)) dp.edges)
+
+let output_candidates dp =
+  group_sorted (List.concat_map (fun c -> c.outputs) dp.configs)
+
+let mux_points dp =
+  List.filter_map
+    (fun (key, srcs) ->
+      let n = List.length srcs in
+      if n >= 2 then Some (key, n) else None)
+    (mux_sources dp)
 
 let n_config_bits dp =
   let fu_bits =
     Array.fold_left
       (fun acc n ->
         match n.kind with
-        | Fu _ -> acc + log2ceil (List.length (List.sort_uniq Op.compare n.ops))
+        | Fu _ -> acc + log2ceil (List.length (fu_menu n))
         (* a narrowed constant register only stores its proven width *)
         | Creg -> acc + n.width
         | In_port | Bit_in_port -> acc)
@@ -301,7 +301,9 @@ let n_config_bits dp =
     List.fold_left (fun acc (_, n) -> acc + log2ceil n) 0 (mux_points dp)
   in
   let out_bits =
-    List.fold_left (fun acc n -> acc + log2ceil n) 0 (output_mux_sizes dp)
+    List.fold_left
+      (fun acc (_, cands) -> acc + log2ceil (List.length cands))
+      0 (output_candidates dp)
   in
   fu_bits + mux_bits + out_bits + 1 (* +1 active bit *)
 
@@ -311,9 +313,8 @@ let area dp =
       (fun acc n ->
         match n.kind with
         | Fu k ->
-            let ops = List.sort_uniq Op.compare n.ops in
             let slices =
-              match ops with
+              match fu_menu n with
               | [] -> 0.0
               | _ :: rest -> List.fold_left (fun a op -> a +. Tech.op_slice op) 0.0 rest
             in
@@ -330,32 +331,32 @@ let area dp =
   in
   let mux_area =
     List.fold_left
-      (fun acc ((dst, port), n) ->
-        let w =
-          (* width of the port: look at the widths expected by the dst ops *)
-          let widths = Op.input_widths (List.hd dp.nodes.(dst).ops) in
-          if port < Array.length widths then widths.(port) else Op.Word
-        in
-        let c = (Tech.word_mux_cost n).area in
-        match w with
-        | Op.Word ->
-            (* the mux only switches the sources' live bits: anything
-               above a producer's proven width is a known-zero or
-               never-demanded wire, not a switched one *)
-            let wmax =
-              List.fold_left
-                (fun acc s -> max acc dp.nodes.(s).width)
-                1
-                (sources dp ~dst ~port)
-            in
-            acc +. (c *. Tech.width_factor ~kind:"mux" ~width:wmax)
-        | Op.Bit -> acc +. (c /. 16.0))
-      0.0 (mux_points dp)
+      (fun acc ((dst, port), srcs) ->
+        let n = List.length srcs in
+        if n < 2 then acc
+        else
+          let w =
+            (* width of the port: look at the widths expected by the dst ops *)
+            let widths = Op.input_widths (List.hd dp.nodes.(dst).ops) in
+            if port < Array.length widths then widths.(port) else Op.Word
+          in
+          let c = (Tech.word_mux_cost n).area in
+          match w with
+          | Op.Word ->
+              (* the mux only switches the sources' live bits: anything
+                 above a producer's proven width is a known-zero or
+                 never-demanded wire, not a switched one *)
+              let wmax =
+                List.fold_left (fun acc s -> max acc dp.nodes.(s).width) 1 srcs
+              in
+              acc +. (c *. Tech.width_factor ~kind:"mux" ~width:wmax)
+          | Op.Bit -> acc +. (c /. 16.0))
+      0.0 (mux_sources dp)
   in
   let out_mux_area =
     List.fold_left
-      (fun acc n -> acc +. (Tech.word_mux_cost n).area)
-      0.0 (output_mux_sizes dp)
+      (fun acc (_, cands) -> acc +. (Tech.word_mux_cost (List.length cands)).area)
+      0.0 (output_candidates dp)
   in
   let cfg = (Tech.config_overhead ~n_config_bits:(n_config_bits dp)).area in
   fu_area +. mux_area +. out_mux_area +. cfg
@@ -387,6 +388,7 @@ let dot_escape = Apex_dfg.Dot.escape
    labels escaped — stable goldens no matter how the merge ordered the
    edge list *)
 let to_dot ?(name = "datapath") dp =
+  let fanin = mux_sources dp in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=TB;\n" name);
   Array.iter
@@ -396,8 +398,7 @@ let to_dot ?(name = "datapath") dp =
         | Fu k ->
             ( Printf.sprintf "%s\\n%s" (dot_escape k)
                 (dot_escape
-                   (String.concat " "
-                      (List.map Op.mnemonic (List.sort_uniq Op.compare n.ops)))),
+                   (String.concat " " (List.map Op.mnemonic (fu_menu n)))),
               "box" )
         | Creg -> ("creg", "diamond")
         | In_port -> ("in", "oval")
@@ -409,8 +410,8 @@ let to_dot ?(name = "datapath") dp =
     dp.nodes;
   List.iter
     (fun e ->
-      let fanin = List.length (sources dp ~dst:e.dst ~port:e.port) in
-      let style = if fanin >= 2 then ", style=dashed" else "" in
+      let srcs = List.assoc (e.dst, e.port) fanin in
+      let style = if List.length srcs >= 2 then ", style=dashed" else "" in
       Buffer.add_string buf
         (Printf.sprintf "  n%d -> n%d [label=\"p%d\"%s];\n" e.src e.dst e.port
            style))

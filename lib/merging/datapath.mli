@@ -8,7 +8,12 @@
     FU and one source per used port, realizing one of the merged
     patterns; only the active edges matter, so the static graph is kept
     acyclic (we reject merges that would create static cycles, which
-    also keeps RTL generation and timing analysis straightforward). *)
+    also keeps RTL generation and timing analysis straightforward).
+
+    This module owns the configuration space: every select field of the
+    PE's configuration word indexes {!fu_menu}, {!mux_sources} or
+    {!output_candidates} and is {!log2ceil} bits wide.  The PE spec, its
+    RTL, the SAT encoding of legal words and rule synthesis read these. *)
 
 type unit_kind =
   | Fu of string   (** functional-unit block; the string is {!Apex_dfg.Op.kind} *)
@@ -65,9 +70,25 @@ val natural_width : unit_kind -> int
 val sources : t -> dst:int -> port:int -> int list
 (** All static sources feeding a port (>= 2 means an intraconnect mux). *)
 
+val log2ceil : int -> int
+(** Bits of a field that selects among [n] choices: ceil(log2 n), and 0
+    when [n <= 1]. *)
+
+val fu_menu : node -> Apex_dfg.Op.t list
+(** An FU's ops, sorted and distinct; an op-select field indexes it. *)
+
+val mux_sources : t -> ((int * int) * int list) list
+(** Every (dst, port) with an incoming edge, sorted, with its sorted
+    distinct sources; a mux-select field indexes that list. *)
+
+val output_candidates : t -> (int * int list) list
+(** Every output position a registered config exposes, sorted, with its
+    sorted distinct drivers over all configs; an output-select field
+    indexes that list. *)
+
 val mux_points : t -> ((int * int) * int) list
 (** Fan-in points that need a mux: ((dst, port), n_sources) pairs with
-    at least two distinct sources. *)
+    at least two distinct sources, in {!mux_sources} order. *)
 
 val n_word_inputs : t -> int
 val n_bit_inputs : t -> int
@@ -100,7 +121,8 @@ val area : t -> float
 
 val n_config_bits : t -> int
 (** Bits needed to encode any configuration: FU op selects, mux selects,
-    constant registers, output selects. *)
+    constant registers (at their proven width), output selects, plus
+    one active bit. *)
 
 val pp : Format.formatter -> t -> unit
 

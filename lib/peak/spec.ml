@@ -14,37 +14,6 @@ type t = { name : string; dp : D.t; fields : field list }
 
 type instr = (string * int) list
 
-let log2ceil n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
-  if n <= 1 then 0 else go 0 1
-
-let sorted_ops (n : D.node) = List.sort_uniq Op.compare n.ops
-
-let mux_sources dp =
-  (* (dst, port) -> sorted sources, for every port with an edge *)
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (e : D.edge) ->
-      let key = (e.dst, e.port) in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-      if not (List.mem e.src prev) then Hashtbl.replace tbl key (e.src :: prev))
-    dp.D.edges;
-  Hashtbl.fold (fun k v acc -> (k, List.sort compare v) :: acc) tbl []
-  |> List.sort compare
-
-let output_candidates dp =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (c : D.config) ->
-      List.iter
-        (fun (pos, node) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl pos) in
-          if not (List.mem node prev) then Hashtbl.replace tbl pos (node :: prev))
-        c.D.outputs)
-    dp.D.configs;
-  Hashtbl.fold (fun pos nodes acc -> (pos, List.sort compare nodes) :: acc) tbl []
-  |> List.sort compare
-
 let is_lut_fu (n : D.node) =
   match n.kind with D.Fu "lut" -> true | _ -> false
 
@@ -59,11 +28,11 @@ let of_datapath ~name dp =
             { name = Printf.sprintf "fu%d_lut" n.id; bits = 8; choices = 256;
               target = Lut_table n.id }
       | D.Fu _ ->
-          let ops = sorted_ops n in
+          let ops = D.fu_menu n in
           if List.length ops >= 2 then
             addf
               { name = Printf.sprintf "fu%d_op" n.id;
-                bits = log2ceil (List.length ops);
+                bits = D.log2ceil (List.length ops);
                 choices = List.length ops;
                 target = Fu_op n.id }
       | D.Creg ->
@@ -77,17 +46,17 @@ let of_datapath ~name dp =
       let n = List.length srcs in
       if n >= 2 then
         addf
-          { name = Printf.sprintf "mux%d_%d" dst port; bits = log2ceil n;
+          { name = Printf.sprintf "mux%d_%d" dst port; bits = D.log2ceil n;
             choices = n; target = Mux (dst, port) })
-    (mux_sources dp);
+    (D.mux_sources dp);
   List.iter
     (fun (pos, cands) ->
       let n = List.length cands in
       if n >= 2 then
         addf
-          { name = Printf.sprintf "out%d_sel" pos; bits = log2ceil n; choices = n;
+          { name = Printf.sprintf "out%d_sel" pos; bits = D.log2ceil n; choices = n;
             target = Out_sel pos })
-    (output_candidates dp);
+    (D.output_candidates dp);
   { name; dp; fields = List.rev !fields }
 
 let n_config_bits spec =
@@ -105,8 +74,8 @@ let index_of x l =
 
 let encode spec (cfg : D.config) =
   let dp = spec.dp in
-  let srcs = mux_sources dp in
-  let cands = output_candidates dp in
+  let srcs = D.mux_sources dp in
+  let cands = D.output_candidates dp in
   List.filter_map
     (fun f ->
       match f.target with
@@ -114,7 +83,7 @@ let encode spec (cfg : D.config) =
           match List.assoc_opt fu cfg.D.fu_ops with
           | None -> None
           | Some op -> (
-              match index_of op (sorted_ops dp.D.nodes.(fu)) with
+              match index_of op (D.fu_menu dp.D.nodes.(fu)) with
               | Some i -> Some (f.name, i)
               | None -> failwith (Printf.sprintf "Spec.encode: FU %d lacks op" fu)))
       | Lut_table fu -> (
@@ -155,7 +124,7 @@ let decode spec (instr : instr) =
            | D.Fu _ when is_lut_fu n ->
                Some (n.id, Op.Lut (get (Printf.sprintf "fu%d_lut" n.id) land 0xff))
            | D.Fu _ ->
-               let ops = sorted_ops n in
+               let ops = D.fu_menu n in
                let i = get (Printf.sprintf "fu%d_op" n.id) in
                let i = if i < List.length ops then i else 0 in
                Some (n.id, List.nth ops i)
@@ -167,7 +136,7 @@ let decode spec (instr : instr) =
         let i = get (Printf.sprintf "mux%d_%d" dst port) in
         let i = if i < List.length srcs then i else 0 in
         ((dst, port), List.nth srcs i))
-      (mux_sources dp)
+      (D.mux_sources dp)
   in
   let consts =
     Array.to_list dp.D.nodes
@@ -182,7 +151,7 @@ let decode spec (instr : instr) =
         let i = get (Printf.sprintf "out%d_sel" pos) in
         let i = if i < List.length cands then i else 0 in
         (pos, List.nth cands i))
-      (output_candidates dp)
+      (D.output_candidates dp)
   in
   { D.label = "decoded"; fu_ops; routes; consts; inputs = []; outputs }
 
@@ -200,7 +169,7 @@ let bit_input_ports spec =
   |> List.filter_map (fun (n : D.node) ->
          match n.D.kind with D.Bit_in_port -> Some n.id | _ -> None)
 
-let output_positions spec = List.map fst (output_candidates spec.dp)
+let output_positions spec = List.map fst (D.output_candidates spec.dp)
 
 let const_representatives = [ 0; 1; 2; 0xffff ]
 let lut_representatives = [ 0x00; 0xe8; 0x96; 0xca; 0xff ]

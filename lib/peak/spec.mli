@@ -5,7 +5,12 @@
     mux selects, constant registers, output selects).  Like PEak, the
     same specification drives the functional model ({!eval}), the
     hardware description ({!Verilog}) and rewrite-rule synthesis
-    ({!Apex_smt.Cegis} via the functional model). *)
+    ({!Apex_verif.Synth} via the functional model).
+
+    Each select field indexes a menu {!Apex_merging.Datapath} owns
+    ([fu_menu], [mux_sources], [output_candidates]) and is
+    [Datapath.log2ceil] bits wide; this module names and orders the
+    fields and translates configs to and from their values. *)
 
 type field = {
   name : string;
@@ -15,11 +20,11 @@ type field = {
 }
 
 and target =
-  | Fu_op of int           (** FU node: selects among its sorted ops *)
-  | Mux of int * int       (** (dst node, port): selects among sorted sources *)
+  | Fu_op of int           (** FU node: indexes its [Datapath.fu_menu] *)
+  | Mux of int * int       (** (dst node, port): indexes its [Datapath.mux_sources] *)
   | Const_val of int       (** Creg node: 16-bit immediate *)
   | Lut_table of int       (** lut FU node: 8-bit truth table *)
-  | Out_sel of int         (** output position: selects among candidates *)
+  | Out_sel of int         (** output position: indexes its [Datapath.output_candidates] *)
 
 type t = {
   name : string;

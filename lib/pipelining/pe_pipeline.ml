@@ -232,3 +232,8 @@ let assign_stages dp ~period_ps ~stages =
       order;
     Some stage
   end
+
+let rtl_stages dp =
+  let p = plan dp in
+  if p.stages > 1 then assign_stages dp ~period_ps:p.period_ps ~stages:p.stages
+  else None

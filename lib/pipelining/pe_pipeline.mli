@@ -37,3 +37,8 @@ val assign_stages :
     [None] when the period is infeasible with that many stages.  Feeds
     pipelined RTL emission: an edge crossing [k] stage boundaries gets
     [k] pipeline registers. *)
+
+val rtl_stages : Apex_merging.Datapath.t -> int array option
+(** {!assign_stages} at the stage count and period {!plan} picks, or
+    [None] for a single-stage PE: the stages both the PE RTL and the
+    fabric RTL emit, matching the latency the application plan assumes. *)

@@ -85,8 +85,8 @@ type report = {
    - S_{d,p,s} port [p] of [d] selects static source [s] (exactly one
                iff some active op of [d] reads port [p]),
    - T_{pos,n} output position [pos] exposes node [n] (at most one;
-               candidates come from the registered configs, mirroring
-               [n_config_bits]'s output-select accounting).
+               candidates are [Datapath.output_candidates], the menu
+               [n_config_bits] prices).
    A selected source that is an FU must itself be active.  The solver
    is fresh per query — instances are tiny and queries independent. *)
 
@@ -98,21 +98,7 @@ type enc = {
   out_sel : (int * int, int) Hashtbl.t;
 }
 
-let fu_menu (nd : D.node) = List.sort_uniq Op.compare nd.D.ops
 let max_arity menu = List.fold_left (fun a op -> max a (Op.arity op)) 0 menu
-
-let output_candidates (dp : D.t) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (c : D.config) ->
-      List.iter
-        (fun (pos, node) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl pos) in
-          if not (List.mem node prev) then Hashtbl.replace tbl pos (node :: prev))
-        c.D.outputs)
-    dp.D.configs;
-  Hashtbl.fold (fun pos nodes acc -> (pos, List.sort compare nodes) :: acc) tbl []
-  |> List.sort compare
 
 let at_most_one sat vars =
   List.iteri
@@ -141,7 +127,7 @@ let encode (dp : D.t) =
       match active.(nd.D.id) with
       | None -> ()
       | Some a ->
-          let menu = fu_menu nd in
+          let menu = D.fu_menu nd in
           let ovars =
             List.map
               (fun op ->
@@ -168,9 +154,7 @@ let encode (dp : D.t) =
               :: List.map
                    (fun op -> Sat.pos (Hashtbl.find op_sel (nd.D.id, op)))
                    need);
-            let srcs =
-              List.sort_uniq compare (D.sources dp ~dst:nd.D.id ~port)
-            in
+            let srcs = D.sources dp ~dst:nd.D.id ~port in
             let svars =
               List.map
                 (fun s ->
@@ -203,7 +187,7 @@ let encode (dp : D.t) =
           cands
       in
       at_most_one sat tvars)
-    (output_candidates dp);
+    (D.output_candidates dp);
   { sat; active; op_sel; src_sel; out_sel }
 
 let query_budget = 50_000

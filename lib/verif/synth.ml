@@ -29,22 +29,6 @@ let op_pattern op =
   | Op.Bit -> ignore (G.Builder.add1 b (Op.Bit_output "y") n));
   Pattern.of_graph (G.Builder.finish b)
 
-(* output positions and their candidate driver nodes, as fixed by the
-   datapath's stored configurations (that is what the output muxes are
-   wired to) *)
-let output_candidates (dp : D.t) =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (c : D.config) ->
-      List.iter
-        (fun (pos, node) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl pos) in
-          if not (List.mem node prev) then Hashtbl.replace tbl pos (node :: prev))
-        c.D.outputs)
-    dp.D.configs;
-  Hashtbl.fold (fun pos nodes acc -> (pos, List.sort compare nodes) :: acc) tbl []
-  |> List.sort compare
-
 let has_edge (dp : D.t) ~src ~dst ~port =
   List.exists (fun (e : D.edge) -> e.src = src && e.dst = dst && e.port = port)
     dp.D.edges
@@ -67,7 +51,7 @@ let structural_candidates dp p ~on_candidate ~max_candidates =
     (* pattern outputs in position order with their source nodes *)
     G.io_outputs pg |> List.mapi (fun i (n : G.node) -> (i, n.args.(0)))
   in
-  let out_cands = output_candidates dp in
+  let out_cands = D.output_candidates dp in
   let node_map : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let used : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let input_map : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -320,7 +304,7 @@ let cegis ?(width = 8) ?(max_instrs = 100_000) (spec : Spec.t) p =
             pool
     in
     let pis = assignments pattern_inputs [] in
-    let out_cands = output_candidates dp in
+    let out_cands = D.output_candidates dp in
     let st = Random.State.make [| 0xcafe |] in
     let samples =
       ref

@@ -412,6 +412,28 @@ let test_fabric_verilog_instantiates_all_tiles () =
   Alcotest.(check int) "PE instances" (Fabric.n_pe_tiles fabric) (count "pe_baseline pe_");
   Alcotest.(check int) "MEM instances" (Fabric.n_mem_tiles fabric) (count "mem_tile mem_")
 
+(* The fabric embeds the PE the standalone RTL emits: for a PE that
+   pipelines (PE IP has two stages), registered at the stages the PE
+   plan assigns, so the hardware latency is the [pe_latency] the
+   application plan balances for. *)
+let test_fabric_embeds_pipelined_pe () =
+  let v = Apex.Dse.variant_for "ip" in
+  let dp = v.Apex.Variants.dp in
+  let spec = Spec.of_datapath ~name:v.name dp in
+  let plan = Apex_pipelining.Pe_pipeline.plan dp in
+  Alcotest.(check bool) "PE IP pipelines" true (plan.stages > 1);
+  let stages =
+    Apex_pipelining.Pe_pipeline.assign_stages dp ~period_ps:plan.period_ps
+      ~stages:plan.stages
+  in
+  Alcotest.(check bool) "stages assigned" true (Option.is_some stages);
+  let pe = Apex_peak.Verilog.emit ?stages spec in
+  let top = Apex_cgra.Verilog_top.emit (Fabric.create ~width:4 ~height:4 ()) spec in
+  (* the PE module follows the one-line fabric header *)
+  let start = String.index top '\n' + 1 in
+  let len = min (String.length pe) (String.length top - start) in
+  Alcotest.(check string) "embedded PE module" pe (String.sub top start len)
+
 let () =
   Alcotest.run "cgra"
     [ ( "fabric",
@@ -440,4 +462,6 @@ let () =
       ( "verilog-top",
         [ Alcotest.test_case "structure" `Quick test_fabric_verilog;
           Alcotest.test_case "tile instantiation" `Quick
-            test_fabric_verilog_instantiates_all_tiles ] ) ]
+            test_fabric_verilog_instantiates_all_tiles;
+          Alcotest.test_case "embeds the pipelined PE" `Quick
+            test_fabric_embeds_pipelined_pe ] ) ]

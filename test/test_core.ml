@@ -131,7 +131,7 @@ let test_post_pnr_overuse_degraded () =
 
 let test_post_pipelining_performance () =
   let v = Dse.variant_for "base" in
-  let r = Metrics.post_pipelining ~effort:0 v gaussian in
+  let r, _, _ = Metrics.post_pipelining ~effort:0 v gaussian in
   Alcotest.(check bool) "period at or under pre-pipelining" true
     (r.Metrics.period_ps <= r.Metrics.pre_period_ps);
   Alcotest.(check bool) "post perf >= pre perf" true

@@ -120,29 +120,48 @@ let test_decode_total () =
   let out = D.evaluate spec.dp cfg ~env in
   Alcotest.(check bool) "outputs" true (out <> [])
 
+(* the nine apps of the paper's evaluation *)
+let app_names () =
+  List.map
+    (fun (a : Apex_halide.Apps.t) -> a.name)
+    (Apex_halide.Apps.evaluated () @ Apex_halide.Apps.unseen ())
+
+(* PE Base plus merged datapaths: a two-subgraph PE, the two domain PEs
+   and the DSE's pick for each app *)
+let codec_specs () =
+  baseline_spec ()
+  :: List.map
+       (fun name ->
+         let v = Apex.Dse.variant_for name in
+         Spec.of_datapath ~name:v.Apex.Variants.name v.dp)
+       ([ "pek:camera:2"; "ip"; "ml" ]
+       @ List.map (fun a -> "spec:" ^ a) (app_names ()))
+
 let test_encode_decode_agree () =
-  let spec = baseline_spec () in
   let st = Random.State.make [| 99 |] in
   List.iter
-    (fun (cfg : D.config) ->
-      let instr = Spec.encode spec cfg in
-      let cfg' = Spec.decode spec instr in
-      (* both configs must behave identically on the routed ports *)
-      for _ = 1 to 10 do
-        let env =
-          List.map (fun p -> (p, Random.State.int st 0x10000)) (Spec.input_ports spec)
-          @ List.map (fun p -> (p, Random.State.int st 2)) (Spec.bit_input_ports spec)
-        in
-        let v1 = D.evaluate spec.dp cfg ~env in
-        let v2 = D.evaluate spec.dp cfg' ~env in
-        List.iter
-          (fun (pos, v) ->
-            match List.assoc_opt pos v2 with
-            | Some v' when v' = v -> ()
-            | _ -> Alcotest.failf "decode mismatch for %s" cfg.label)
-          v1
-      done)
-    spec.dp.configs
+    (fun (spec : Spec.t) ->
+      List.iter
+        (fun (cfg : D.config) ->
+          let instr = Spec.encode spec cfg in
+          let cfg' = Spec.decode spec instr in
+          (* both configs must behave identically on the routed ports *)
+          for _ = 1 to 10 do
+            let env =
+              List.map (fun p -> (p, Random.State.int st 0x10000)) (Spec.input_ports spec)
+              @ List.map (fun p -> (p, Random.State.int st 2)) (Spec.bit_input_ports spec)
+            in
+            let v1 = D.evaluate spec.dp cfg ~env in
+            let v2 = D.evaluate spec.dp cfg' ~env in
+            List.iter
+              (fun (pos, v) ->
+                match List.assoc_opt pos v2 with
+                | Some v' when v' = v -> ()
+                | _ -> Alcotest.failf "%s: decode mismatch for %s" spec.name cfg.label)
+              v1
+          done)
+        spec.dp.configs)
+    (codec_specs ())
 
 (* --- merged PE: provenance config encodes and evaluates --- *)
 
@@ -248,6 +267,47 @@ let test_port_list () =
   Alcotest.(check bool) "has config port" true
     (List.exists (fun (n, _) -> n = "config_data") ports)
 
+(* --- golden layout census --- *)
+
+(* MD5 of the configuration layout and the pipelined PE RTL of PE Base,
+   the domain PEs and the two-subgraph PE of each of the nine apps: the
+   spec's fields (name, bits, choices), the encoding of every registered
+   config, [n_config_bits], the mux points (as a set: sorted before
+   hashing) and the Verilog at the stages the PE plan assigns.  Recorded
+   when the select menus moved into [Datapath]; any change to how the
+   configuration word is laid out or emitted must reproduce it. *)
+let golden_layout_digest = "1013ca98f268a2ef733c14f4485cac6c"
+
+let test_golden_layout () =
+  let census name =
+    let v = Apex.Dse.variant_for name in
+    let dp = v.Apex.Variants.dp in
+    let spec = Spec.of_datapath ~name:v.name dp in
+    let plan = Apex_pipelining.Pe_pipeline.plan dp in
+    let stages =
+      if plan.stages > 1 then
+        Apex_pipelining.Pe_pipeline.assign_stages dp ~period_ps:plan.period_ps
+          ~stages:plan.stages
+      else None
+    in
+    Marshal.to_string
+      ( name,
+        List.map (fun (f : Spec.field) -> (f.name, f.bits, f.choices)) spec.fields,
+        List.map (Spec.encode spec) dp.configs,
+        D.n_config_bits dp,
+        List.sort compare (D.mux_points dp),
+        Verilog.emit ?stages spec )
+      [ Marshal.No_sharing ]
+  in
+  let names =
+    [ "base"; "ip"; "ip2"; "ip3"; "ml" ]
+    @ List.map (fun a -> "pek:" ^ a ^ ":2") (app_names ())
+  in
+  let digest =
+    Digest.to_hex (Digest.string (String.concat "" (List.map census names)))
+  in
+  Alcotest.(check string) "golden layout census" golden_layout_digest digest
+
 (* --- properties --- *)
 
 let prop_decode_never_raises =
@@ -294,5 +354,6 @@ let () =
         [ Alcotest.test_case "structure" `Quick test_verilog_structure;
           Alcotest.test_case "all fields used" `Quick test_verilog_mentions_all_fields;
           Alcotest.test_case "deterministic" `Quick test_verilog_deterministic;
-          Alcotest.test_case "port list" `Quick test_port_list ] );
+          Alcotest.test_case "port list" `Quick test_port_list;
+          Alcotest.test_case "golden layout census" `Quick test_golden_layout ] );
       ("properties", props) ]
