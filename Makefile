@@ -3,6 +3,8 @@ CI_ANALYZE := /tmp/apex-ci-analyze.json
 CI_CONFIGS := /tmp/apex-ci-configs.json
 CI_J1 := /tmp/apex-ci-jobs1.json
 CI_J4 := /tmp/apex-ci-jobs4.json
+CI_DSE_J1 := /tmp/apex-ci-dse-jobs1.json
+CI_DSE_J2 := /tmp/apex-ci-dse-jobs2.json
 CI_COLD := /tmp/apex-ci-cold.json
 CI_WARM := /tmp/apex-ci-warm.json
 CI_CACHE := /tmp/apex-ci-cache
@@ -74,7 +76,11 @@ bench-snapshot:
 #
 # Then the execution-runtime guards:
 #   determinism  — the full profile with --jobs 4 must produce a report
-#                  identical to --jobs 1 modulo timing fields;
+#                  identical to --jobs 1 modulo timing fields, and map
+#                  each climb-scored pair once (dse.covers_reused); so
+#                  must the full DSE job at --jobs 2, whose runners
+#                  evaluate pairs while the caller builds the next
+#                  variant;
 #   cache        — a warm rerun against a scratch cache must hit
 #                  (exec.cache_hits > 0) and compute identical results;
 #                  between the two runs, a negative `cache gc` budget is
@@ -118,6 +124,10 @@ ci: build test
 	dune exec bin/apex_cli.exe -- profile --all --jobs 1 --no-cache --trace=$(CI_J1) > /dev/null
 	dune exec bin/apex_cli.exe -- profile --all --jobs 4 --no-cache --trace=$(CI_J4) > /dev/null
 	dune exec bin/apex_cli.exe -- report-diff $(CI_J1) $(CI_J4)
+	dune exec bin/apex_cli.exe -- trace-check $(CI_J1) --require dse.covers_reused
+	dune exec bin/apex_cli.exe -- dse --all --no-cache --jobs 1 --trace=$(CI_DSE_J1) > /dev/null
+	dune exec bin/apex_cli.exe -- dse --all --no-cache --jobs 2 --trace=$(CI_DSE_J2) > /dev/null
+	dune exec bin/apex_cli.exe -- report-diff $(CI_DSE_J1) $(CI_DSE_J2)
 	rm -rf $(CI_CACHE)
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_COLD) > /dev/null
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- cache gc --budget-mb=-1 2> /dev/null; test $$? -eq 2
@@ -331,6 +341,7 @@ ci-bench:
 clean:
 	dune clean
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
+	rm -f $(CI_DSE_J1) $(CI_DSE_J2)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)

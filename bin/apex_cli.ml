@@ -725,9 +725,10 @@ let dse_cmd =
       invalid_arg
         "dse: --resume resumes from per-pair checkpoints in the artifact \
          cache; drop --no-cache";
-    (* variant construction is serial (shared memo tables); one
-       construction failure is a configuration error and aborts, unlike
-       per-pair evaluation failures, which never do *)
+    (* variants are built on this domain (they feed the memo scope)
+       while the pairs built before them evaluate; one construction
+       failure is a configuration error and aborts once those pairs
+       finish, unlike per-pair evaluation failures, which never do *)
     run_job { text with json; resume }
       (Apex.Jobs.Dse { apps = apps (); variants })
   in

@@ -2,31 +2,49 @@ module Apps = Apex_halide.Apps
 module Counter = Apex_telemetry.Counter
 module Span = Apex_telemetry.Span
 
-let cache : (string, Variants.t) Hashtbl.t = Hashtbl.create 16
+(* One memo scope: the built variants, and the post-mapping results
+   (record and cover) their scoring computed, so a pair evaluation of
+   the winning variant does not map it again.  A pool runner reads
+   [covers] while the calling domain's producer writes it, hence the
+   lock; [variants] is only touched by the producer. *)
+type scope = {
+  variants : (string, Variants.t) Hashtbl.t;
+  covers : (string, Metrics.post_mapping * Apex_mapper.Cover.t) Hashtbl.t;
+  covers_lock : Mutex.t;
+}
+
+let new_scope () =
+  { variants = Hashtbl.create 16;
+    covers = Hashtbl.create 16;
+    covers_lock = Mutex.create () }
+
+let global_scope = new_scope ()
 
 (* A server runs each request under [with_local_memo]: the request gets
-   a fresh private variant memo instead of the process-global table, so
-   two concurrent requests never race the unsynchronized Hashtbl, and
+   a fresh private memo scope instead of the process-global one, so two
+   concurrent requests never race the unsynchronized variant table, and
    artifacts cross requests only through the tenant-namespaced
    Exec.Store — never through ambient process memory that would bypass
-   namespace isolation.  Domain-local: the caller must keep the whole
-   request on one domain (Pool.serially), which the serve worker does. *)
-let local_key : (string, Variants.t) Hashtbl.t option ref Domain.DLS.key =
+   namespace isolation.  The scope's covers go with it, so a long-lived
+   process holds them no longer than its scope.  Domain-local: the
+   caller must keep the whole request on one domain (Pool.serially),
+   which the serve worker does. *)
+let local_key : scope option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let memo_table () =
-  match !(Domain.DLS.get local_key) with Some t -> t | None -> cache
+let current_scope () =
+  match !(Domain.DLS.get local_key) with Some s -> s | None -> global_scope
 
 let with_local_memo f =
   let r = Domain.DLS.get local_key in
   let saved = !r in
-  r := Some (Hashtbl.create 16);
+  r := Some (new_scope ());
   Fun.protect f ~finally:(fun () -> r := saved)
 
 let memo key f =
   (* optimized and raw flows must not alias a cached variant *)
   let key = key ^ Optimize.key_suffix () in
-  let cache = memo_table () in
+  let cache = (current_scope ()).variants in
   match Hashtbl.find_opt cache key with
   | Some v ->
       Counter.incr "dse.memo_hits";
@@ -50,48 +68,61 @@ let camera_variants () =
   let camera = Apps.by_name "camera" in
   baseline () :: List.init 4 (fun k -> pe_k camera k)
 
-(* Store key for any evaluation of [v] against [app].  Keyed on the
-   evaluation's *inputs*, never on structural fingerprints of derived
-   artifacts: pattern graphs carry a lazily-filled width cache, so
-   their marshalled form depends on what ran before in the process.
+(* What any evaluation of [v] against [app] is a function of.  Keyed
+   on the evaluation's *inputs*, never on structural fingerprints of
+   derived artifacts: pattern graphs carry a lazily-filled width cache,
+   so their marshalled form depends on what ran before in the process.
    The canonical pattern codes plus the (immutable) datapath determine
-   the rule set too — bump the version tag here when the synthesis or
-   metrics pipeline changes what a pair evaluation produces. *)
-let variant_eval_key ~version (v : Variants.t) (app : Apps.t) effort =
+   the rule set too. *)
+let eval_inputs (v : Variants.t) (app : Apps.t) =
   let module D = Apex_merging.Datapath in
   let dp = v.dp in
+  [ Apex_exec.Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs);
+    Apex_exec.Store.fingerprint (List.map Apex_mining.Pattern.code v.patterns);
+    app.Apps.name;
+    Optimize.key_suffix () ]
+
+(* Store key for one evaluation of [eval_inputs]: bump the version tag
+   when the synthesis or metrics pipeline changes what it produces. *)
+let variant_eval_key ~version inputs effort =
   Apex_exec.Store.key ~version
-    [ Apex_exec.Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs);
-      Apex_exec.Store.fingerprint (List.map Apex_mining.Pattern.code v.patterns);
-      app.Apps.name;
-      Optimize.key_suffix ();
-      (match effort with None -> "d" | Some e -> string_of_int e) ]
+    (inputs @ [ (match effort with None -> "d" | Some e -> string_of_int e) ])
+
+(* pm-score/2: idle-FU energy honors configuration-space clock gating *)
+let mapping_key inputs = variant_eval_key ~version:"pm-score/2" inputs None
 
 (* area-energy score of a variant on one application, post-mapping.
    The mapping behind it is the costly step of the [pe_spec] climb, so
    the score is store-memoized like any other phase product; the
    structural [Unmappable] verdict is part of the cached result (an
-   [Error] re-raises on every hit). *)
+   [Error] re-raises on every hit).  A computed mapping is also kept in
+   the memo scope's covers, for the winner's pair evaluation. *)
 let score (v : Variants.t) app =
-  (* pm-score/2: idle-FU energy honors configuration-space clock gating *)
-  let key = variant_eval_key ~version:"pm-score/2" v app None in
+  let key = mapping_key (eval_inputs v app) in
   match
     Apex_exec.Store.memoize ~ns:"mapping" ~key (fun () ->
         match Metrics.post_mapping v app with
-        | pm, _ ->
+        | (pm, _) as mapping ->
+            let scope = current_scope () in
+            Mutex.protect scope.covers_lock (fun () ->
+                Hashtbl.replace scope.covers key mapping);
             Ok (pm.Metrics.total_pe_area *. pm.Metrics.pe_energy_per_output)
         | exception Apex_mapper.Cover.Unmappable m -> Error m)
   with
   | Ok s -> s
   | Error m -> raise (Apex_mapper.Cover.Unmappable m)
 
-let pe_spec ?(max_subgraphs = 5) (app : Apps.t) =
+(* the climb's cap on merged subgraphs; [spec:<app>] names its result *)
+let max_spec_subgraphs = 5
+
+let pe_spec (app : Apps.t) =
   memo
     (Printf.sprintf "spec:%s" app.name)
     (fun () ->
       let ranked = Variants.analysis_of app in
       let available =
-        min max_subgraphs (List.length (Variants.interesting_patterns ranked))
+        min max_spec_subgraphs
+          (List.length (Variants.interesting_patterns ranked))
       in
       let rec climb k best best_score =
         if k > available then best
@@ -173,9 +204,10 @@ type cached_pair =
   | Cached_mapped of Metrics.post_pipelining
   | Cached_unmappable of string
 
-let eval_pair ?effort (v : Variants.t) (app : Apps.t) =
+let eval_pair ?effort (scope : scope) (v : Variants.t) (app : Apps.t) =
+  let inputs = eval_inputs v app in
   (* pair-eval/2: idle-FU energy honors configuration-space clock gating *)
-  let key = variant_eval_key ~version:"pair-eval/2" v app effort in
+  let key = variant_eval_key ~version:"pair-eval/2" inputs effort in
   match Apex_exec.Store.lookup ~ns:"pairs" ~key with
   | Some c ->
       (* a pair-granularity checkpoint: this exact evaluation completed
@@ -183,8 +215,13 @@ let eval_pair ?effort (v : Variants.t) (app : Apps.t) =
       Counter.incr "dse.pairs_resumed";
       (c : cached_pair)
   | None ->
+      let mapping =
+        Mutex.protect scope.covers_lock (fun () ->
+            Hashtbl.find_opt scope.covers (mapping_key inputs))
+      in
+      if Option.is_some mapping then Counter.incr "dse.covers_reused";
       let c =
-        match Metrics.post_pipelining ?effort v app with
+        match Metrics.post_pipelining ?effort ?mapping v app with
         | pp, _, _ -> Cached_mapped pp
         | exception Apex_mapper.Cover.Unmappable m -> Cached_unmappable m
       in
@@ -200,57 +237,70 @@ let pair_status = function
   | Skipped _ -> "skipped"
   | Failed _ -> "failed"
 
-(* Evaluate (variant, app) pairs on the domain pool.  Variant
-   *construction* (memo above) is serial — it feeds shared in-memory
-   caches — but evaluation is pure per pair, so the fan-out is safe and
-   results come back in submission order.
-
-   Per-pair isolation: one pathological pair must never abort the
+(* Per-pair isolation: one pathological pair must never abort the
    fleet.  [Unmappable] is the structural verdict (the variant's rule
    set cannot cover the app — expected for specialized PEs), [Skipped]
    a budget trip before the pair finished, [Failed] an unexpected
    per-pair error; the three are counted separately so a report cannot
    pass a died-silently run off as a coverage result. *)
+let evaluate_pair ?effort scope ((v : Variants.t), (app : Apps.t)) =
+  Apex_guard.with_phase "evaluate" @@ fun () ->
+  Counter.time "dse.pair_eval_ms" @@ fun () ->
+  match
+    Apex_guard.tick ();
+    Apex_guard.Fault.inject "pair-eval";
+    (* transient failures retry with bounded deterministic backoff;
+       only exhaustion falls through to the Failed/Skipped ladder *)
+    Apex_guard.Retry.run ~label:"pair_eval"
+      ~retryable:(function
+        | Apex_guard.Fault.Injected "pair-eval-transient" -> true
+        | _ -> false)
+      (fun () ->
+        Apex_guard.Fault.inject "pair-eval-transient";
+        eval_pair ?effort scope v app)
+  with
+  | Cached_mapped pp ->
+      Apex_guard.Outcome.record ~phase:"evaluate" Apex_guard.Outcome.Exact;
+      Mapped pp
+  | Cached_unmappable m ->
+      Counter.incr "dse.unmappable_pairs";
+      Unmappable m
+  | exception Apex_guard.Cancelled msg ->
+      Counter.incr "dse.skipped_pairs";
+      Apex_guard.Outcome.record ~phase:"evaluate"
+        (Apex_guard.Outcome.Skipped (Apex_guard.reason_of_message msg));
+      Skipped msg
+  | exception Apex_guard.Fault.Injected site ->
+      Counter.incr "dse.failed_pairs";
+      Apex_guard.Outcome.record ~phase:"evaluate"
+        (Apex_guard.Outcome.Skipped (Apex_guard.Outcome.Fault site));
+      Failed (Printf.sprintf "injected fault at site %s" site)
+  | exception (Failure m | Invalid_argument m | Sys_error m) ->
+      Counter.incr "dse.failed_pairs";
+      Apex_guard.Outcome.record ~phase:"evaluate"
+        (Apex_guard.Outcome.Skipped (Apex_guard.Outcome.Error m));
+      Failed m
+
+(* Evaluate (variant, app) pairs on the domain pool, each built by
+   [build] on the calling domain while earlier pairs evaluate: variant
+   *construction* feeds the domain-local memo scope, so it stays on the
+   caller, while evaluation is pure per pair.  The memo scope is
+   captured here, on the caller, for the runners' cover lookups.
+   Results come back in submission order. *)
+let evaluate_built ?effort ~build items =
+  let scope = current_scope () in
+  let produce x =
+    let ((_, app) as pair) = build x in
+    (* the optimized kernel, too, is built here rather than on a runner *)
+    ignore (Optimize.app app : Apps.t);
+    pair
+  in
+  Apex_exec.Pool.pipeline ~produce
+    (fun pair -> (pair, evaluate_pair ?effort scope pair))
+    items
+
 let evaluate_pairs ?effort pairs =
-  Apex_exec.Pool.map
-    (fun ((v : Variants.t), (app : Apps.t)) ->
-      Apex_guard.with_phase "evaluate" @@ fun () ->
-      Counter.time "dse.pair_eval_ms" @@ fun () ->
-      match
-        Apex_guard.tick ();
-        Apex_guard.Fault.inject "pair-eval";
-        (* transient failures retry with bounded deterministic backoff;
-           only exhaustion falls through to the Failed/Skipped ladder *)
-        Apex_guard.Retry.run ~label:"pair_eval"
-          ~retryable:(function
-            | Apex_guard.Fault.Injected "pair-eval-transient" -> true
-            | _ -> false)
-          (fun () ->
-            Apex_guard.Fault.inject "pair-eval-transient";
-            eval_pair ?effort v app)
-      with
-      | Cached_mapped pp ->
-          Apex_guard.Outcome.record ~phase:"evaluate" Apex_guard.Outcome.Exact;
-          Mapped pp
-      | Cached_unmappable m ->
-          Counter.incr "dse.unmappable_pairs";
-          Unmappable m
-      | exception Apex_guard.Cancelled msg ->
-          Counter.incr "dse.skipped_pairs";
-          Apex_guard.Outcome.record ~phase:"evaluate"
-            (Apex_guard.Outcome.Skipped (Apex_guard.reason_of_message msg));
-          Skipped msg
-      | exception Apex_guard.Fault.Injected site ->
-          Counter.incr "dse.failed_pairs";
-          Apex_guard.Outcome.record ~phase:"evaluate"
-            (Apex_guard.Outcome.Skipped (Apex_guard.Outcome.Fault site));
-          Failed (Printf.sprintf "injected fault at site %s" site)
-      | exception (Failure m | Invalid_argument m | Sys_error m) ->
-          Counter.incr "dse.failed_pairs";
-          Apex_guard.Outcome.record ~phase:"evaluate"
-            (Apex_guard.Outcome.Skipped (Apex_guard.Outcome.Error m));
-          Failed m)
-    pairs
+  List.map snd (evaluate_built ?effort ~build:Fun.id pairs)
 
 let accepted_variant_forms =
   [ "base"; "ip"; "ip2"; "ip3"; "ml"; "spec:<app>"; "pe1:<app>"; "pek:<app>:<k>" ]

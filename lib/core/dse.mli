@@ -3,12 +3,16 @@
     expensive steps (mining, merging, rule synthesis). *)
 
 val with_local_memo : (unit -> 'a) -> 'a
-(** Run [f] with a fresh, private variant memo table instead of the
-    process-global one (restored on exit).  A multi-tenant server wraps
-    each request in this so concurrent requests neither race the
-    unsynchronized table nor observe each other's in-memory artifacts —
-    cross-request sharing goes through the namespaced [Exec.Store].
-    Domain-local: keep the request on one domain ([Pool.serially]). *)
+(** Run [f] with a fresh, private memo scope instead of the
+    process-global one (restored on exit).  The scope holds the built
+    variants and the post-mapping results (record and cover) of the
+    PE Spec climb's scoring, which pair evaluation reuses instead of
+    mapping again; both are dropped with the scope.  A multi-tenant
+    server wraps each request in this so concurrent requests neither
+    race the unsynchronized table nor observe each other's in-memory
+    artifacts — cross-request sharing goes through the namespaced
+    [Exec.Store].  Domain-local: keep the request on one domain
+    ([Pool.serially]). *)
 
 val baseline : unit -> Variants.t
 (** The fully general PE Base (memoized). *)
@@ -21,11 +25,16 @@ val camera_variants : unit -> Variants.t list
 (** PE Base, PE 1 ... PE 4 for the camera pipeline (Section 5.1,
     Table 2 / Fig. 11). *)
 
-val pe_spec : ?max_subgraphs:int -> Apex_halide.Apps.t -> Variants.t
-(** The most specialized PE for an application: subgraphs are merged in
-    MIS order while the post-mapping area-energy product keeps
-    improving (Section 5's "most specialized PE possible without
-    increasing the area or energy"). *)
+val pe_spec : Apex_halide.Apps.t -> Variants.t
+(** The most specialized PE for an application: starting from PE 1,
+    the top k = 1, 2, ... (at most 5) mined subgraphs are merged in MIS
+    order, and the climb stops at the first k whose post-mapping
+    area × energy product does not improve on k − 1 (or that cannot
+    map the app); the last improving variant wins.  This is the
+    product, not Section 5's "without increasing the area or energy",
+    and one mis-costed k hides every later one (ROADMAP item 4).
+    Each scored mapping is kept in the memo scope for pair
+    evaluation. *)
 
 val ip_apps : unit -> Apex_halide.Apps.t list
 (** camera, harris, gaussian, unsharp. *)
@@ -73,8 +82,21 @@ val evaluate_pairs :
     submission order.  Per-pair failures are isolated: one pathological
     pair yields [Unmappable]/[Skipped]/[Failed] (counted separately as
     [dse.unmappable_pairs] / [dse.skipped_pairs] / [dse.failed_pairs])
-    and never aborts the fleet.  Variants must already be constructed
-    (construction is serial; it feeds shared memo tables). *)
+    and never aborts the fleet.  A pair whose mapping the memo scope
+    holds (the PE Spec climb scored it) is not mapped again
+    ([dse.covers_reused]).  [evaluate_built ~build:Fun.id]. *)
+
+val evaluate_built :
+  ?effort:int ->
+  build:('a -> Variants.t * Apex_halide.Apps.t) ->
+  'a list ->
+  ((Variants.t * Apex_halide.Apps.t) * pair_result) list
+(** {!evaluate_pairs} over pairs that [build] constructs on the calling
+    domain, in order, while earlier pairs already evaluate
+    ([Exec.Pool.pipeline]): the variants need not exist up front.
+    [Jobs] builds with {!variant_for}, so a [base; spec:<app>] job
+    evaluates PE Base during the PE Spec climb.  [build]'s first
+    exception is raised after the pairs built before it finished. *)
 
 val variant_for : string -> Variants.t
 (** Lookup by the names used in the benches: "base", "spec:<app>",

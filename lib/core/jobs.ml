@@ -122,23 +122,32 @@ let resolve_apps ~all = function
   | [] -> all ()
   | names -> List.map app_by_name names
 
-let dse_pairs ~apps ~variants =
+let dse_specs ~apps ~variants =
   let specs_for (a : Apps.t) =
     match variants with [] -> [ "base"; "spec:" ^ a.Apps.name ] | vs -> vs
   in
   List.concat_map
-    (fun (a : Apps.t) ->
-      List.map (fun spec -> (spec, Dse.variant_for spec, a)) (specs_for a))
+    (fun (a : Apps.t) -> List.map (fun spec -> (spec, a)) (specs_for a))
     apps
+
+let dse_pairs ~apps ~variants =
+  List.map
+    (fun (spec, a) -> (spec, Dse.variant_for spec, a))
+    (dse_specs ~apps ~variants)
 
 let execute = function
   | Dse { apps; variants } ->
       let apps = resolve_apps ~all:Apps.evaluated apps in
-      let pairs = dse_pairs ~apps ~variants in
-      let results =
-        Dse.evaluate_pairs (List.map (fun (_, v, a) -> (v, a)) pairs)
+      (* each variant is built on this domain while the pairs before
+         it evaluate *)
+      let specs = dse_specs ~apps ~variants in
+      let rows =
+        Dse.evaluate_built
+          ~build:(fun (spec, a) -> (Dse.variant_for spec, a))
+          specs
       in
-      Dse_rows (List.combine pairs results)
+      Dse_rows
+        (List.map2 (fun (spec, _) ((v, a), r) -> ((spec, v, a), r)) specs rows)
   | Analyze { apps } ->
       Analyze_reports
         (Analyze_run.run (resolve_apps ~all:Lint_run.all_apps apps))

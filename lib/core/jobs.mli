@@ -53,9 +53,10 @@ val dse_pairs :
   variants:string list ->
   (string * Variants.t * Apex_halide.Apps.t) list
 (** The (spec, variant, app) fleet for a DSE job: [variants] per app,
-    defaulting to [base] and [spec:<app>].  Variant construction is
-    serial and memoized; it raises [Invalid_argument] on unknown
-    variant specs. *)
+    defaulting to [base] and [spec:<app>], each built up front.
+    Variant construction is serial and memoized; it raises
+    [Invalid_argument] on unknown variant specs.  {!execute} builds the
+    same fleet, but each variant while the pairs before it evaluate. *)
 
 type result =
   | Dse_rows of ((string * Variants.t * Apex_halide.Apps.t) * Dse.pair_result) list

@@ -97,8 +97,10 @@ let hop_energy params =
   (Tech.word_mux_cost ((3 * params.Interconnect.word_tracks) + 2)).energy
   +. Tech.track_wire_energy
 
-let post_pnr ?(effort = 1) (v : Variants.t) (app : Apps.t) =
-  let pm, mapped = post_mapping v app in
+let post_pnr ?(effort = 1) ?mapping (v : Variants.t) (app : Apps.t) =
+  let pm, mapped =
+    match mapping with Some m -> m | None -> post_mapping v app
+  in
   Apex_telemetry.Span.with_ "pnr" @@ fun () ->
   let fabric = fabric_for mapped in
   let placement = Place.place ~effort fabric mapped in
@@ -153,8 +155,8 @@ let post_pnr ?(effort = 1) (v : Variants.t) (app : Apps.t) =
       wirelength = placement.Place.wirelength },
     { cover = mapped; fabric; placement; routes } )
 
-let post_pipelining ?(effort = 1) (v : Variants.t) (app : Apps.t) =
-  let pnr, layout = post_pnr ~effort v app in
+let post_pipelining ?(effort = 1) ?mapping (v : Variants.t) (app : Apps.t) =
+  let pnr, layout = post_pnr ~effort ?mapping v app in
   let mapped = layout.cover in
   Apex_telemetry.Span.with_ "pipelining" @@ fun () ->
   let pe_plan = Pe_pipeline.plan v.dp in

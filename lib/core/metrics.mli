@@ -66,14 +66,21 @@ val post_mapping :
     cover the application. *)
 
 val post_pnr :
-  ?effort:int -> Variants.t -> Apex_halide.Apps.t -> post_pnr * layout
-(** Place ([effort], default 1) and route on the layout's fabric.  A
+  ?effort:int ->
+  ?mapping:post_mapping * Apex_mapper.Cover.t ->
+  Variants.t -> Apex_halide.Apps.t -> post_pnr * layout
+(** {!post_mapping} (or [mapping], its result for this same pair when
+    the caller already has it: the DSE hands over the mapping its
+    PE Spec climb scored), then place ([effort], default 1) and route
+    on the layout's fabric.  A
     routing still over capacity when negotiation stops is priced as is,
     but recorded as a degraded ["pnr"] outcome and counted in
     [cgra.route_overuse]. *)
 
 val post_pipelining :
-  ?effort:int -> Variants.t -> Apex_halide.Apps.t ->
+  ?effort:int ->
+  ?mapping:post_mapping * Apex_mapper.Cover.t ->
+  Variants.t -> Apex_halide.Apps.t ->
   post_pipelining * layout * Apex_pipelining.App_pipeline.plan
 (** {!post_pnr}, then pipeline the PE and balance the application at
     its latency; the plan is what the fabric simulator replays. *)

@@ -25,16 +25,22 @@ let is_enabled () = !enabled
 
 let key_suffix () = if !enabled then ":opt" else ""
 
+(* read by DSE pool runners while the producing domain may insert *)
 let cache : (string, Apps.t) Hashtbl.t = Hashtbl.create 16
+
+let cache_lock = Mutex.create ()
 
 let app (a : Apps.t) =
   if not !enabled then a
   else
-    match Hashtbl.find_opt cache a.Apps.name with
+    match
+      Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache a.Apps.name)
+    with
     | Some a' -> a'
     | None ->
         let r = Span.with_ ("optimize:" ^ a.Apps.name) (fun () -> Opt.run a.Apps.graph) in
         Counter.incr "analysis.apps_optimized";
         let a' = { a with Apps.graph = r.Opt.graph } in
-        Hashtbl.replace cache a.Apps.name a';
+        Mutex.protect cache_lock (fun () ->
+            Hashtbl.replace cache a.Apps.name a');
         a'

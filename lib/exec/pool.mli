@@ -1,27 +1,43 @@
-(** Deterministic fork-join scheduler on OCaml 5 domains.
+(** Deterministic fork-join scheduler on OCaml 5 domains, fed by a
+    producer on the calling domain.
 
     The pool has two callers: DSE pair evaluation (one task per
-    (variant, app) pair) and the serve scheduler (one task per admitted
-    request).  Mining, merging and rule synthesis run serially: on 2
-    cores their fan-outs measured slower than a serial pass, while pair
-    evaluation gains (DESIGN.md, "Execution runtime").
-    The pool runs its tasks across a fixed number of domains while
-    keeping the *observable result identical to a serial run*:
+    (variant, app) pair; through [Jobs], the producer builds each
+    variant while earlier pairs evaluate) and the serve scheduler (one
+    task per admitted request, all produced up front).  Mining, merging
+    and rule synthesis run serially: on 2 cores their fan-outs measured
+    slower than a serial pass, while pair evaluation gains (DESIGN.md,
+    "Execution runtime").
 
-    - [map f xs] always delivers results in submission order, whatever
-      order tasks finish in;
-    - a task's exception is re-raised for the lowest submission index
-      that failed, mirroring which element a serial [List.map] would
-      have raised on;
-    - workers inherit the submitting domain's telemetry span context,
-      so span trees aggregate under the same (parent, name) keys as a
-      serial run.
+    There is one scheduling path, {!pipeline}.  The calling domain
+    produces the tasks in submission order; each task starts on a
+    spawned runner (at most N-1 live) as soon as it is produced, and
+    the caller joins as a runner once production ends.  A runner that
+    finds nothing produced retires rather than idle: an idle domain
+    costs the busy producer a stop-the-world rendezvous at every minor
+    collection.  {!map} is that path with an identity producer.  With
+    one runner ([--jobs 1], a nested call, {!serially}) every task is
+    produced before any runs.
+
+    The observable result is identical to a serial run:
+
+    - results come back in submission order, whatever order tasks
+      finish in;
+    - the exception at the lowest submission index wins, whether the
+      producer or a task raised it, and it is raised only after every
+      spawned domain has been joined;
+    - workers inherit the submitting domain's telemetry scope, budget
+      and store namespace; each task records its spans into a detached
+      subtree, and the subtrees are merged under the submitter's span
+      in submission order at the join, so span trees match a serial
+      run's, (parent, name) keys and child order alike.
 
     Tasks must be independent (no task may observe another's side
-    effects) — that is the caller's contract, checked by the CI
-    determinism guard ([apex report-diff] of --jobs 1 vs --jobs 4
-    runs).  Nested calls from inside a task degrade to serial
-    execution instead of spawning further domains. *)
+    effects), and a task must not read domain-local state the producer
+    writes — that is the caller's contract, checked by the CI
+    determinism guard ([apex report-diff] of --jobs 1 vs --jobs N
+    runs).  Nested calls from inside a task or the producer degrade to
+    serial execution instead of spawning further domains. *)
 
 val default_jobs : unit -> int
 (** [APEX_JOBS] when set and positive, otherwise
@@ -42,5 +58,13 @@ val serially : (unit -> 'a) -> 'a
     worker per request) to stop per-phase fan-out from oversubscribing
     the machine. *)
 
+val pipeline : produce:('x -> 'a) -> ('a -> 'b) -> 'x list -> 'b list
+(** [pipeline ~produce f xs] is [List.map (fun x -> f (produce x)) xs]
+    with [produce] run on the calling domain, in order, and each [f]
+    started on a runner as soon as its input is produced.  Production
+    stops at its first exception; the tasks produced before it still
+    run. *)
+
 val map : ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] with submission-order results. *)
+(** Parallel [List.map] with submission-order results:
+    [pipeline ~produce:Fun.id]. *)

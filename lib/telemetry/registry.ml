@@ -29,9 +29,11 @@
    Exec.Pool workers of one request all write to that request's scope),
    so all aggregate state is guarded by one process-wide mutex; the
    *span stack* is thread-local (each thread nests its own spans), and
-   a pool worker inherits the submitting thread's scope and current
-   span via [context]/[with_context] so its spans aggregate under the
-   same (parent, name) keys a serial run would produce. *)
+   a pool task inherits the submitting thread's scope and a detached
+   stand-in for its current span via [context]/[detach]/[with_context];
+   [merge] grafts the stand-in's children under the real span, so the
+   task's spans aggregate under the same (parent, name) keys, and in
+   the same child order, a serial run would produce. *)
 
 type dist = {
   mutable n : int;
@@ -88,6 +90,9 @@ let new_root () =
   let r = new_span ~scope_alloc:None "root" in
   r.count <- 1;
   r
+
+let children_in_order sp =
+  List.rev_map (fun name -> Hashtbl.find sp.children name) sp.rev_order
 
 (* --- scopes --- *)
 
@@ -302,6 +307,37 @@ let with_context ctx f =
       (tstate ()).st <- [ ctx.ctx_span ];
       f ())
 
+(* A context whose span is a fresh node outside the tree, standing in
+   for [ctx]'s span: a pool task records into it, and [merge] grafts
+   its children under the real span.  Concurrent tasks then cannot race
+   on the first-occurrence order of a shared parent's children; the
+   pool merges in submission order, which is the order a serial run
+   creates them in.  While the registry is disabled nothing is
+   recorded, so the context is returned as is. *)
+let detach ctx =
+  if not (Atomic.get enabled) then ctx
+  else { ctx with ctx_span = new_span ~scope_alloc:None ctx.ctx_span.name }
+
+let rec merge_children dst src =
+  List.iter
+    (fun c ->
+      match Hashtbl.find_opt dst.children c.name with
+      | None ->
+          Hashtbl.replace dst.children c.name c;
+          dst.rev_order <- c.name :: dst.rev_order
+      | Some d ->
+          d.count <- d.count + c.count;
+          d.total_s <- d.total_s +. c.total_s;
+          d.minor_words <- d.minor_words +. c.minor_words;
+          d.major_words <- d.major_words +. c.major_words;
+          d.compactions <- d.compactions + c.compactions;
+          merge_children d c)
+    (children_in_order src)
+
+let merge ~into part =
+  if part.ctx_span != into.ctx_span then
+    locked (fun () -> merge_children into.ctx_span part.ctx_span)
+
 (* --- counters, gauges, distributions --- *)
 
 let counter_add name n =
@@ -392,9 +428,6 @@ type snapshot = {
   gauges : (string * float) list;
   dists : (string * dist) list;
 }
-
-let children_in_order sp =
-  List.rev_map (fun name -> Hashtbl.find sp.children name) sp.rev_order
 
 let rec copy_span sp =
   let children = Hashtbl.create (Hashtbl.length sp.children) in

@@ -253,6 +253,76 @@ let test_only_pair_evaluation_fans_out () =
     "pair evaluation runs a parallel batch" true
     (parallel_batches () >= 1)
 
+(* --- DSE jobs: pipelined, deterministic, map once --- *)
+
+let test_dse_job_deterministic_and_maps_once () =
+  let module Pool = Apex_exec.Pool in
+  let module Store = Apex_exec.Store in
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  let store_was = Store.enabled () in
+  let jobs_was = Pool.jobs () in
+  Store.set_enabled false;
+  Registry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_jobs jobs_was;
+      Registry.disable ();
+      Registry.reset ();
+      Store.set_enabled store_was)
+  @@ fun () ->
+  let fresh f =
+    Registry.reset ();
+    Dse.with_local_memo (fun () -> Variants.with_local_memo f)
+  in
+  (* the span tree without its timing: names, counts, child order *)
+  let rec shape (sp : Registry.span) =
+    Printf.sprintf "%s x%d [%s]" sp.name sp.count
+      (String.concat "; " (List.map shape (Registry.children_in_order sp)))
+  in
+  let run jobs =
+    Pool.set_jobs jobs;
+    fresh @@ fun () ->
+    let results =
+      Apex.Jobs.run (Apex.Jobs.Dse { apps = [ "camera"; "gaussian" ]; variants = [] })
+    in
+    let snap = Registry.snapshot () in
+    ( Apex_telemetry.Json.to_string results,
+      List.filter
+        (fun (k, _) -> not (String.starts_with ~prefix:"exec." k))
+        snap.counters,
+      shape snap.spans )
+  in
+  let results1, counters1, spans1 = run 1 in
+  let results2, counters2, spans2 = run 2 in
+  Alcotest.(check string) "results at --jobs 1 and 2" results1 results2;
+  Alcotest.(check (list (pair string int))) "counters at --jobs 1 and 2"
+    counters1 counters2;
+  Alcotest.(check string) "span tree at --jobs 1 and 2" spans1 spans2;
+  Alcotest.(check bool) "the tree holds construction and evaluation" true
+    (contains spans1 "variant:spec:camera" && contains spans1 "pnr x4");
+  let counter k = Option.value ~default:0 (List.assoc_opt k counters1) in
+  check int "both spec pairs reuse the climb's cover" 2
+    (counter "dse.covers_reused");
+  Pool.set_jobs 1;
+  let climbs =
+    fresh (fun () ->
+        ignore (Dse.variant_for "spec:camera");
+        ignore (Dse.variant_for "spec:gaussian");
+        Counter.get "mapper.map_app_calls")
+  in
+  check int "the climbs' mappings plus the two PE Base pairs" (climbs + 2)
+    (counter "mapper.map_app_calls");
+  (* the covers go with their scope: a spec variant built in one scope
+     is mapped again when evaluated in the next *)
+  let camera = Apps.by_name "camera" in
+  let spec = fresh (fun () -> Dse.variant_for "spec:camera") in
+  fresh (fun () ->
+      ignore (Dse.evaluate_pairs [ (spec, camera) ]);
+      check int "a second scope maps again" 1
+        (Counter.get "mapper.map_app_calls");
+      check int "and reuses nothing" 0 (Counter.get "dse.covers_reused"))
+
 let () =
   Alcotest.run "core"
     [ ( "variants",
@@ -267,7 +337,9 @@ let () =
           Alcotest.test_case "bad subgraph count" `Quick
             test_variant_for_bad_subgraph_count ] );
       ( "parallelism",
-        [ Alcotest.test_case "only pair evaluation fans out" `Quick
+        [ Alcotest.test_case "DSE job deterministic, maps once" `Quick
+            test_dse_job_deterministic_and_maps_once;
+          Alcotest.test_case "only pair evaluation fans out" `Quick
             test_only_pair_evaluation_fans_out ] );
       ( "metrics",
         [ Alcotest.test_case "specialization shrinks area" `Quick

@@ -98,6 +98,106 @@ let test_workers_share_span_context () =
       check Alcotest.int "all tasks aggregated" 16 task.count
   | cs -> Alcotest.failf "expected one child span, got %d" (List.length cs)
 
+(* --- the producer path --- *)
+
+(* wait until [cond] holds or [timeout_s] passes; true when it held *)
+let wait_until ?(timeout_s = 10.0) cond =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    if cond () then true
+    else if Unix.gettimeofday () -. t0 > timeout_s then false
+    else begin
+      Unix.sleepf 0.001;
+      go ()
+    end
+  in
+  go ()
+
+let test_producer_on_caller_in_order () =
+  let caller = Domain.self () in
+  let log = ref [] in
+  let produce x =
+    log := (x, Domain.self () = caller) :: !log;
+    x * 10
+  in
+  let got =
+    with_jobs 2 (fun () -> Pool.pipeline ~produce (fun y -> y + 1) (List.init 8 Fun.id)) ()
+  in
+  check Alcotest.(list int) "submission-order results"
+    (List.init 8 (fun x -> (x * 10) + 1)) got;
+  check
+    Alcotest.(list (pair int bool))
+    "produced in order, on the calling domain"
+    (List.init 8 (fun x -> (x, true)))
+    (List.rev !log)
+
+let test_tasks_start_during_production () =
+  (* the last item waits (bounded) for task 0: at width 2 a runner must
+     have started it while production was still going *)
+  let started = Atomic.make false in
+  let seen = ref false in
+  let last = 3 in
+  let produce x =
+    if x = last then seen := wait_until (fun () -> Atomic.get started);
+    x
+  in
+  let task x =
+    if x = 0 then Atomic.set started true;
+    x
+  in
+  let got =
+    with_jobs 2 (fun () -> Pool.pipeline ~produce task (List.init (last + 1) Fun.id)) ()
+  in
+  check Alcotest.(list int) "results" [ 0; 1; 2; 3 ] got;
+  check Alcotest.bool "task 0 ran before the last item was produced" true !seen
+
+let test_width_one_produces_first () =
+  let log = ref [] in
+  let produce x =
+    log := `Produced x :: !log;
+    x
+  in
+  let task x =
+    log := `Ran x :: !log;
+    x
+  in
+  ignore (with_jobs 1 (fun () -> Pool.pipeline ~produce task [ 0; 1; 2 ]) ());
+  check Alcotest.bool "every item produced before any task ran" true
+    (List.rev !log
+    = [ `Produced 0; `Produced 1; `Produced 2; `Ran 0; `Ran 1; `Ran 2 ])
+
+let test_lowest_failure_wins () =
+  (* tasks sleep so a spawned runner is still busy when the failure is
+     delivered, unless the pool joined it first *)
+  let active = Atomic.make 0 in
+  let outcome ~fail_produce ~fail_task =
+    let produce x = if x = fail_produce then failwith ("produce " ^ string_of_int x) else x in
+    let task x =
+      Atomic.incr active;
+      Fun.protect ~finally:(fun () -> Atomic.decr active) @@ fun () ->
+      Unix.sleepf 0.005;
+      if x = fail_task then failwith ("task " ^ string_of_int x) else x
+    in
+    let got =
+      with_jobs 2
+        (fun () ->
+          match Pool.pipeline ~produce task (List.init 8 Fun.id) with
+          | _ -> "no exception"
+          | exception Failure m -> m)
+        ()
+    in
+    check Alcotest.int "no task still running after delivery" 0 (Atomic.get active);
+    got
+  in
+  check Alcotest.string "a task below the producer's failure" "task 2"
+    (outcome ~fail_produce:5 ~fail_task:2);
+  check Alcotest.string "the producer below a task's failure" "produce 3"
+    (outcome ~fail_produce:3 ~fail_task:6);
+  check Alcotest.string "the producer's failure alone" "produce 0"
+    (outcome ~fail_produce:0 ~fail_task:(-1));
+  check Alcotest.string "the lower of two task failures" "task 1"
+    (outcome ~fail_produce:(-1) ~fail_task:1)
+
 (* --- store --- *)
 
 let entry_file ns =
@@ -394,7 +494,15 @@ let () =
           Alcotest.test_case "nested map degrades" `Quick
             test_nested_map_degrades;
           Alcotest.test_case "span context inherited" `Quick
-            test_workers_share_span_context ] );
+            test_workers_share_span_context;
+          Alcotest.test_case "producer on the caller, in order" `Quick
+            test_producer_on_caller_in_order;
+          Alcotest.test_case "tasks start during production" `Quick
+            test_tasks_start_during_production;
+          Alcotest.test_case "width 1 produces first" `Quick
+            test_width_one_produces_first;
+          Alcotest.test_case "lowest failure wins" `Quick
+            test_lowest_failure_wins ] );
       ( "store",
         [ Alcotest.test_case "hit on identical input" `Quick
             (with_scratch_store test_hit_on_identical_input);
