@@ -82,7 +82,9 @@ bench-snapshot:
 #                  evaluate pairs while the caller builds the next
 #                  variant;
 #   cache        — a warm rerun against a scratch cache must hit
-#                  (exec.cache_hits > 0) and compute identical results;
+#                  (exec.cache_hits > 0), replay the configuration-space
+#                  counters its store hits skip the proofs of, and
+#                  compute identical results;
 #                  between the two runs, a negative `cache gc` budget is
 #                  rejected (exit exactly 2) and deletes nothing.
 # First, flag checks: --jobs 0 is an invalid argument (exit exactly 2)
@@ -132,7 +134,9 @@ ci: build test
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_COLD) > /dev/null
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- cache gc --budget-mb=-1 2> /dev/null; test $$? -eq 2
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_WARM) > /dev/null
-	dune exec bin/apex_cli.exe -- trace-check $(CI_WARM) --require exec.cache_hits
+	dune exec bin/apex_cli.exe -- trace-check $(CI_WARM) --require exec.cache_hits \
+	  --require analysis.configspace.checks_run \
+	  --require analysis.configspace.proofs_proved
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_COLD) $(CI_WARM)
 	$(MAKE) ci-faults
 	$(MAKE) ci-serve

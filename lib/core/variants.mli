@@ -18,7 +18,9 @@ type t = {
 val make : string -> Apex_merging.Datapath.t -> Apex_mining.Pattern.t list -> t
 (** Bundle a datapath with the patterns merged into it: runs the
     configuration-space analysis (validated dead-resource pruning —
-    [dp] in the result is the pruned datapath), synthesizes the
+    [dp] in the result is the pruned datapath; store-memoized on the
+    datapath's content, a hit replays the analysis's counters and the
+    report carries this variant's name), synthesizes the
     rewrite-rule set and, when {!Check.enable}d, lint-verifies the
     merged datapath and the rule set at the phase boundary. *)
 

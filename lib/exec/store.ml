@@ -99,11 +99,14 @@ let read_entry path =
             let digest = line () in
             match int_of_string_opt (line ()) with
             | None -> Corrupt
+            | Some len when len <> in_channel_length ic - pos_in ic ->
+                (* a torn or doubled write, or a damaged length: checked
+                   before the read, so no length sizes a buffer unless
+                   the file holds exactly that many payload bytes *)
+                Corrupt
             | Some len ->
                 let payload = really_input_string ic len in
-                (* a trailing garbage byte means a torn or doubled write *)
-                if in_channel_length ic <> pos_in ic then Corrupt
-                else if Digest.to_hex (Digest.string payload) <> digest then
+                if Digest.to_hex (Digest.string payload) <> digest then
                   Corrupt
                 else Hit payload
           end
@@ -227,7 +230,7 @@ let lookup ~ns ~key =
         evict path;
         None
 
-let memoize ~ns ~key f =
+let memoize ?(cacheable = fun _ -> true) ~ns ~key f =
   if not !on then f ()
   else
     match lookup ~ns ~key with
@@ -235,7 +238,7 @@ let memoize ~ns ~key f =
     | None ->
         Counter.incr "exec.cache_misses";
         let v = f () in
-        store ~ns ~key v;
+        if cacheable v then store ~ns ~key v;
         (* Hand back the *store representation* of the value, not the
            freshly computed one.  [fingerprint] encodes value sharing,
            so a downstream key derived from a computed artifact would

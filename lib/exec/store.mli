@@ -49,9 +49,13 @@ val key : version:string -> string list -> string
     [version] tag (bump it when the cached type or the producing
     algorithm changes) and the input [parts] into an entry name. *)
 
-val memoize : ns:string -> key:string -> (unit -> 'a) -> 'a
+val memoize :
+  ?cacheable:('a -> bool) -> ns:string -> key:string -> (unit -> 'a) -> 'a
 (** [memoize ~ns ~key f] returns the cached value for [key] in
     namespace [ns], or computes [f ()], stores it, and returns it.
+    A computed value for which [cacheable] (default: always true) is
+    false is returned but never written — how a phase keeps a
+    degraded result out of the store.
     Unmarshalling is only type-safe because the key embeds the phase
     version tag — callers must bump the tag on any type change. *)
 

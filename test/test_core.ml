@@ -177,16 +177,9 @@ let test_ml_variant_improves_ml () =
         (m.Metrics.n_pes < b.Metrics.n_pes))
     (Dse.ml_apps ())
 
-let test_analysis_key_covers_config () =
-  (* every mining config field is part of the memo and store keys:
-     with constants kept exact, gaussian mines more patterns than the
-     default (generalized) analysis already memoized and stored *)
+(* runs [f] against a fresh, enabled store in its own directory *)
+let with_scratch_store f =
   let module Store = Apex_exec.Store in
-  let exact =
-    { Apex_mining.Miner.default_config with
-      max_size = 4; generalize_consts = false }
-  in
-  let direct, _ = Apex_mining.Analysis.analyze ~config:exact gaussian.graph in
   let dir = Filename.temp_file "apex-core-test" "" in
   Sys.remove dir;
   let prev_dir = Store.cache_dir () and prev_enabled = Store.enabled () in
@@ -204,7 +197,18 @@ let test_analysis_key_covers_config () =
       Store.set_dir prev_dir;
       Store.set_enabled prev_enabled;
       if Sys.file_exists dir then rm dir)
-  @@ fun () ->
+    f
+
+let test_analysis_key_covers_config () =
+  (* every mining config field is part of the memo and store keys:
+     with constants kept exact, gaussian mines more patterns than the
+     default (generalized) analysis already memoized and stored *)
+  let exact =
+    { Apex_mining.Miner.default_config with
+      max_size = 4; generalize_consts = false }
+  in
+  let direct, _ = Apex_mining.Analysis.analyze ~config:exact gaussian.graph in
+  with_scratch_store @@ fun () ->
   let exact_count () = List.length (Variants.analysis_of ~config:exact gaussian) in
   Variants.with_local_memo (fun () ->
       let default = Variants.analysis_of gaussian in
@@ -217,6 +221,80 @@ let test_analysis_key_covers_config () =
       ignore (Variants.analysis_of gaussian);
       check int "store keeps the configs apart" (List.length direct)
         (exact_count ()))
+
+let test_configspace_memo () =
+  (* the configuration-space analysis is store-memoized in
+     Variants.make: a warm build serves it without a solver, replays
+     its counters and labels the report with its own name; a degraded
+     analysis is never stored *)
+  let module Store = Apex_exec.Store in
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  let module Cs = Apex_verif.Configspace in
+  Registry.enable ();
+  Fun.protect ~finally:(fun () ->
+      Apex_guard.Fault.disarm ();
+      Registry.disable ();
+      Registry.reset ())
+  @@ fun () ->
+  with_scratch_store @@ fun () ->
+  let fresh f =
+    Registry.reset ();
+    Dse.with_local_memo (fun () -> Variants.with_local_memo f)
+  in
+  let configspace_counters () =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"analysis.configspace." k)
+      (Registry.snapshot ()).counters
+  in
+  let build () =
+    fresh (fun () ->
+        let vs = List.map Dse.variant_for [ "base"; "pek:camera:2"; "ip" ] in
+        (vs, configspace_counters (), Counter.get "smt.solver_calls"))
+  in
+  let cold, cold_counters, cold_calls = build () in
+  let warm, warm_counters, warm_calls = build () in
+  List.iter2
+    (fun (c : Variants.t) (w : Variants.t) ->
+      Alcotest.(check bool) (c.name ^ ": datapath") true (c.dp = w.dp);
+      Alcotest.(check bool) (c.name ^ ": rules") true (c.rules = w.rules);
+      Alcotest.(check bool) (c.name ^ ": report") true
+        (c.configspace = w.configspace))
+    cold warm;
+  Alcotest.(check (list (pair string int)))
+    "configspace counters, cold and warm" cold_counters warm_counters;
+  Alcotest.(check bool) "the cold builds prove" true (cold_calls > 0);
+  check int "the warm builds make no solver call" 0 warm_calls;
+  (* one datapath under two names: the second is a hit *)
+  let dp = Apex_peak.Library.baseline () in
+  let label name =
+    match (Variants.make name dp []).configspace with
+    | Some r -> r.Cs.label
+    | None -> Alcotest.fail "no configspace report"
+  in
+  Alcotest.(check (pair string string)) "each name labels its report"
+    ("A", "B") (label "A", label "B");
+  (* a degraded analysis is recomputed, never served *)
+  ignore (Store.gc ());
+  let entries () =
+    List.fold_left
+      (fun n (s : Store.ns_stats) ->
+        if s.ns = "configspace" then n + s.entries else n)
+      0 (Store.stats ())
+  in
+  let spec () =
+    fresh (fun () ->
+        let v = Dse.variant_for "pek:camera:2" in
+        (Option.get v.configspace, Counter.get "analysis.configspace.proofs_proved"))
+  in
+  Apex_guard.Fault.arm "configspace-smt-exhaust";
+  let faulted, _ = spec () in
+  Alcotest.(check bool) "the armed build is degraded" true faulted.Cs.degraded;
+  check int "nothing stored" 0 (entries ());
+  let clean, proved = spec () in
+  Alcotest.(check bool) "the next build is exact" false clean.Cs.degraded;
+  Alcotest.(check bool) "and proves again" true (proved > 0);
+  check int "and is stored" 1 (entries ())
 
 (* --- where parallelism lives --- *)
 
@@ -332,6 +410,7 @@ let () =
           Alcotest.test_case "interesting filter" `Quick test_interesting_patterns_filter;
           Alcotest.test_case "analysis key covers the config" `Quick
             test_analysis_key_covers_config;
+          Alcotest.test_case "configspace memo" `Quick test_configspace_memo;
           Alcotest.test_case "unknown variant" `Quick test_variant_for_unknown;
           Alcotest.test_case "unknown application" `Quick test_variant_for_unknown_app;
           Alcotest.test_case "bad subgraph count" `Quick

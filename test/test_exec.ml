@@ -290,6 +290,79 @@ let test_stale_version_recovers () =
   check Alcotest.int "stale counted" 1 (Counter.get "exec.cache_stale");
   check Alcotest.int "not served stale" 1 !computes
 
+(* Seeded damage to a written entry: a flipped bit, an overwritten
+   byte (digits, signs and line breaks among the candidates, so the
+   header's numbers and line structure are hit too), a truncation, an
+   extension, or a rewritten payload length (negative, short, long or
+   [max_int]: the reader must reject it before it sizes a buffer).
+   Half the single-byte damage falls in the text header. *)
+let mutate st s =
+  let n = String.length s in
+  let pos () =
+    if Random.State.bool st then Random.State.int st (min n 72)
+    else Random.State.int st n
+  in
+  let set i c = String.mapi (fun j c' -> if j = i then c else c') s in
+  match Random.State.int st 5 with
+  | 0 ->
+      let i = pos () in
+      set i (Char.chr (Char.code s.[i] lxor (1 lsl Random.State.int st 8)))
+  | 1 ->
+      let i = pos () in
+      let menu = "0123456789-+_x\n \255" in
+      let c = menu.[Random.State.int st (String.length menu)] in
+      set i (if c = s.[i] then Char.chr ((Char.code c + 1) land 255) else c)
+  | 2 -> String.sub s 0 (pos ())
+  | 3 ->
+      s ^ String.init (1 + Random.State.int st 16) (fun _ ->
+              Char.chr (Random.State.int st 256))
+  | _ ->
+      (* the length is the fourth header line *)
+      let rec eol i k =
+        let j = String.index_from s i '\n' in
+        if k = 1 then j else eol (j + 1) (k - 1)
+      in
+      let a = eol 0 3 + 1 and b = eol 0 4 in
+      let len = int_of_string (String.sub s a (b - a)) in
+      let len' =
+        match Random.State.int st 4 with
+        | 0 -> -1 - Random.State.int st (len + 1)
+        | 1 -> Random.State.int st len
+        | 2 -> len + 1 + Random.State.int st 64
+        | _ -> max_int
+      in
+      String.sub s 0 a ^ string_of_int len' ^ String.sub s b (n - b)
+
+(* whatever the damage, a lookup misses and counts the entry corrupt or
+   stale: it never serves a value and never raises *)
+let survives_mutations (type a) name (v : a) =
+  let key = Store.key ~version:"t/1" [ name ] in
+  let rejected () =
+    Counter.get "exec.cache_corrupt" + Counter.get "exec.cache_stale"
+  in
+  for seed = 1 to 64 do
+    Store.store ~ns:"t" ~key v;
+    corrupt_with (entry_file "t") (mutate (Random.State.make [| seed |]));
+    let before = rejected () in
+    (match (Store.lookup ~ns:"t" ~key : a option) with
+    | None -> ()
+    | Some _ -> Alcotest.failf "%s, seed %d: a damaged entry was served" name seed
+    | exception e ->
+        Alcotest.failf "%s, seed %d: lookup raised %s" name seed
+          (Printexc.to_string e));
+    check Alcotest.int
+      (Printf.sprintf "%s, seed %d: rejection counted" name seed)
+      (before + 1) (rejected ())
+  done
+
+let test_seeded_entry_mutations () =
+  survives_mutations "list" (List.init 40 Fun.id);
+  survives_mutations "string" "payload";
+  (* the configuration-space artifact Variants.make stores *)
+  survives_mutations "configspace"
+    (Apex_verif.Configspace.analyze ~label:"mutated"
+       (Apex_peak.Library.baseline ()))
+
 let test_stats_and_gc_budget () =
   let put ns i =
     Store.store ~ns ~key:(Store.key ~version:"t/1" [ string_of_int i ])
@@ -516,6 +589,8 @@ let () =
             (with_scratch_store test_garbage_entry_recovers);
           Alcotest.test_case "stale version" `Quick
             (with_scratch_store test_stale_version_recovers);
+          Alcotest.test_case "seeded entry mutations" `Quick
+            (with_scratch_store test_seeded_entry_mutations);
           Alcotest.test_case "stats and gc budget" `Quick
             (with_scratch_store test_stats_and_gc_budget);
           Alcotest.test_case "tenant namespaces" `Quick
