@@ -5,6 +5,8 @@ CI_J1 := /tmp/apex-ci-jobs1.json
 CI_J4 := /tmp/apex-ci-jobs4.json
 CI_DSE_J1 := /tmp/apex-ci-dse-jobs1.json
 CI_DSE_J2 := /tmp/apex-ci-dse-jobs2.json
+CI_PE1_J1 := /tmp/apex-ci-pe1-jobs1.json
+CI_PE1_J2 := /tmp/apex-ci-pe1-jobs2.json
 CI_COLD := /tmp/apex-ci-cold.json
 CI_WARM := /tmp/apex-ci-warm.json
 CI_CACHE := /tmp/apex-ci-cache
@@ -80,7 +82,10 @@ bench-snapshot:
 #                  each climb-scored pair once (dse.covers_reused); so
 #                  must the full DSE job at --jobs 2, whose runners
 #                  evaluate pairs while the caller builds the next
-#                  variant;
+#                  variant, and a pe1-then-spec job, whose PE 1 pair
+#                  is built before the climb scores PE 1 (a pair
+#                  reuses only the covers of variants built before it,
+#                  at every width);
 #   cache        — a warm rerun against a scratch cache must hit
 #                  (exec.cache_hits > 0), replay the configuration-space
 #                  counters its store hits skip the proofs of, and
@@ -130,6 +135,9 @@ ci: build test
 	dune exec bin/apex_cli.exe -- dse --all --no-cache --jobs 1 --trace=$(CI_DSE_J1) > /dev/null
 	dune exec bin/apex_cli.exe -- dse --all --no-cache --jobs 2 --trace=$(CI_DSE_J2) > /dev/null
 	dune exec bin/apex_cli.exe -- report-diff $(CI_DSE_J1) $(CI_DSE_J2)
+	dune exec bin/apex_cli.exe -- dse camera -v pe1:camera -v spec:camera --no-cache --jobs 1 --trace=$(CI_PE1_J1) > /dev/null
+	dune exec bin/apex_cli.exe -- dse camera -v pe1:camera -v spec:camera --no-cache --jobs 2 --trace=$(CI_PE1_J2) > /dev/null
+	dune exec bin/apex_cli.exe -- report-diff $(CI_PE1_J1) $(CI_PE1_J2)
 	rm -rf $(CI_CACHE)
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_COLD) > /dev/null
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- cache gc --budget-mb=-1 2> /dev/null; test $$? -eq 2
@@ -345,7 +353,7 @@ ci-bench:
 clean:
 	dune clean
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
-	rm -f $(CI_DSE_J1) $(CI_DSE_J2)
+	rm -f $(CI_DSE_J1) $(CI_DSE_J2) $(CI_PE1_J1) $(CI_PE1_J2)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)

@@ -420,7 +420,7 @@ let extension_apps () =
 let ablation_mis () =
   section "Ablation: MIS ranking vs raw-frequency ranking (Section 3.2)";
   let camera = Apps.by_name "camera" in
-  let ranked = Variants.analysis_of camera in
+  let ranked = Dse.analysis_of camera in
   let by_mis = Variants.interesting_patterns ranked in
   let by_support =
     List.filter_map
@@ -448,7 +448,7 @@ let ablation_merge () =
   let camera = Apps.by_name "camera" in
   let patterns =
     List.filteri (fun i _ -> i < 3)
-      (Variants.interesting_patterns (Variants.analysis_of camera))
+      (Variants.interesting_patterns (Dse.analysis_of camera))
   in
   List.iter
     (fun (name, strategy) ->
@@ -550,9 +550,7 @@ let serve_sweep dir =
           (fun _tenant ->
             List.iter
               (fun job ->
-                Dse.with_local_memo (fun () ->
-                    Variants.with_local_memo (fun () ->
-                        ignore (Apex.Jobs.run job))))
+                Dse.with_local_memo (fun () -> ignore (Apex.Jobs.run job)))
               serve_batch)
           serve_tenants)
   in

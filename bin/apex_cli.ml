@@ -240,9 +240,9 @@ let exec_t =
    report's results section are [Jobs.results_json], the bytes `apex
    submit` receives for the same job. *)
 
-type view = { json : bool; widths : bool; werror : bool; resume : bool }
+type view = { json : bool; widths : bool; werror : bool }
 
-let text = { json = false; widths = false; werror = false; resume = false }
+let text = { json = false; widths = false; werror = false }
 
 (* print the text form of [result] (unless --json) and return the
    subcommand's exit code *)
@@ -273,13 +273,6 @@ let render view (result : Apex.Jobs.result) =
           (List.length rows) (count "mapped") (count "unmappable")
           (count "skipped") (count "failed")
       end;
-      if view.resume then
-        Format.eprintf
-          "dse: resumed %d/%d pairs from checkpoints, %d evaluated and newly \
-           checkpointed@."
-          (Apex_telemetry.Counter.get "dse.pairs_resumed")
-          (List.length rows)
-          (Apex_telemetry.Counter.get "dse.pairs_checkpointed");
       0
   | Analyze_reports reports ->
       if as_text then
@@ -715,21 +708,17 @@ let profile_cmd =
 (* --- dse: the (variant x application) evaluation fleet --- *)
 
 let dse_cmd =
-  let run () trace check optimize apps variants json resume =
+  let run () trace check optimize apps variants json =
     (* the fleet is the whole point: telemetry is always on, so the
        degradation outcome counters land in the report *)
     with_report ~always:true trace @@ fun () ->
     set_check check;
     set_optimize optimize;
-    if resume && not (Apex_exec.Store.enabled ()) then
-      invalid_arg
-        "dse: --resume resumes from per-pair checkpoints in the artifact \
-         cache; drop --no-cache";
     (* variants are built on this domain (they feed the memo scope)
        while the pairs built before them evaluate; one construction
        failure is a configuration error and aborts once those pairs
        finish, unlike per-pair evaluation failures, which never do *)
-    run_job { text with json; resume }
+    run_job { text with json }
       (Apex.Jobs.Dse { apps = apps (); variants })
   in
   let apps =
@@ -744,19 +733,6 @@ let dse_cmd =
     Arg.(value & opt_all string [] & info [ "variant"; "v" ] ~docv:"VARIANT" ~doc)
   in
   let json = json_arg "Print the per-pair results as JSON." in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume an interrupted run from per-pair checkpoints: every \
-             pair whose evaluation completed before the interruption (each \
-             one is recorded through the artifact store as it finishes) is \
-             restored instead of recomputed, and a summary of \
-             resumed-vs-evaluated counts is printed. Results are \
-             byte-identical to an uninterrupted run. Requires the cache \
-             (conflicts with --no-cache).")
-  in
   Cmd.v
     (Cmd.info "dse"
        ~doc:
@@ -764,10 +740,13 @@ let dse_cmd =
           pipelining — under the resource governor. Per-pair failures are \
           isolated (skipped/failed status per pair, exit 0 for the fleet); \
           deadlines and injected faults degrade phases to their documented \
-          fallbacks, flagged as guard.outcome.* in the telemetry report.")
+          fallbacks, flagged as guard.outcome.* in the telemetry report. \
+          With the cache on, every run resumes: a pair an earlier run \
+          (even an interrupted one) finished is restored from its \
+          checkpoint instead of evaluated again (dse.pairs_resumed).")
     Term.(
       const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps
-      $ variants $ json $ resume)
+      $ variants $ json)
 
 (* --- lint: run the checker registry over the flow's artifacts --- *)
 

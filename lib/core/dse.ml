@@ -1,34 +1,39 @@
 module Apps = Apex_halide.Apps
 module Counter = Apex_telemetry.Counter
 module Span = Apex_telemetry.Span
+module Analysis = Apex_mining.Analysis
+module Miner = Apex_mining.Miner
+module Pattern = Apex_mining.Pattern
+module Lint = Apex_lint.Engine
 
-(* One memo scope: the built variants, and the post-mapping results
-   (record and cover) their scoring computed, so a pair evaluation of
-   the winning variant does not map it again.  A pool runner reads
-   [covers] while the calling domain's producer writes it, hence the
-   lock; [variants] is only touched by the producer. *)
+(* The memo scope of a job: the mining analyses, the built variants,
+   and the post-mapping results (record and cover) the PE Spec climb's
+   scoring computed, so a pair evaluation of the winning variant does
+   not map it again.  Only the domain that builds variants touches it:
+   the pool's producer looks a pair's cover up and hands it to the
+   task ([evaluate_built]), and runners never read the scope. *)
 type scope = {
+  analyses : (string * string, Analysis.ranked list) Hashtbl.t;
   variants : (string, Variants.t) Hashtbl.t;
   covers : (string, Metrics.post_mapping * Apex_mapper.Cover.t) Hashtbl.t;
-  covers_lock : Mutex.t;
 }
 
 let new_scope () =
-  { variants = Hashtbl.create 16;
-    covers = Hashtbl.create 16;
-    covers_lock = Mutex.create () }
+  { analyses = Hashtbl.create 16;
+    variants = Hashtbl.create 16;
+    covers = Hashtbl.create 16 }
 
 let global_scope = new_scope ()
 
 (* A server runs each request under [with_local_memo]: the request gets
    a fresh private memo scope instead of the process-global one, so two
-   concurrent requests never race the unsynchronized variant table, and
+   concurrent requests never race the unsynchronized tables, and
    artifacts cross requests only through the tenant-namespaced
    Exec.Store — never through ambient process memory that would bypass
-   namespace isolation.  The scope's covers go with it, so a long-lived
-   process holds them no longer than its scope.  Domain-local: the
-   caller must keep the whole request on one domain (Pool.serially),
-   which the serve worker does. *)
+   namespace isolation.  A long-lived process holds the scope's
+   analyses, variants and covers no longer than the scope.
+   Domain-local: whatever builds variants must run on the domain that
+   opened the scope, as a pool's producer always does. *)
 let local_key : scope option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -40,6 +45,45 @@ let with_local_memo f =
   let saved = !r in
   r := Some (new_scope ());
   Fun.protect f ~finally:(fun () -> r := saved)
+
+let default_mining = { Miner.default_config with max_size = 4 }
+
+let config_key (c : Miner.config) =
+  Printf.sprintf "%d/%d/%b/%b/%d" c.min_support c.max_size c.include_consts
+    c.generalize_consts c.max_subgraphs
+
+let analysis_of ?(config = default_mining) (app : Apps.t) =
+  let app = Optimize.app app in
+  let key = (app.name, config_key config ^ Optimize.key_suffix ()) in
+  let analyses = (current_scope ()).analyses in
+  match Hashtbl.find_opt analyses key with
+  | Some r ->
+      Counter.incr "dse.analysis_cache_hits";
+      r
+  | None ->
+      Counter.incr "dse.analysis_cache_misses";
+      let ranked =
+        (* keyed on the graph content, not the app name: a renamed but
+           structurally identical kernel reuses the mined artifact *)
+        Apex_exec.Store.memoize ~ns:"analysis"
+          ~key:
+            (Apex_exec.Store.key ~version:"analysis/1"
+               [ Apex_exec.Store.fingerprint app.graph; config_key config ])
+          (fun () -> fst (Analysis.analyze ~config app.graph))
+      in
+      (* lint verification runs warm or cold — it checks invariants of
+         this build's IR, which a cached artifact may violate *)
+      Check.verify "mining"
+        (Lint.Dfg { label = app.name; graph = app.graph }
+        :: List.map
+             (fun (r : Analysis.ranked) ->
+               Lint.Dfg
+                 { label =
+                     Printf.sprintf "%s/%s" app.name (Pattern.code r.pattern);
+                   graph = Pattern.graph r.pattern })
+             ranked);
+      Hashtbl.replace analyses key ranked;
+      ranked
 
 let memo key f =
   (* optimized and raw flows must not alias a cached variant *)
@@ -62,7 +106,7 @@ let pe_k (app : Apps.t) k =
     (Printf.sprintf "pek:%s:%d" app.name k)
     (fun () ->
       if k = 0 then { (Variants.pe1 app) with name = "PE 1" }
-      else Variants.specialized app ~n_subgraphs:k)
+      else Variants.specialized app (analysis_of app) ~n_subgraphs:k)
 
 let camera_variants () =
   let camera = Apps.by_name "camera" in
@@ -96,16 +140,15 @@ let mapping_key inputs = variant_eval_key ~version:"pm-score/2" inputs None
    the score is store-memoized like any other phase product; the
    structural [Unmappable] verdict is part of the cached result (an
    [Error] re-raises on every hit).  A computed mapping is also kept in
-   the memo scope's covers, for the winner's pair evaluation. *)
+   the memo scope's covers, for the pair evaluations of variants built
+   after it. *)
 let score (v : Variants.t) app =
   let key = mapping_key (eval_inputs v app) in
   match
     Apex_exec.Store.memoize ~ns:"mapping" ~key (fun () ->
         match Metrics.post_mapping v app with
         | (pm, _) as mapping ->
-            let scope = current_scope () in
-            Mutex.protect scope.covers_lock (fun () ->
-                Hashtbl.replace scope.covers key mapping);
+            Hashtbl.replace (current_scope ()).covers key mapping;
             Ok (pm.Metrics.total_pe_area *. pm.Metrics.pe_energy_per_output)
         | exception Apex_mapper.Cover.Unmappable m -> Error m)
   with
@@ -119,7 +162,7 @@ let pe_spec (app : Apps.t) =
   memo
     (Printf.sprintf "spec:%s" app.name)
     (fun () ->
-      let ranked = Variants.analysis_of app in
+      let ranked = analysis_of app in
       let available =
         min max_spec_subgraphs
           (List.length (Variants.interesting_patterns ranked))
@@ -143,11 +186,13 @@ let ip_apps () =
 
 let ml_apps () = List.map Apps.by_name [ "resnet"; "mobilenet" ]
 
-let pe_ip () =
-  memo "ip" (fun () -> Variants.domain ~name:"PE IP" ~per_app:2 (ip_apps ()))
+let domain ~name ~per_app apps =
+  Variants.domain ~name ~per_app (List.map analysis_of apps)
+
+let pe_ip () = memo "ip" (fun () -> domain ~name:"PE IP" ~per_app:2 (ip_apps ()))
 
 let pe_ip2 () =
-  memo "ip2" (fun () -> Variants.domain ~name:"PE IP2" ~per_app:4 (ip_apps ()))
+  memo "ip2" (fun () -> domain ~name:"PE IP2" ~per_app:4 (ip_apps ()))
 
 let pe_ip3 () =
   memo "ip3" (fun () ->
@@ -155,9 +200,9 @@ let pe_ip3 () =
       let camera = Apps.by_name "camera" in
       let camera_patterns =
         List.filteri (fun i _ -> i < 3)
-          (Variants.interesting_patterns (Variants.analysis_of camera))
+          (Variants.interesting_patterns (analysis_of camera))
       in
-      let domain = Variants.domain ~name:"PE IP3" ~per_app:1 (ip_apps ()) in
+      let domain = domain ~name:"PE IP3" ~per_app:1 (ip_apps ()) in
       let seeded =
         Apex_peak.Library.subset
           ~ops:
@@ -188,7 +233,7 @@ let pe_ip3 () =
       Variants.make "PE IP3" dp patterns)
 
 let pe_ml () =
-  memo "ml" (fun () -> Variants.domain ~name:"PE ML" ~per_app:2 (ml_apps ()))
+  memo "ml" (fun () -> domain ~name:"PE ML" ~per_app:2 (ml_apps ()))
 
 type pair_result =
   | Mapped of Metrics.post_pipelining
@@ -204,7 +249,7 @@ type cached_pair =
   | Cached_mapped of Metrics.post_pipelining
   | Cached_unmappable of string
 
-let eval_pair ?effort (scope : scope) (v : Variants.t) (app : Apps.t) =
+let eval_pair ?effort ?mapping (v : Variants.t) (app : Apps.t) =
   let inputs = eval_inputs v app in
   (* pair-eval/2: idle-FU energy honors configuration-space clock gating *)
   let key = variant_eval_key ~version:"pair-eval/2" inputs effort in
@@ -215,10 +260,6 @@ let eval_pair ?effort (scope : scope) (v : Variants.t) (app : Apps.t) =
       Counter.incr "dse.pairs_resumed";
       (c : cached_pair)
   | None ->
-      let mapping =
-        Mutex.protect scope.covers_lock (fun () ->
-            Hashtbl.find_opt scope.covers (mapping_key inputs))
-      in
       if Option.is_some mapping then Counter.incr "dse.covers_reused";
       let c =
         match Metrics.post_pipelining ?effort ?mapping v app with
@@ -243,7 +284,7 @@ let pair_status = function
    a budget trip before the pair finished, [Failed] an unexpected
    per-pair error; the three are counted separately so a report cannot
    pass a died-silently run off as a coverage result. *)
-let evaluate_pair ?effort scope ((v : Variants.t), (app : Apps.t)) =
+let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
   Apex_guard.with_phase "evaluate" @@ fun () ->
   Counter.time "dse.pair_eval_ms" @@ fun () ->
   match
@@ -257,7 +298,7 @@ let evaluate_pair ?effort scope ((v : Variants.t), (app : Apps.t)) =
         | _ -> false)
       (fun () ->
         Apex_guard.Fault.inject "pair-eval-transient";
-        eval_pair ?effort scope v app)
+        eval_pair ?effort ?mapping v app)
   with
   | Cached_mapped pp ->
       Apex_guard.Outcome.record ~phase:"evaluate" Apex_guard.Outcome.Exact;
@@ -284,19 +325,22 @@ let evaluate_pair ?effort scope ((v : Variants.t), (app : Apps.t)) =
 (* Evaluate (variant, app) pairs on the domain pool, each built by
    [build] on the calling domain while earlier pairs evaluate: variant
    *construction* feeds the domain-local memo scope, so it stays on the
-   caller, while evaluation is pure per pair.  The memo scope is
-   captured here, on the caller, for the runners' cover lookups.
-   Results come back in submission order. *)
+   caller, while evaluation is pure per pair.  The producer also looks
+   up the pair's cover, right after building it, and hands it to the
+   task: a pair reuses the cover of a variant built before it, never
+   one a later build scores while it runs, so what it reuses is the
+   same at every pool width.  Results come back in submission order. *)
 let evaluate_built ?effort ~build items =
-  let scope = current_scope () in
   let produce x =
-    let ((_, app) as pair) = build x in
+    let ((v, app) as pair) = build x in
     (* the optimized kernel, too, is built here rather than on a runner *)
     ignore (Optimize.app app : Apps.t);
-    pair
+    ( pair,
+      Hashtbl.find_opt (current_scope ()).covers
+        (mapping_key (eval_inputs v app)) )
   in
   Apex_exec.Pool.pipeline ~produce
-    (fun pair -> (pair, evaluate_pair ?effort scope pair))
+    (fun (pair, mapping) -> (pair, evaluate_pair ?effort ?mapping pair))
     items
 
 let evaluate_pairs ?effort pairs =

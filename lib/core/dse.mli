@@ -1,18 +1,36 @@
 (** The APEX design-space exploration flow (Fig. 6): canned variant
     families matching the paper's experiments, with memoization of the
-    expensive steps (mining, merging, rule synthesis). *)
+    expensive steps (mining, merging, rule synthesis).
+
+    A job has one in-process memo, this module's scope: the mining
+    analyses, the built variants, and the post-mapping results (record
+    and cover) of the PE Spec climb's scoring.  Only the domain that
+    builds variants touches it — in {!evaluate_built}, the pool's
+    producer — so it needs no lock.  Pool runners never read it: the
+    producer looks each pair's cover up right after building the pair
+    and hands it to the task.  Everything else crosses jobs through
+    [Exec.Store]. *)
 
 val with_local_memo : (unit -> 'a) -> 'a
 (** Run [f] with a fresh, private memo scope instead of the
-    process-global one (restored on exit).  The scope holds the built
-    variants and the post-mapping results (record and cover) of the
-    PE Spec climb's scoring, which pair evaluation reuses instead of
-    mapping again; both are dropped with the scope.  A multi-tenant
-    server wraps each request in this so concurrent requests neither
-    race the unsynchronized table nor observe each other's in-memory
-    artifacts — cross-request sharing goes through the namespaced
-    [Exec.Store].  Domain-local: keep the request on one domain
-    ([Pool.serially]). *)
+    process-global one (restored on exit); its analyses, variants and
+    covers are dropped with it.  A multi-tenant server wraps each
+    request in this so concurrent requests neither race the
+    unsynchronized tables nor observe each other's in-memory artifacts
+    — cross-request sharing goes through the namespaced [Exec.Store].
+    Domain-local: the scope belongs to the domain that opened it, where
+    the job's variants are built. *)
+
+val analysis_of :
+  ?config:Apex_mining.Miner.config ->
+  Apex_halide.Apps.t ->
+  Apex_mining.Analysis.ranked list
+(** Per-application mining + MIS ranking of the optimized kernel
+    ([config] defaults to subgraphs of at most 4 nodes): memoized in
+    the scope ([dse.analysis_cache_hits] / [_misses]) and in the store
+    (ns [analysis], keyed on the graph content), and lint-verified at
+    the mining phase boundary on every scope miss.  Mining is the
+    expensive step of the flow; every variant of the job shares it. *)
 
 val baseline : unit -> Variants.t
 (** The fully general PE Base (memoized). *)
@@ -33,8 +51,8 @@ val pe_spec : Apex_halide.Apps.t -> Variants.t
     map the app); the last improving variant wins.  This is the
     product, not Section 5's "without increasing the area or energy",
     and one mis-costed k hides every later one (ROADMAP item 4).
-    Each scored mapping is kept in the memo scope for pair
-    evaluation. *)
+    Each scored mapping is kept in the memo scope for the pair
+    evaluations of variants built after it. *)
 
 val ip_apps : unit -> Apex_halide.Apps.t list
 (** camera, harris, gaussian, unsharp. *)
@@ -83,7 +101,7 @@ val evaluate_pairs :
     pair yields [Unmappable]/[Skipped]/[Failed] (counted separately as
     [dse.unmappable_pairs] / [dse.skipped_pairs] / [dse.failed_pairs])
     and never aborts the fleet.  A pair whose mapping the memo scope
-    holds (the PE Spec climb scored it) is not mapped again
+    holds (a PE Spec climb scored it) is not mapped again
     ([dse.covers_reused]).  [evaluate_built ~build:Fun.id]. *)
 
 val evaluate_built :
@@ -95,8 +113,13 @@ val evaluate_built :
     domain, in order, while earlier pairs already evaluate
     ([Exec.Pool.pipeline]): the variants need not exist up front.
     [Jobs] builds with {!variant_for}, so a [base; spec:<app>] job
-    evaluates PE Base during the PE Spec climb.  [build]'s first
-    exception is raised after the pairs built before it finished. *)
+    evaluates PE Base during the PE Spec climb.  A pair reuses the
+    cover of a variant built before it (looked up on the calling
+    domain right after [build]), never one a later build scores: the
+    counters are the same at every pool width, so a [pe1:<app>;
+    spec:<app>] job maps PE 1 for its first pair although the climb
+    scores it next.  [build]'s first exception is raised after the
+    pairs built before it finished. *)
 
 val variant_for : string -> Variants.t
 (** Lookup by the names used in the benches: "base", "spec:<app>",

@@ -163,7 +163,7 @@ let execute = function
       Mapped { app; variant; post; cover }
   | Mine { app; top } ->
       let app = app_by_name app in
-      let all = Variants.analysis_of app in
+      let all = Dse.analysis_of app in
       Mined
         { app;
           n_patterns = List.length all;

@@ -75,14 +75,14 @@ let measure area phase =
     info = [] }
 
 (* shared prerequisites, built OUTSIDE the measured window so the
-   in-memory memo caches they warm (Variants.analysis_of) are in the
+   in-memory memo caches they warm (Dse.analysis_of) are in the
    same state no matter how many snapshots ran before in this process *)
 
 let camera () = Apps.by_name "camera"
 
 let top_patterns ?(n = 3) app =
   List.filteri (fun i _ -> i < n)
-    (Variants.interesting_patterns (Variants.analysis_of app))
+    (Variants.interesting_patterns (Dse.analysis_of app))
 
 let seed_datapath (app : Apps.t) =
   Apex_peak.Library.subset ~ops:(Apex_peak.Library.ops_of_graph app.graph)

@@ -1,6 +1,5 @@
 module Pattern = Apex_mining.Pattern
 module Analysis = Apex_mining.Analysis
-module Miner = Apex_mining.Miner
 module Merge = Apex_merging.Merge
 module D = Apex_merging.Datapath
 module Library = Apex_peak.Library
@@ -18,67 +17,12 @@ type t = {
   configspace : Configspace.report option;
 }
 
-let default_mining = { Miner.default_config with max_size = 4 }
-
-let analysis_cache : (string * string, Analysis.ranked list) Hashtbl.t =
-  Hashtbl.create 16
-
-(* request-local memo override, mirroring Dse.with_local_memo: a served
-   request must not race the process-global table or observe another
-   tenant's in-memory artifacts — sharing goes through the namespaced
-   Exec.Store below instead *)
-let local_key :
-    (string * string, Analysis.ranked list) Hashtbl.t option ref Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let memo_table () =
-  match !(Domain.DLS.get local_key) with Some t -> t | None -> analysis_cache
-
-let with_local_memo f =
-  let r = Domain.DLS.get local_key in
-  let saved = !r in
-  r := Some (Hashtbl.create 16);
-  Fun.protect f ~finally:(fun () -> r := saved)
-
-let config_key (c : Miner.config) =
-  Printf.sprintf "%d/%d/%b/%b/%d" c.min_support c.max_size c.include_consts
-    c.generalize_consts c.max_subgraphs
-
 module Store = Apex_exec.Store
 
-let analysis_of ?(config = default_mining) (app : Apps.t) =
-  let app = Optimize.app app in
-  let key = (app.name, config_key config ^ Optimize.key_suffix ()) in
-  let analysis_cache = memo_table () in
-  match Hashtbl.find_opt analysis_cache key with
-  | Some r ->
-      Apex_telemetry.Counter.incr "dse.analysis_cache_hits";
-      r
-  | None ->
-      Apex_telemetry.Counter.incr "dse.analysis_cache_misses";
-      let ranked =
-        (* keyed on the graph content, not the app name: a renamed but
-           structurally identical kernel reuses the mined artifact *)
-        Store.memoize ~ns:"analysis"
-          ~key:
-            (Store.key ~version:"analysis/1"
-               [ Store.fingerprint app.graph; config_key config ])
-          (fun () -> fst (Analysis.analyze ~config app.graph))
-      in
-      (* lint verification runs warm or cold — it checks invariants of
-         this build's IR, which a cached artifact may violate *)
-      Check.verify "mining"
-        (Lint.Dfg { label = app.name; graph = app.graph }
-        :: List.map
-             (fun (r : Analysis.ranked) ->
-               Lint.Dfg
-                 { label =
-                     Printf.sprintf "%s/%s" app.name (Pattern.code r.pattern);
-                   graph = Pattern.graph r.pattern })
-             ranked);
-      Hashtbl.replace analysis_cache key ranked;
-      ranked
+(* the identity: the analyses a variant is built from come from
+   Dse.analysis_of, whose job scope is the one in-process memo;
+   perfbench still wraps its jobs in this *)
+let with_local_memo f = f ()
 
 let interesting_patterns ?(min_mis = 4) ranked =
   List.filter_map
@@ -140,9 +84,8 @@ let merge_into dp patterns =
            Store.fingerprint (List.map Pattern.code patterns) ])
     (fun () -> List.fold_left (fun dp p -> fst (Merge.merge dp p)) dp patterns)
 
-let specialized ?(config = default_mining) (app : Apps.t) ~n_subgraphs =
+let specialized (app : Apps.t) ranked ~n_subgraphs =
   let app = Optimize.app app in
-  let ranked = analysis_of ~config app in
   let patterns =
     List.filteri (fun i _ -> i < n_subgraphs) (interesting_patterns ranked)
   in
@@ -151,7 +94,7 @@ let specialized ?(config = default_mining) (app : Apps.t) ~n_subgraphs =
     (Printf.sprintf "PE %d" (n_subgraphs + 1))
     (merge_into dp patterns) patterns
 
-let domain ?(config = default_mining) ~name ?(per_app = 2) (apps : Apps.t list) =
+let domain ~name ?(per_app = 2) analyses =
   (* a domain PE keeps the full baseline operation set: it must stay
      programmable for applications of the domain that were never
      analyzed (the Fig. 13 generalization experiment) *)
@@ -159,10 +102,7 @@ let domain ?(config = default_mining) ~name ?(per_app = 2) (apps : Apps.t list) 
   (* the paper's Fig. 10 shades per-application subgraphs into PE IP:
      take the top [per_app] patterns of each application (round robin,
      deduplicated) so every application contributes its own idioms *)
-  let per_app_ranked =
-    List.map (fun (a : Apps.t) -> interesting_patterns (analysis_of ~config a))
-      apps
-  in
+  let per_app_ranked = List.map interesting_patterns analyses in
   let seen = Hashtbl.create 16 in
   let patterns = ref [] in
   for round = 0 to per_app - 1 do

@@ -3,7 +3,10 @@
     PE ML).
 
     A variant bundles the PE datapath with the complex patterns merged
-    into it and the verified rewrite-rule set for mapping. *)
+    into it and the verified rewrite-rule set for mapping.  This module
+    keeps no in-process memo: the builders take the mining analyses
+    from {!Dse.analysis_of}, and {!Dse} memoizes what they build in its
+    job scope. *)
 
 type t = {
   name : string;
@@ -37,28 +40,17 @@ val interesting_patterns :
     MIS size of at least [min_mis] (default 4). *)
 
 val specialized :
-  ?config:Apex_mining.Miner.config -> Apex_halide.Apps.t -> n_subgraphs:int -> t
-(** "PE k+1": PE 1 plus the top [n_subgraphs] mined subgraphs of the
-    application, merged in MIS order. *)
+  Apex_halide.Apps.t -> Apex_mining.Analysis.ranked list -> n_subgraphs:int -> t
+(** "PE k+1": PE 1 plus the top [n_subgraphs] subgraphs of the
+    application's ranked analysis, merged in MIS order. *)
 
 val domain :
-  ?config:Apex_mining.Miner.config ->
-  name:string ->
-  ?per_app:int ->
-  Apex_halide.Apps.t list ->
-  t
-(** "PE IP" / "PE ML": domain-level analysis over several applications;
-    merges the top domain-ranked subgraphs ([per_app] times the number
-    of applications in total, default 1) into the union-of-ops PE 1. *)
-
-val analysis_of :
-  ?config:Apex_mining.Miner.config ->
-  Apex_halide.Apps.t ->
-  Apex_mining.Analysis.ranked list
-(** Memoized per-application mining + MIS ranking (mining is the
-    expensive step of the flow; every variant shares it). *)
+  name:string -> ?per_app:int -> Apex_mining.Analysis.ranked list list -> t
+(** "PE IP" / "PE ML": domain-level merge over the ranked analyses of
+    several applications: the top [per_app] (default 2) interesting
+    subgraphs of each application, round robin and deduplicated, merged
+    into the full-baseline-ops PE. *)
 
 val with_local_memo : (unit -> 'a) -> 'a
-(** Run [f] with a fresh, private analysis memo instead of the
-    process-global table (restored on exit) — see
-    {!Dse.with_local_memo} for the isolation contract. *)
+(** [with_local_memo f] is [f ()].  The job's memo scope is
+    {!Dse.with_local_memo}. *)

@@ -22,7 +22,7 @@
      no shutdown protocol, no cross-batch queue to corrupt.
    - Production stays on the caller: a producer may feed domain-local
      memo tables, which a runner must not touch.
-   - With one runner (width 1, a nested call, [serially]) everything is
+   - With one runner (width 1 or a nested call) everything is
      produced before any task runs: the serial order of a plain
      build-then-map, so fault schedules and fuel budgets replay.
    - Nested calls (a task or the producer itself calling [map]) run
@@ -51,18 +51,6 @@ let set_jobs n = override := Some (clamp n)
 
 (* true while this domain is executing pool tasks: nested maps go serial *)
 let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-(* Run [f] with every pool map inside it degraded to serial execution,
-   exactly as if [f] were itself a pool task.  A server that already
-   runs one worker domain per request uses this to make the *request*
-   the unit of parallelism — per-phase domain fan-out under it would
-   oversubscribe the machine without changing any result (the pool's
-   serial/parallel equivalence contract). *)
-let serially f =
-  let flag = Domain.DLS.get in_task in
-  let saved = !flag in
-  flag := true;
-  Fun.protect f ~finally:(fun () -> flag := saved)
 
 (* Task dispatch with the pool-worker fault site: the armed occurrence
    raises before the task body runs, and the runner re-executes the

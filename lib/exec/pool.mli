@@ -16,8 +16,8 @@
     finds nothing produced retires rather than idle: an idle domain
     costs the busy producer a stop-the-world rendezvous at every minor
     collection.  {!map} is that path with an identity producer.  With
-    one runner ([--jobs 1], a nested call, {!serially}) every task is
-    produced before any runs.
+    one runner ([--jobs 1] or a nested call) every task is produced
+    before any runs.
 
     The observable result is identical to a serial run:
 
@@ -37,7 +37,8 @@
     writes — that is the caller's contract, checked by the CI
     determinism guard ([apex report-diff] of --jobs 1 vs --jobs N
     runs).  Nested calls from inside a task or the producer degrade to
-    serial execution instead of spawning further domains. *)
+    serial execution instead of spawning further domains: a served
+    request, itself a scheduler task, evaluates its pairs serially. *)
 
 val default_jobs : unit -> int
 (** [APEX_JOBS] when set and positive, otherwise
@@ -49,14 +50,6 @@ val jobs : unit -> int
 val set_jobs : int -> unit
 (** Fix the worker count (the CLI's [--jobs N]).  Clamped to [1, 64].
     [set_jobs 1] forces fully serial execution. *)
-
-val serially : (unit -> 'a) -> 'a
-(** [serially f] runs [f] with every pool map inside it executing
-    serially on the calling domain, as if [f] were a pool task.  By the
-    pool's contract this cannot change any result — only where the work
-    runs.  Used by callers that manage their own domains (one serve
-    worker per request) to stop per-phase fan-out from oversubscribing
-    the machine. *)
 
 val pipeline : produce:('x -> 'a) -> ('a -> 'b) -> 'x list -> 'b list
 (** [pipeline ~produce f xs] is [List.map (fun x -> f (produce x)) xs]

@@ -158,15 +158,16 @@ let write_entry path payload =
 (* Caching is best-effort: a failed publish (disk trouble or the
    injected crash) must never fail the computation that produced the
    value — the caller already holds the result. *)
+let store_payload ~ns ~key payload =
+  match write_entry (entry_path ~ns ~key) payload with
+  | () -> ()
+  | exception (Sys_error _ | Unix.Unix_error _) -> ()
+  | exception Guard.Fault.Injected site ->
+      Guard.Outcome.record ~phase:"store"
+        (Guard.Outcome.Degraded (Guard.Outcome.Fault site))
+
 let store ~ns ~key v =
-  if !on then begin
-    match write_entry (entry_path ~ns ~key) (Marshal.to_string v []) with
-    | () -> ()
-    | exception (Sys_error _ | Unix.Unix_error _) -> ()
-    | exception Guard.Fault.Injected site ->
-        Guard.Outcome.record ~phase:"store"
-          (Guard.Outcome.Degraded (Guard.Outcome.Fault site))
-  end
+  if !on then store_payload ~ns ~key (Marshal.to_string v [])
 
 let decode payload =
   (* the payload digest matched, but defend against a valid-looking
@@ -238,7 +239,8 @@ let memoize ?(cacheable = fun _ -> true) ~ns ~key f =
     | None ->
         Counter.incr "exec.cache_misses";
         let v = f () in
-        if cacheable v then store ~ns ~key v;
+        let payload = Marshal.to_string v [] in
+        if cacheable v then store_payload ~ns ~key payload;
         (* Hand back the *store representation* of the value, not the
            freshly computed one.  [fingerprint] encodes value sharing,
            so a downstream key derived from a computed artifact would
@@ -246,8 +248,9 @@ let memoize ?(cacheable = fun _ -> true) ~ns ~key f =
            copy — every miss here would then cascade into one redundant
            rebuild of each dependent entry.  Round-tripping on the miss
            path makes the cold process and all warm successors derive
-           bit-identical downstream keys. *)
-        (match decode (Marshal.to_string v []) with
+           bit-identical downstream keys.  The entry and the round-trip
+           decode one payload, marshalled once. *)
+        (match decode payload with
         | Some v' -> v'
         | None -> v)
 

@@ -80,19 +80,18 @@ let await p =
 (* --- request execution (worker domains) --- *)
 
 (* The isolation stack, outside in: a fresh telemetry scope (reports
-   aggregate as if the request ran alone), the request as the unit of
-   parallelism (per-phase pool maps degrade to serial — the worker
-   domain is the parallelism), the tenant's cache namespace (artifact
-   sharing is intra-tenant only), request-local variant/analysis memos
-   (no cross-request traffic through process memory — sharing goes
-   through the namespaced store), and the request budget as ambient
-   (every hot loop's tick sees the deadline and the server cancel). *)
+   aggregate as if the request ran alone), the tenant's cache namespace
+   (artifact sharing is intra-tenant only), a request-local DSE memo
+   scope (no cross-request traffic through process memory — sharing
+   goes through the namespaced store), and the request budget as
+   ambient (every hot loop's tick sees the deadline and the server
+   cancel).  The request is the unit of parallelism: it runs as a
+   scheduler pool task, inside which the job's own pool calls are
+   nested and so run serially. *)
 let run_isolated ~tenant ~budget job =
   Registry.with_scope (Registry.new_scope ()) @@ fun () ->
-  Pool.serially @@ fun () ->
   Store.with_namespace (Some tenant) @@ fun () ->
   Apex.Dse.with_local_memo @@ fun () ->
-  Apex.Variants.with_local_memo @@ fun () ->
   Guard.with_budget budget @@ fun () ->
   let results = Apex.Jobs.run job in
   let snap = Registry.snapshot () in
@@ -156,13 +155,14 @@ let execute t (p : pending) =
    at most [jobs] requests and hand each batch to [Pool.map], which
    adapts the fan-out to the machine — spawned domains when cores allow
    it, serial inline execution otherwise.  The request stays the unit
-   of parallelism either way ([run_isolated] degrades per-phase maps to
-   serial), and on a small host serial inline execution is not a
-   fallback but the fast path: executing on the main domain keeps minor
-   collections domain-local, where running requests on dedicated worker
-   domains would pay a stop-the-world rendezvous with every blocked
-   sibling domain on every minor GC — measured at three orders of
-   magnitude over the domain-local cost on a single-core host. *)
+   of parallelism either way (a request's own pool calls are nested in
+   its task, so they run serially), and on a small host serial inline
+   execution is not a fallback but the fast path: executing on the main
+   domain keeps minor collections domain-local, where running requests
+   on dedicated worker domains would pay a stop-the-world rendezvous
+   with every blocked sibling domain on every minor GC — measured at
+   three orders of magnitude over the domain-local cost on a
+   single-core host. *)
 let rec scheduler_loop t =
   match Admission.pop_batch t.queue ~max:t.config.jobs with
   | None -> ()
@@ -176,6 +176,17 @@ let rec scheduler_loop t =
 
 (* --- connection threads (main domain) --- *)
 
+(* a request's budget: a child of the server root, so a server-level
+   cancel reaches it, with the tighter of the request's own deadline
+   and the server's default *)
+let request_budget t (req : Proto.request) =
+  let deadline_s =
+    match (req.deadline_s, t.config.default_deadline_s) with
+    | None, d | d, None -> d
+    | Some a, Some b -> Some (Float.min a b)
+  in
+  Guard.Budget.child ?deadline_s t.root
+
 let process t payload =
   match Json.of_string payload with
   | Result.Error _ ->
@@ -186,17 +197,7 @@ let process t payload =
       match Proto.request_of_json j with
       | Result.Error e -> Proto.Error e
       | Result.Ok req ->
-          let deadline_s =
-            match (req.deadline_s, t.config.default_deadline_s) with
-            | None, None -> None
-            | Some s, None | None, Some s -> Some s
-            | Some a, Some b -> Some (Float.min a b)
-          in
-          let budget =
-            match deadline_s with
-            | None -> Guard.Budget.child t.root
-            | Some deadline_s -> Guard.Budget.child ~deadline_s t.root
-          in
+          let budget = request_budget t req in
           (* WAL ordering: the admission is on disk *before* the job
              can enter the queue, so a crash between the two replays
              the job rather than losing it; a reject immediately
@@ -326,20 +327,10 @@ let start config =
      store's per-pair and per-job artifacts instead *)
   List.iter
     (fun { Journal.jid; req } ->
-      let deadline_s =
-        match (req.Proto.deadline_s, config.default_deadline_s) with
-        | None, None -> None
-        | Some s, None | None, Some s -> Some s
-        | Some a, Some b -> Some (Float.min a b)
-      in
-      let budget =
-        match deadline_s with
-        | None -> Guard.Budget.child t.root
-        | Some deadline_s -> Guard.Budget.child ~deadline_s t.root
-      in
       let p =
-        { req; budget; jid = Some jid; p_lock = Mutex.create ();
-          p_cond = Condition.create (); resp = None }
+        { req; budget = request_budget t req; jid = Some jid;
+          p_lock = Mutex.create (); p_cond = Condition.create ();
+          resp = None }
       in
       match Admission.submit t.queue ~tenant:req.Proto.tenant p with
       | `Admitted ->

@@ -13,9 +13,10 @@
       [Exec.Pool], which adapts the fan-out to the machine (spawned
       domains when cores allow, serial inline execution otherwise);
       every request runs under full isolation: a fresh telemetry scope,
-      a tenant cache namespace, request-local variant/analysis memos,
-      the request budget as ambient, and [Pool.serially] so the request
-      — not a flow phase — is the unit of parallelism;
+      a tenant cache namespace, a request-local DSE memo scope and the
+      request budget as ambient.  The request — not a flow phase — is
+      the unit of parallelism: its own pool calls are nested in its
+      scheduler task, so they run serially;
     - the response embeds the request scope's full telemetry report
       with the job results as its results section, so `apex
       trace-check` and `apex report-diff --results-only` work directly

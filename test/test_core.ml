@@ -35,7 +35,7 @@ let test_specialized_variant_patterns () =
     v.patterns
 
 let test_interesting_patterns_filter () =
-  let ranked = Variants.analysis_of gaussian in
+  let ranked = Dse.analysis_of gaussian in
   let ps = Variants.interesting_patterns ranked in
   Alcotest.(check bool) "nonempty" true (ps <> []);
   List.iter
@@ -209,16 +209,16 @@ let test_analysis_key_covers_config () =
   in
   let direct, _ = Apex_mining.Analysis.analyze ~config:exact gaussian.graph in
   with_scratch_store @@ fun () ->
-  let exact_count () = List.length (Variants.analysis_of ~config:exact gaussian) in
-  Variants.with_local_memo (fun () ->
-      let default = Variants.analysis_of gaussian in
+  let exact_count () = List.length (Dse.analysis_of ~config:exact gaussian) in
+  Dse.with_local_memo (fun () ->
+      let default = Dse.analysis_of gaussian in
       Alcotest.(check bool)
         "exact constants give more patterns" true
         (List.length direct > List.length default);
       check int "memo keeps the configs apart" (List.length direct)
         (exact_count ()));
-  Variants.with_local_memo (fun () ->
-      ignore (Variants.analysis_of gaussian);
+  Dse.with_local_memo (fun () ->
+      ignore (Dse.analysis_of gaussian);
       check int "store keeps the configs apart" (List.length direct)
         (exact_count ()))
 
@@ -240,7 +240,7 @@ let test_configspace_memo () =
   with_scratch_store @@ fun () ->
   let fresh f =
     Registry.reset ();
-    Dse.with_local_memo (fun () -> Variants.with_local_memo f)
+    Dse.with_local_memo f
   in
   let configspace_counters () =
     List.filter
@@ -321,7 +321,6 @@ let test_only_pair_evaluation_fans_out () =
       Store.set_enabled store_was)
   @@ fun () ->
   Dse.with_local_memo @@ fun () ->
-  Variants.with_local_memo @@ fun () ->
   let camera = Apps.by_name "camera" in
   let v = Dse.pe_k camera 2 in
   check int "no parallel batch while building the variant" 0
@@ -351,19 +350,17 @@ let test_dse_job_deterministic_and_maps_once () =
   @@ fun () ->
   let fresh f =
     Registry.reset ();
-    Dse.with_local_memo (fun () -> Variants.with_local_memo f)
+    Dse.with_local_memo f
   in
   (* the span tree without its timing: names, counts, child order *)
   let rec shape (sp : Registry.span) =
     Printf.sprintf "%s x%d [%s]" sp.name sp.count
       (String.concat "; " (List.map shape (Registry.children_in_order sp)))
   in
-  let run jobs =
+  let run job jobs =
     Pool.set_jobs jobs;
     fresh @@ fun () ->
-    let results =
-      Apex.Jobs.run (Apex.Jobs.Dse { apps = [ "camera"; "gaussian" ]; variants = [] })
-    in
+    let results = Apex.Jobs.run job in
     let snap = Registry.snapshot () in
     ( Apex_telemetry.Json.to_string results,
       List.filter
@@ -371,17 +368,31 @@ let test_dse_job_deterministic_and_maps_once () =
         snap.counters,
       shape snap.spans )
   in
-  let results1, counters1, spans1 = run 1 in
-  let results2, counters2, spans2 = run 2 in
-  Alcotest.(check string) "results at --jobs 1 and 2" results1 results2;
-  Alcotest.(check (list (pair string int))) "counters at --jobs 1 and 2"
-    counters1 counters2;
-  Alcotest.(check string) "span tree at --jobs 1 and 2" spans1 spans2;
+  (* the same job at --jobs 1 and 2: results, counters and span tree *)
+  let same_at_widths ~apps ~variants =
+    let job = Apex.Jobs.Dse { apps; variants } in
+    let results1, counters1, spans1 = run job 1 in
+    let results2, counters2, spans2 = run job 2 in
+    Alcotest.(check string) "results at --jobs 1 and 2" results1 results2;
+    Alcotest.(check (list (pair string int))) "counters at --jobs 1 and 2"
+      counters1 counters2;
+    Alcotest.(check string) "span tree at --jobs 1 and 2" spans1 spans2;
+    (spans1, fun k -> Option.value ~default:0 (List.assoc_opt k counters1))
+  in
+  let spans1, counter =
+    same_at_widths ~apps:[ "camera"; "gaussian" ] ~variants:[]
+  in
   Alcotest.(check bool) "the tree holds construction and evaluation" true
     (contains spans1 "variant:spec:camera" && contains spans1 "pnr x4");
-  let counter k = Option.value ~default:0 (List.assoc_opt k counters1) in
   check int "both spec pairs reuse the climb's cover" 2
     (counter "dse.covers_reused");
+  (* PE 1 first: its pair is built before the climb scores PE 1, so at
+     every width it maps PE 1 itself and only the spec pair reuses *)
+  let _, pe1_first =
+    same_at_widths ~apps:[ "camera" ] ~variants:[ "pe1:camera"; "spec:camera" ]
+  in
+  check int "only the spec pair reuses a cover" 1
+    (pe1_first "dse.covers_reused");
   Pool.set_jobs 1;
   let climbs =
     fresh (fun () ->

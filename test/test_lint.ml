@@ -584,7 +584,6 @@ let test_lint_independent_of_store () =
   @@ fun () ->
   let lint () =
     Apex.Dse.with_local_memo @@ fun () ->
-    Apex.Variants.with_local_memo @@ fun () ->
     (Apex.Lint_run.run [ Apps.by_name "fast" ]).Engine.findings
   in
   let cold = lint () in

@@ -485,6 +485,26 @@ let test_e2e_results_match_cli t socket =
       | None -> Alcotest.fail "no results section")
   | Proto.Error e -> Alcotest.fail e.Proto.message
 
+let test_e2e_request_runs_serially t socket =
+  ignore t;
+  (* the request is the unit of parallelism: its DSE pipeline is
+     nested in the scheduler's pool task, so even at pool width 2 its
+     four pairs run as one serial batch *)
+  let module Pool = Apex_exec.Pool in
+  let jobs_was = Pool.jobs () in
+  Pool.set_jobs 2;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs jobs_was) @@ fun () ->
+  match
+    submit_job ~socket ~tenant:"alice"
+      (Apex.Jobs.Dse { apps = [ "camera"; "gaussian" ]; variants = [] })
+  with
+  | Proto.Ok report ->
+      check Alcotest.int "one batch" 1 (counter_of report "exec.pool_batches");
+      check Alcotest.int "four pairs" 4 (counter_of report "exec.pool_tasks");
+      check Alcotest.int "no parallel batch" 0
+        (counter_of report "exec.pool_parallel_batches")
+  | Proto.Error e -> Alcotest.fail e.Proto.message
+
 let test_e2e_shutdown_cancels_in_flight t socket =
   (* park a long request, then stop the server while it is running: the
      root-budget cancel reaches the request's guard tick, the response
@@ -567,6 +587,8 @@ let () =
             (with_server test_e2e_namespace_isolation);
           Alcotest.test_case "results match standalone" `Quick
             (with_server test_e2e_results_match_cli);
+          Alcotest.test_case "request runs serially" `Quick
+            (with_server test_e2e_request_runs_serially);
           Alcotest.test_case "shutdown cancels in-flight" `Quick
             (with_server test_e2e_shutdown_cancels_in_flight);
           Alcotest.test_case "shutdown with idle connection" `Quick
