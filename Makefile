@@ -1,5 +1,8 @@
 CI_TRACE := /tmp/apex-ci-trace.json
 CI_ANALYZE := /tmp/apex-ci-analyze.json
+CI_ANALYZE_COLD := /tmp/apex-ci-analyze-cold.json
+CI_ANALYZE_WARM := /tmp/apex-ci-analyze-warm.json
+CI_ANALYZE_CACHE := /tmp/apex-ci-analyze-cache
 CI_CONFIGS := /tmp/apex-ci-configs.json
 CI_J1 := /tmp/apex-ci-jobs1.json
 CI_J4 := /tmp/apex-ci-jobs4.json
@@ -65,7 +68,11 @@ bench-snapshot:
 
 # Build, run the full test suite, then the static-analysis gates: the
 # abstract interpreter must produce facts and a validated node-count
-# reduction on the built-in kernels (analyze --all), and the optimized
+# reduction on the built-in kernels (analyze --all --no-cache: a stored
+# report would replay these counters without computing them); a warm
+# analyze --all on a scratch cache must be served from the store
+# (replayed counters, no solver call) with the cold run's results; and
+# the optimized
 # flow must lint clean with warnings fatal (the raw kernels carry
 # provable redundancy that APX1xx legitimately flags, so --werror is
 # checked on the --optimize flow the analysis layer feeds).
@@ -106,12 +113,20 @@ ci: build test
 	dune exec bin/apex_cli.exe -- compile gaussian --sim=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- compile gaussian --sim 3
 	dune exec bin/apex_cli.exe -- compile unsharp --sim 3
-	dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE) > /dev/null
+	dune exec bin/apex_cli.exe -- analyze --all --no-cache --json --trace=$(CI_ANALYZE) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE) \
 	  --require analysis.facts_computed \
 	  --require analysis.nodes_eliminated \
 	  --require analysis.cones_proved \
 	  --require analysis.width.checks_run
+	rm -rf $(CI_ANALYZE_CACHE)
+	APEX_CACHE_DIR=$(CI_ANALYZE_CACHE) dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE_COLD) > /dev/null
+	APEX_CACHE_DIR=$(CI_ANALYZE_CACHE) dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE_WARM) > /dev/null
+	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE_WARM) \
+	  --require analysis.width.cones_proved --require exec.cache_hits \
+	  --forbid smt.solver_calls
+	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
+	rm -rf $(CI_ANALYZE_CACHE)
 	dune exec bin/apex_cli.exe -- analyze --configs --all --optimize --json --trace=$(CI_CONFIGS) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_CONFIGS) \
 	  --require analysis.configspace.checks_run \
@@ -353,6 +368,7 @@ ci-bench:
 clean:
 	dune clean
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
+	rm -f $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
 	rm -f $(CI_DSE_J1) $(CI_DSE_J2) $(CI_PE1_J1) $(CI_PE1_J2)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
@@ -360,4 +376,5 @@ clean:
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
 	rm -rf $(CI_CACHE) $(CI_FAULT_CACHE) $(CI_SNAP) $(CI_SERVE_CACHE)
+	rm -rf $(CI_ANALYZE_CACHE)
 	rm -rf $(CI_CRASH_CACHE) $(CI_CRASH_CLEAN_CACHE)

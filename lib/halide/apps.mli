@@ -4,7 +4,14 @@
     Every application is written in the mini-Halide DSL and lowered to
     an unrolled per-output compute kernel: the graph computes [unroll]
     adjacent output elements per firing, as the paper does (camera
-    pipeline computes 4 output pixels in parallel, Section 5.1). *)
+    pipeline computes 4 output pixels in parallel, Section 5.1).
+
+    The kernels are fixed inputs: {!evaluated}, {!unseen}, {!extended}
+    and {!by_name} read one table, lowered on first use and shared by
+    every caller and domain for the life of the process, so repeated
+    calls return physically equal values.  Callers must not mutate a
+    shared graph's node arrays.  The per-application constructors
+    ({!camera_pipeline}, ...) lower a fresh copy on every call. *)
 
 type domain = Image_processing | Machine_learning
 

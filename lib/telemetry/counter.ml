@@ -1,5 +1,6 @@
 (* Named monotonic counters, gauges, and min/max/mean distributions.
-   All no-ops while the registry is disabled. *)
+   All no-ops while the registry is disabled, except that an open
+   [tally] still sees its thread's counters. *)
 
 let incr name = Registry.counter_add name 1
 
@@ -12,8 +13,14 @@ let set_gauge name v = Registry.gauge_set name v
 let observe name v = Registry.observe name v
 
 (* For instrumentation whose *computation* of the value is itself
-   costly: the thunk only runs while telemetry is enabled. *)
-let add_lazy name f = if Registry.is_enabled () then Registry.counter_add name (f ())
+   costly: the thunk only runs while telemetry is enabled (or a tally
+   is open). *)
+let add_lazy name f =
+  if Registry.counting () then Registry.counter_add name (f ())
+
+(* [tally f] is [f ()] with the counters it added on this thread, by
+   name, whether or not telemetry is enabled (see Registry.tally) *)
+let tally = Registry.tally
 
 (* Time [f] and feed the elapsed milliseconds into the distribution
    [name], so reports can show per-occurrence latency percentiles that

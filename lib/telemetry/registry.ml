@@ -338,9 +338,65 @@ let merge ~into part =
   if part.ctx_span != into.ctx_span then
     locked (fun () -> merge_children into.ctx_span part.ctx_span)
 
+(* --- tallies ---
+
+   [tally f] collects every counter [f] adds on the calling thread,
+   whether or not the registry is enabled.  It exists for memoized
+   phases: the counters a computation emitted are stored with its
+   result, so a later cache hit can replay them even when the entry was
+   written by an untraced run (whose registry recorded nothing).  While
+   no tally is open, [counter_add] pays one extra atomic read. *)
+
+let tallying = Atomic.make 0
+
+let tally_lock = Mutex.create ()
+
+let tallies : (int, (string, int ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 4
+
+let bump tbl name n =
+  match Hashtbl.find_opt tbl name with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.replace tbl name (ref n)
+
+let tally_add name n =
+  if Atomic.get tallying > 0 then begin
+    let id = Thread.id (Thread.self ()) in
+    Mutex.protect tally_lock (fun () ->
+        match Hashtbl.find_opt tallies id with
+        | Some tbl -> bump tbl name n
+        | None -> ())
+  end
+
+let counting () = Atomic.get enabled || Atomic.get tallying > 0
+
+(* a nested tally also feeds the enclosing one, on exit *)
+let tally f =
+  let id = Thread.id (Thread.self ()) in
+  let tbl = Hashtbl.create 16 in
+  let outer =
+    Mutex.protect tally_lock (fun () ->
+        let outer = Hashtbl.find_opt tallies id in
+        Hashtbl.replace tallies id tbl;
+        outer)
+  in
+  Atomic.incr tallying;
+  let close () =
+    Atomic.decr tallying;
+    Mutex.protect tally_lock (fun () ->
+        match outer with
+        | None -> Hashtbl.remove tallies id
+        | Some o ->
+            Hashtbl.iter (fun name r -> bump o name !r) tbl;
+            Hashtbl.replace tallies id o)
+  in
+  let v = Fun.protect f ~finally:close in
+  let counts = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl [] in
+  (v, List.sort compare counts)
+
 (* --- counters, gauges, distributions --- *)
 
 let counter_add name n =
+  tally_add name n;
   if Atomic.get enabled then begin
     let sc = cur () in
     locked (fun () ->

@@ -296,6 +296,105 @@ let test_configspace_memo () =
   Alcotest.(check bool) "and proves again" true (proved > 0);
   check int "and is stored" 1 (entries ())
 
+let test_analyze_memo () =
+  (* the analyze report is store-memoized on the kernel: a warm run
+     serves it without a solver and replays the computing run's
+     analysis counters, even when that run was untraced; a report with
+     a degraded width inference is never stored *)
+  let module Store = Apex_exec.Store in
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  let module Analyze_run = Apex.Analyze_run in
+  let module Width = Apex_analysis.Width in
+  Registry.enable ();
+  Fun.protect ~finally:(fun () ->
+      Apex_guard.Fault.disarm ();
+      Registry.disable ();
+      Registry.reset ())
+  @@ fun () ->
+  with_scratch_store @@ fun () ->
+  let apps = List.map Apps.by_name [ "camera"; "gaussian"; "stereo" ] in
+  let analyze apps =
+    Registry.reset ();
+    let reports = Analyze_run.run apps in
+    ( reports,
+      Apex_telemetry.Json.to_string (Analyze_run.to_json reports),
+      List.filter
+        (fun (k, _) ->
+          String.starts_with ~prefix:"analysis." k
+          || String.starts_with ~prefix:"guard." k)
+        (Registry.snapshot ()).counters,
+      Counter.get "smt.solver_calls",
+      Counter.get "exec.cache_hits" )
+  in
+  let counters = Alcotest.(list (pair string int)) in
+  let _, cold_json, cold_counters, cold_calls, _ = analyze apps in
+  let _, warm_json, warm_counters, warm_calls, warm_hits = analyze apps in
+  Alcotest.(check string) "report JSON, cold and warm" cold_json warm_json;
+  Alcotest.check counters "analysis counters, cold and warm" cold_counters
+    warm_counters;
+  Alcotest.(check bool) "the cold run proves" true (cold_calls > 0);
+  check int "the warm run makes no solver call" 0 warm_calls;
+  check int "and hits once per app" 3 warm_hits;
+  (* an entry written untraced replays what a traced cold run emits *)
+  ignore (Store.gc ());
+  Registry.disable ();
+  ignore (Analyze_run.run apps);
+  Registry.enable ();
+  let _, json, replayed, calls, _ = analyze apps in
+  check int "the untraced run stored the entries" 0 calls;
+  Alcotest.(check string) "its report JSON" cold_json json;
+  Alcotest.check counters "its counters" cold_counters replayed;
+  (* a degraded report is recomputed, never served *)
+  ignore (Store.gc ());
+  let entries () =
+    List.fold_left
+      (fun n (s : Store.ns_stats) ->
+        if s.ns = "analyze" then n + s.entries else n)
+      0 (Store.stats ())
+  in
+  let gaussian = [ Apps.by_name "gaussian" ] in
+  let width_exact () =
+    match analyze gaussian with
+    | [ r ], _, _, calls, _ ->
+        (r.Analyze_run.width.Width.outcome = Exact, calls)
+    | _ -> Alcotest.fail "one report"
+  in
+  Apex_guard.Fault.arm "width-smt-exhaust";
+  let exact, _ = width_exact () in
+  Alcotest.(check bool) "the armed run is degraded" false exact;
+  check int "nothing stored" 0 (entries ());
+  let exact, calls = width_exact () in
+  Alcotest.(check bool) "the next run is exact" true exact;
+  Alcotest.(check bool) "and proves again" true (calls > 0);
+  check int "and is stored" 1 (entries ())
+
+let test_kernels_unchanged_by_jobs () =
+  (* the kernel table is shared by every caller: a full DSE, analyze
+     and lint job on an app, cold then warm, leaves every kernel equal
+     to a fresh lowering *)
+  with_scratch_store @@ fun () ->
+  let jobs =
+    Apex.Jobs.
+      [ Dse { apps = [ "gaussian" ]; variants = [] };
+        Analyze { apps = [ "gaussian" ] };
+        Lint { apps = [ "gaussian" ] } ]
+  in
+  for _ = 1 to 2 do
+    Dse.with_local_memo (fun () ->
+        List.iter (fun j -> ignore (Apex.Jobs.run j)) jobs)
+  done;
+  List.iter
+    (fun fresh ->
+      let (f : Apps.t) = fresh () in
+      Alcotest.(check bool)
+        (f.name ^ " unchanged") true
+        (Apps.by_name f.name = f))
+    Apps.
+      [ camera_pipeline; harris; gaussian; unsharp; resnet_layer;
+        mobilenet_layer; laplacian; stereo; fast_corner; sobel; median3;
+        resize ]
+
 (* --- where parallelism lives --- *)
 
 let test_only_pair_evaluation_fans_out () =
@@ -422,6 +521,9 @@ let () =
           Alcotest.test_case "analysis key covers the config" `Quick
             test_analysis_key_covers_config;
           Alcotest.test_case "configspace memo" `Quick test_configspace_memo;
+          Alcotest.test_case "analyze memo" `Quick test_analyze_memo;
+          Alcotest.test_case "kernels unchanged by jobs" `Quick
+            test_kernels_unchanged_by_jobs;
           Alcotest.test_case "unknown variant" `Quick test_variant_for_unknown;
           Alcotest.test_case "unknown application" `Quick test_variant_for_unknown_app;
           Alcotest.test_case "bad subgraph count" `Quick

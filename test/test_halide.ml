@@ -100,6 +100,34 @@ let test_by_name_and_lists () =
   Alcotest.check_raises "unknown app" Not_found (fun () ->
       ignore (Apps.by_name "nonexistent"))
 
+(* The kernels are lowered once per process and shared: this runs
+   before any other case reads the table, so the two domains race on
+   its first use, and both must get the one value every later call
+   returns. *)
+let test_kernel_table_shared () =
+  let go = Atomic.make false in
+  let reader () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    (Apps.by_name "camera", Apps.evaluated ())
+  in
+  let d1 = Domain.spawn reader and d2 = Domain.spawn reader in
+  Atomic.set go true;
+  let camera1, evaluated1 = Domain.join d1 in
+  let camera2, evaluated2 = Domain.join d2 in
+  let same = Alcotest.(check bool) in
+  same "raced by_name" true (camera1 == camera2);
+  same "raced evaluated" true (evaluated1 == evaluated2);
+  same "a later by_name" true (Apps.by_name "camera" == camera1);
+  List.iter
+    (fun (a : Apps.t) ->
+      same (a.name ^ ": by_name is the table's value") true
+        (Apps.by_name a.name == a))
+    (all_apps ());
+  same "unseen" true (Apps.unseen () == Apps.unseen ());
+  same "extended" true (Apps.extended () == Apps.extended ())
+
 (* --- functional sanity via the golden interpreter --- *)
 
 let test_gaussian_flat () =
@@ -382,7 +410,8 @@ let () =
           Alcotest.test_case "clamp" `Quick test_dsl_clamp;
           Alcotest.test_case "select" `Quick test_dsl_select ] );
       ( "structure",
-        [ Alcotest.test_case "all apps valid" `Quick test_all_apps_valid;
+        [ Alcotest.test_case "kernel table shared" `Quick test_kernel_table_shared;
+          Alcotest.test_case "all apps valid" `Quick test_all_apps_valid;
           Alcotest.test_case "kernel sizes" `Quick test_app_sizes;
           Alcotest.test_case "camera is largest IP" `Quick test_camera_is_largest_ip;
           Alcotest.test_case "ML apps MAC heavy" `Quick test_ml_apps_mul_heavy;

@@ -143,6 +143,32 @@ let test_snapshot_isolated_from_reset () =
   check Alcotest.(list (pair string int)) "new registry" [ ("other", 1) ]
     snap2.counters
 
+let test_tally () =
+  (* a tally sees this thread's counters whether or not the registry
+     records them, zero-valued keys included; a nested tally also feeds
+     the enclosing one; another thread's counters stay out *)
+  let pairs = Alcotest.(list (pair string int)) in
+  let body () =
+    Counter.add "t.a" 2;
+    Counter.add "t.zero" 0;
+    let (), inner = Counter.tally (fun () -> Counter.incr "t.a") in
+    check pairs "inner" [ ("t.a", 1) ] inner;
+    Thread.join (Thread.create (fun () -> Counter.incr "t.other") ());
+    Counter.add_lazy "t.lazy" (fun () -> 5)
+  in
+  let expected = [ ("t.a", 3); ("t.lazy", 5); ("t.zero", 0) ] in
+  let (), traced = Counter.tally body in
+  check pairs "traced" expected traced;
+  check Alcotest.int "the registry still records" 3 (Counter.get "t.a");
+  Registry.disable ();
+  let (), untraced = Counter.tally body in
+  check pairs "untraced" expected untraced;
+  check Alcotest.int "outside any tally, nothing is kept" 3 (Counter.get "t.a");
+  Alcotest.check_raises "an exception closes the tally" Exit (fun () ->
+      ignore (Counter.tally (fun () -> raise Exit)));
+  let (), after = Counter.tally ignore in
+  check pairs "a fresh tally starts empty" [] after
+
 (* --- disabled fast path (the bench guard) --- *)
 
 let test_disabled_is_inert () =
@@ -473,7 +499,8 @@ let () =
           Alcotest.test_case "span gc gauges" `Quick
             (with_registry test_span_gc_gauges);
           Alcotest.test_case "snapshot isolation" `Quick
-            (with_registry test_snapshot_isolated_from_reset) ] );
+            (with_registry test_snapshot_isolated_from_reset);
+          Alcotest.test_case "tally" `Quick (with_registry test_tally) ] );
       ( "disabled",
         [ Alcotest.test_case "inert registry" `Quick
             (with_registry test_disabled_is_inert);
