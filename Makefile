@@ -16,6 +16,8 @@ CI_CACHE := /tmp/apex-ci-cache
 CI_DSE_BASE := /tmp/apex-ci-dse-base.json
 CI_DSE_FAULT := /tmp/apex-ci-dse-fault.json
 CI_FAULT_CACHE := /tmp/apex-ci-fault-cache
+CI_HARRIS_BASE := /tmp/apex-ci-harris-base.json
+CI_HARRIS_PLAIN := /tmp/apex-ci-harris-plain.json
 CI_SNAP := /tmp/apex-ci-snap
 CI_SERVE_SOCK := /tmp/apex-ci-serve.sock
 CI_SERVE_CACHE := /tmp/apex-ci-serve-cache
@@ -68,8 +70,9 @@ bench-snapshot:
 
 # Build, run the full test suite, then the static-analysis gates: the
 # abstract interpreter must produce facts and a validated node-count
-# reduction on the built-in kernels (analyze --all --no-cache: a stored
-# report would replay these counters without computing them); a warm
+# reduction on the built-in kernels (analyze --all --no-cache, and
+# --no-cache on the --configs step too: a stored report would replay
+# these counters without computing them); a warm
 # analyze --all on a scratch cache must be served from the store
 # (replayed counters, no solver call) with the cold run's results; and
 # the optimized
@@ -127,7 +130,7 @@ ci: build test
 	  --forbid smt.solver_calls
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
 	rm -rf $(CI_ANALYZE_CACHE)
-	dune exec bin/apex_cli.exe -- analyze --configs --all --optimize --json --trace=$(CI_CONFIGS) > /dev/null
+	dune exec bin/apex_cli.exe -- analyze --configs --all --optimize --no-cache --json --trace=$(CI_CONFIGS) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_CONFIGS) \
 	  --require analysis.configspace.checks_run \
 	  --require analysis.configspace.configs_realizable \
@@ -308,6 +311,10 @@ ci-chaos:
 # --no-cache (a warm cache skips synthesis and mining entirely);
 # cache-corrupt needs a *warm* cache (it fires on the first hit);
 # store-crash needs a *cold* one (it fires on the first write).
+# Last, the store-poisoning gate: a phase deadline degrades mining, then
+# rule synthesis, of `dse harris` on a scratch cache; the plain run
+# after each must be results-identical to a --no-cache baseline, since
+# a degraded result is never stored.
 .PHONY: ci-faults
 ci-faults:
 	dune exec bin/apex_cli.exe -- dse camera --no-cache --trace=$(CI_DSE_BASE) > /dev/null
@@ -344,6 +351,18 @@ ci-faults:
 	  --require guard.faults_injected --require guard.outcome.degraded \
 	  --require analysis.configspace.proofs_tested
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_DSE_BASE) $(CI_DSE_FAULT)
+	dune exec bin/apex_cli.exe -- dse harris --no-cache --trace=$(CI_HARRIS_BASE) > /dev/null
+	set -e; for d in mining=0.001 synthesis=0.0001; do \
+	  rm -rf $(CI_FAULT_CACHE); \
+	  APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse harris \
+	    --phase-deadline $$d --trace=$(CI_DSE_FAULT) > /dev/null; \
+	  dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) \
+	    --require guard.outcome.degraded; \
+	  APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse harris \
+	    --trace=$(CI_HARRIS_PLAIN) > /dev/null; \
+	  dune exec bin/apex_cli.exe -- report-diff --results-only \
+	    $(CI_HARRIS_BASE) $(CI_HARRIS_PLAIN); \
+	done
 	rm -rf $(CI_FAULT_CACHE)
 
 # Benchmark-trajectory regression gate: regenerate every snapshot into
@@ -370,7 +389,7 @@ clean:
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
 	rm -f $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
 	rm -f $(CI_DSE_J1) $(CI_DSE_J2) $(CI_PE1_J1) $(CI_PE1_J2)
-	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT)
+	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT) $(CI_HARRIS_BASE) $(CI_HARRIS_PLAIN)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)

@@ -435,7 +435,7 @@ let ablation_mis () =
     let patterns = List.filteri (fun i _ -> i < 3) patterns in
     let dp = List.fold_left (fun dp p -> fst (Merge.merge dp p)) dp patterns in
     let rules = Rules.rule_set dp ~patterns in
-    let v = { Variants.name; dp; patterns; rules; configspace = None } in
+    let v = Variants.v name dp patterns rules in
     let pm, _ = Metrics.post_mapping v camera in
     Format.printf "  %-12s #PEs=%4d total area=%10.0f um2@." name
       pm.Metrics.n_pes pm.Metrics.total_pe_area
@@ -575,11 +575,19 @@ let serve_sweep dir =
         default_deadline_s = None; tenant_quota_bytes = None;
         journal_path = None }
   in
+  let rec remove_tree path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> remove_tree (Filename.concat path n))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
   Fun.protect ~finally:(fun () ->
       Server.shutdown server;
       Store.set_enabled false;
-      ignore (Store.gc ());
-      (try Unix.rmdir scratch with Unix.Unix_error _ -> ()))
+      (* the whole scratch tree: [Store.gc] keeps namespace directories *)
+      if Sys.file_exists scratch then remove_tree scratch)
   @@ fun () ->
   let submit conn tenant job =
     match Client.request conn { Proto.tenant; job; deadline_s = None } with

@@ -42,7 +42,6 @@ type result = {
   graph : G.t;
   stats : stats;
   validated : bool;
-  outcome : Apex_guard.Outcome.t;
 }
 
 (* --- per-cone SMT validation --- *)
@@ -359,7 +358,6 @@ let run ?(validate = true) ?(vectors = 64) (g : G.t) =
   {
     graph;
     validated;
-    outcome = !outcome;
     stats =
       {
         before_nodes;

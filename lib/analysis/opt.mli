@@ -30,10 +30,6 @@ type result = {
   graph : Apex_dfg.Graph.t;
   stats : stats;
   validated : bool;
-  outcome : Apex_guard.Outcome.t;
-  (** [Exact], or [Degraded] when the ambient {!Apex_guard} budget cut
-      the rewrite fixpoint short — the returned graph then reflects the
-      passes that completed, each individually validated *)
 }
 
 val choose_rewrite :

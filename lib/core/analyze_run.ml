@@ -14,8 +14,6 @@ module Absint = Apex_analysis.Absint
 module Opt = Apex_analysis.Opt
 module Width = Apex_analysis.Width
 module Json = Apex_telemetry.Json
-module Counter = Apex_telemetry.Counter
-module Outcome = Apex_guard.Outcome
 module Store = Apex_exec.Store
 
 type app_report = {
@@ -44,57 +42,32 @@ let analyze (a : Apps.t) =
       end)
     (G.nodes g);
   let r = Opt.run g in
-  let width = Width.infer g in
-  ( {
-      app = a.Apps.name;
-      graph = g;
-      nodes = G.length g;
-      compute_nodes = !compute;
-      const_facts = !const_facts;
-      bounded_facts = !bounded;
-      stats = r.Opt.stats;
-      validated = r.Opt.validated;
-      width;
-    },
-    r.Opt.outcome )
+  {
+    app = a.Apps.name;
+    graph = g;
+    nodes = G.length g;
+    compute_nodes = !compute;
+    const_facts = !const_facts;
+    bounded_facts = !bounded;
+    stats = r.Opt.stats;
+    validated = r.Opt.validated;
+    width = Width.infer g;
+  }
 
 (* The report is store-memoized on the kernel's content.  Unmemoized,
    every request re-proved every width cone: `analyze --all` made 881
    solver calls and took 0.49-0.65 s on each run on a 2-vCPU host,
-   against no solver call and 13-14 ms with this memo warm.  The
-   entry carries the [analysis.*] counters the computing run added,
-   tallied whether or not telemetry was on, so a hit replays exactly
-   those keys and values plus the two exact outcomes (optimizer and
-   width inference), and warm and cold runs report the same
-   [analysis.*] counters; only the solver counters drop.  Only an exact
-   report is stored: a fault-injected or deadline-cut optimizer or
-   width inference is recomputed on the next request. *)
+   against no solver call and 13-14 ms with this memo warm.  A hit
+   replays the computing run's analysis counters and exact outcomes
+   (Store.memoize), and a fault-injected or deadline-cut optimizer or
+   width inference is not stored. *)
 let report_for (a : Apps.t) =
   Apex_telemetry.Span.with_ ("analyze:" ^ a.Apps.name) @@ fun () ->
-  let computed = ref false and exact = ref false in
-  let report, counters =
+  let report =
     Store.memoize ~ns:"analyze"
-      ~key:(Store.key ~version:"analyze/1" [ Store.fingerprint a.Apps.graph ])
-      ~cacheable:(fun _ -> !exact)
-      (fun () ->
-        computed := true;
-        let (report, opt_outcome), counters =
-          Counter.tally (fun () -> analyze a)
-        in
-        exact :=
-          (match (opt_outcome, report.width.Width.outcome) with
-          | Outcome.Exact, Outcome.Exact -> true
-          | _ -> false);
-        ( report,
-          List.filter
-            (fun (k, _) -> String.starts_with ~prefix:"analysis." k)
-            counters ))
+      ~key:(Store.key ~version:"analyze/2" [ Store.fingerprint a.Apps.graph ])
+      (fun () -> analyze a)
   in
-  if not !computed then begin
-    List.iter (fun (k, n) -> Counter.add k n) counters;
-    Outcome.record ~phase:"analysis" Outcome.Exact;
-    Outcome.record ~phase:"analysis" Outcome.Exact
-  end;
   { report with app = a.Apps.name; graph = a.Apps.graph }
 
 let run apps = List.map report_for apps

@@ -15,11 +15,9 @@ type app_report = {
 
 val report_for : Apex_halide.Apps.t -> app_report
 (** Store-memoized in namespace [analyze], keyed on the kernel graph's
-    content.  A hit replays the [analysis.*] counters the computing run
-    added (stored with the report, so an entry written by an untraced
-    run replays them too) and its two exact [analysis] outcomes; it
-    makes no solver call.  Only a report whose optimizer and width
-    outcomes are both exact is stored. *)
+    content ({!Apex_exec.Store.memoize}: a hit replays the computing
+    run's counters and makes no solver call; a degraded report is not
+    stored). *)
 
 val run : Apex_halide.Apps.t list -> app_report list
 

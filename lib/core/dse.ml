@@ -112,28 +112,18 @@ let camera_variants () =
   let camera = Apps.by_name "camera" in
   baseline () :: List.init 4 (fun k -> pe_k camera k)
 
-(* What any evaluation of [v] against [app] is a function of.  Keyed
-   on the evaluation's *inputs*, never on structural fingerprints of
-   derived artifacts: pattern graphs carry a lazily-filled width cache,
-   so their marshalled form depends on what ran before in the process.
-   The canonical pattern codes plus the (immutable) datapath determine
-   the rule set too. *)
-let eval_inputs (v : Variants.t) (app : Apps.t) =
-  let module D = Apex_merging.Datapath in
-  let dp = v.dp in
-  [ Apex_exec.Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs);
-    Apex_exec.Store.fingerprint (List.map Apex_mining.Pattern.code v.patterns);
-    app.Apps.name;
-    Optimize.key_suffix () ]
-
-(* Store key for one evaluation of [eval_inputs]: bump the version tag
-   when the synthesis or metrics pipeline changes what it produces. *)
-let variant_eval_key ~version inputs effort =
+(* Store key of one evaluation of [v] against [app], on what it reads:
+   the variant's datapath and rule set (digested once, when the variant
+   was built), the app and the optimize config.  Not the merged
+   patterns: a degraded synthesis gives the same patterns a different
+   rule set.  Bump the version tag when the synthesis or metrics
+   pipeline changes what it produces; /3 keys on the rule set. *)
+let eval_key ~version ?effort (v : Variants.t) (app : Apps.t) =
   Apex_exec.Store.key ~version
-    (inputs @ [ (match effort with None -> "d" | Some e -> string_of_int e) ])
+    [ v.eval_digest; app.Apps.name; Optimize.key_suffix ();
+      (match effort with None -> "d" | Some e -> string_of_int e) ]
 
-(* pm-score/2: idle-FU energy honors configuration-space clock gating *)
-let mapping_key inputs = variant_eval_key ~version:"pm-score/2" inputs None
+let mapping_key v app = eval_key ~version:"pm-score/3" v app
 
 (* area-energy score of a variant on one application, post-mapping.
    The mapping behind it is the costly step of the [pe_spec] climb, so
@@ -143,7 +133,7 @@ let mapping_key inputs = variant_eval_key ~version:"pm-score/2" inputs None
    the memo scope's covers, for the pair evaluations of variants built
    after it. *)
 let score (v : Variants.t) app =
-  let key = mapping_key (eval_inputs v app) in
+  let key = mapping_key v app in
   match
     Apex_exec.Store.memoize ~ns:"mapping" ~key (fun () ->
         match Metrics.post_mapping v app with
@@ -250,9 +240,7 @@ type cached_pair =
   | Cached_unmappable of string
 
 let eval_pair ?effort ?mapping (v : Variants.t) (app : Apps.t) =
-  let inputs = eval_inputs v app in
-  (* pair-eval/2: idle-FU energy honors configuration-space clock gating *)
-  let key = variant_eval_key ~version:"pair-eval/2" inputs effort in
+  let key = eval_key ~version:"pair-eval/3" ?effort v app in
   match Apex_exec.Store.lookup ~ns:"pairs" ~key with
   | Some c ->
       (* a pair-granularity checkpoint: this exact evaluation completed
@@ -336,8 +324,7 @@ let evaluate_built ?effort ~build items =
     (* the optimized kernel, too, is built here rather than on a runner *)
     ignore (Optimize.app app : Apps.t);
     ( pair,
-      Hashtbl.find_opt (current_scope ()).covers
-        (mapping_key (eval_inputs v app)) )
+      Hashtbl.find_opt (current_scope ()).covers (mapping_key v app) )
   in
   Apex_exec.Pool.pipeline ~produce
     (fun (pair, mapping) -> (pair, evaluate_pair ?effort ?mapping pair))

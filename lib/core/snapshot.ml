@@ -132,10 +132,7 @@ let run area =
           let patterns = top_patterns app in
           let dp = merged_datapath app patterns in
           let rules = Apex_mapper.Rules.rule_set dp ~patterns in
-          let variant =
-            { Variants.name = "snapshot"; dp; patterns; rules;
-              configspace = None }
-          in
+          let variant = Variants.v "snapshot" dp patterns rules in
           let mappable =
             List.filter
               (fun (a : Apps.t) ->

@@ -15,9 +15,27 @@ type t = {
   patterns : Pattern.t list;
   rules : Rules.t list;
   configspace : Configspace.report option;
+  eval_digest : string;
 }
 
 module Store = Apex_exec.Store
+
+(* Evaluation reads a variant's datapath and rule set, so those are
+   digested once, here, for Dse to key stored mappings and pair results
+   on.  A rule's pattern enters by its canonical code (its graph's
+   marshalled form is not canonical), and nothing enters with its
+   sharing, which depends on how the value was built. *)
+let v ?configspace name (dp : D.t) patterns rules =
+  let canonical x = Marshal.to_string x [ Marshal.No_sharing ] in
+  { name; dp; patterns; rules; configspace;
+    eval_digest =
+      Store.key ~version:"variant-eval/1"
+        [ canonical (dp.D.nodes, dp.D.edges, dp.D.configs);
+          canonical
+            (List.map
+               (fun (r : Rules.t) ->
+                 (Pattern.code r.pattern, r.config, r.wild_consts, r.size))
+               rules) ] }
 
 (* the identity: the analyses a variant is built from come from
    Dse.analysis_of, whose job scope is the one in-process memo;
@@ -37,25 +55,17 @@ let interesting_patterns ?(min_mis = 4) ranked =
    variant construction: a warm `apex profile --all --jobs 1` on a
    2-vCPU host spent 105-120 ms of variant self time and made 1121
    solver calls, against 14 ms and none with this memo.  It is
-   store-memoized on the datapath's content.  A hit replays the
-   analysis's counters and exact outcome and re-labels the report for
-   this variant, so warm and cold runs report the same
-   [analysis.configspace.*] counters; only the solver counters drop.
-   A degraded analysis (fault-injected or deadline-cancelled) is never
-   stored. *)
+   store-memoized on the datapath's content (a hit replays the
+   analysis's counters; a degraded analysis is not stored), and the
+   report is re-labelled for this variant. *)
 let configspace name (dp : D.t) =
-  let analyzed = ref false in
   let report, dp =
     Store.memoize ~ns:"configspace"
       ~key:
         (Store.key ~version:"configspace/1"
            [ Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs) ])
-      ~cacheable:(fun ((r : Configspace.report), _) -> not r.degraded)
-      (fun () ->
-        analyzed := true;
-        Configspace.analyze ~label:name dp)
+      (fun () -> Configspace.analyze ~label:name dp)
   in
-  if not !analyzed then Configspace.replay report;
   ({ report with label = name }, dp)
 
 let make name dp patterns =
@@ -67,7 +77,7 @@ let make name dp patterns =
   Check.verify "merging" [ Lint.Datapath { label = name; dp; patterns } ];
   let rules = Rules.rule_set dp ~patterns in
   Check.verify "synthesis" [ Lint.Rule_set { label = name; dp; rules } ];
-  { name; dp; patterns; rules; configspace = Some report }
+  v ~configspace:report name dp patterns rules
 
 let baseline () = make "PE Base" (Library.baseline ()) []
 

@@ -16,7 +16,16 @@ type t = {
   configspace : Apex_verif.Configspace.report option;
       (** the configuration-space gating report produced while building
           the variant; [None] only for hand-assembled variants *)
+  eval_digest : string;
+      (** digest of what evaluating the variant reads: the datapath and
+          the rule set *)
 }
+
+val v : ?configspace:Apex_verif.Configspace.report -> string ->
+  Apex_merging.Datapath.t -> Apex_mining.Pattern.t list ->
+  Apex_mapper.Rules.t list -> t
+(** [v name dp patterns rules]: the variant as given, its [eval_digest]
+    computed; every variant, {!make}'s included, is built by it. *)
 
 val make : string -> Apex_merging.Datapath.t -> Apex_mining.Pattern.t list -> t
 (** Bundle a datapath with the patterns merged into it: runs the

@@ -9,6 +9,8 @@
      <payload length in bytes>\n
      <payload>
 
+   The payload is a (value, counters to replay on a hit) pair.
+
    The entry *name* is already a digest of (format version, namespace,
    phase version tag, canonical inputs), so the header only needs to
    defend against torn writes, bit rot and stale formats — key
@@ -17,7 +19,7 @@
 module Counter = Apex_telemetry.Counter
 module Guard = Apex_guard
 
-let format_version = "apex.exec.store/1"
+let format_version = "apex.exec.store/2"
 
 let magic = "APEXCACHE"
 
@@ -167,14 +169,14 @@ let store_payload ~ns ~key payload =
         (Guard.Outcome.Degraded (Guard.Outcome.Fault site))
 
 let store ~ns ~key v =
-  if !on then store_payload ~ns ~key (Marshal.to_string v [])
+  if !on then store_payload ~ns ~key (Marshal.to_string (v, []) [])
 
 let decode payload =
   (* the payload digest matched, but defend against a valid-looking
      entry written by an incompatible build: any unmarshalling failure
      degrades to a recompute *)
-  match (Marshal.from_string payload 0 : 'a) with
-  | v -> Some v
+  match (Marshal.from_string payload 0 : 'a * (string * int) list) with
+  | entry -> Some entry
   | exception _ -> None
 
 (* Transient read failures (and the injected "store-read-transient"
@@ -213,9 +215,10 @@ let lookup ~ns ~key =
         None
     | Hit payload -> (
         match decode payload with
-        | Some v ->
+        | Some (v, counters) ->
             Counter.incr "exec.cache_hits";
             Counter.add "exec.cache_bytes_read" (String.length payload);
+            List.iter (fun (k, n) -> Counter.add k n) counters;
             Some v
         | None ->
             Counter.incr "exec.cache_corrupt";
@@ -231,16 +234,27 @@ let lookup ~ns ~key =
         evict path;
         None
 
-let memoize ?(cacheable = fun _ -> true) ~ns ~key f =
+(* what a hit replays: all [f] counted but solver work, store traffic
+   and the run's circumstances *)
+let replayed (k, _) =
+  not
+    (String.starts_with ~prefix:"smt." k
+    || String.starts_with ~prefix:"exec." k
+    || Guard.Outcome.circumstance k)
+
+let memoize ~ns ~key f =
   if not !on then f ()
   else
     match lookup ~ns ~key with
     | Some v -> v
     | None ->
         Counter.incr "exec.cache_misses";
-        let v = f () in
-        let payload = Marshal.to_string v [] in
-        if cacheable v then store_payload ~ns ~key payload;
+        let v, counters = Counter.tally f in
+        let payload = Marshal.to_string (v, List.filter replayed counters) [] in
+        (* a degraded outcome under [f], an inner memo's included, is a
+           circumstance of this run: returned, never stored *)
+        if Guard.Outcome.exact_counters counters then
+          store_payload ~ns ~key payload;
         (* Hand back the *store representation* of the value, not the
            freshly computed one.  [fingerprint] encodes value sharing,
            so a downstream key derived from a computed artifact would
@@ -251,7 +265,7 @@ let memoize ?(cacheable = fun _ -> true) ~ns ~key f =
            bit-identical downstream keys.  The entry and the round-trip
            decode one payload, marshalled once. *)
         (match decode payload with
-        | Some v' -> v'
+        | Some (v', _) -> v'
         | None -> v)
 
 (* --- maintenance: stats and gc --- *)

@@ -49,22 +49,27 @@ val key : version:string -> string list -> string
     [version] tag (bump it when the cached type or the producing
     algorithm changes) and the input [parts] into an entry name. *)
 
-val memoize :
-  ?cacheable:('a -> bool) -> ns:string -> key:string -> (unit -> 'a) -> 'a
+val memoize : ns:string -> key:string -> (unit -> 'a) -> 'a
 (** [memoize ~ns ~key f] returns the cached value for [key] in
-    namespace [ns], or computes [f ()], stores it, and returns it.
-    A computed value for which [cacheable] (default: always true) is
-    false is returned but never written — how a phase keeps a
-    degraded result out of the store.
+    namespace [ns], or computes [f ()] under [Counter.tally] and
+    returns it.  The value is stored only when the tally (inner memos'
+    included) holds no [guard.outcome.degraded] or
+    [guard.outcome.skipped]: a degraded result is never served to a
+    later run.  With it the entry keeps every counter [f] added except
+    [smt.*] (solver work), [exec.*] (store traffic) and [guard.*] other
+    than [guard.outcome.exact] (the run's circumstances); a hit replays
+    them, so warm and cold runs report the same phase counters.
     Unmarshalling is only type-safe because the key embeds the phase
     version tag — callers must bump the tag on any type change. *)
 
 val lookup : ns:string -> key:string -> 'a option
-(** Cache probe without compute; [None] on miss/corrupt/disabled. *)
+(** Cache probe without compute; [None] on miss/corrupt/disabled.  A
+    hit replays the counters stored with the entry. *)
 
 val store : ns:string -> key:string -> 'a -> unit
-(** Unconditional write (no-op when disabled); errors are swallowed —
-    a failed cache write must never change a run's outcome. *)
+(** Unconditional write (no-op when disabled), with no counters to
+    replay; errors are swallowed — a failed cache write must never
+    change a run's outcome. *)
 
 type ns_stats = { ns : string; entries : int; bytes : int }
 

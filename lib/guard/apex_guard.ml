@@ -72,6 +72,14 @@ module Outcome = struct
         Counter.incr "guard.outcome.skipped";
         Counter.incr
           (Printf.sprintf "guard.skipped.%s.%s" phase (reason_to_string r))
+
+  (* reading the counters a computation added (Store.memoize) *)
+  let exact_counters =
+    List.for_all (fun (k, _) ->
+        k <> "guard.outcome.degraded" && k <> "guard.outcome.skipped")
+
+  let circumstance k =
+    String.starts_with ~prefix:"guard." k && k <> "guard.outcome.exact"
 end
 
 (* --- budgets --- *)

@@ -40,6 +40,14 @@ module Outcome : sig
   (** Bump the [guard.outcome.*] telemetry counters (and the per-phase
       [guard.degraded.<phase>.<reason>] / [guard.skipped.*] breakdown
       for non-exact outcomes). *)
+
+  val exact_counters : (string * int) list -> bool
+  (** The counters a computation added record no degraded or skipped
+      outcome. *)
+
+  val circumstance : string -> bool
+  (** A [guard.*] counter other than [guard.outcome.exact]: how a run
+      went (retries, faults, non-exact outcomes), not what it computed. *)
 end
 
 (** Budgets: deadline + fuel + cancellation token, with child

@@ -344,10 +344,15 @@ let merge ~into part =
    whether or not the registry is enabled.  It exists for memoized
    phases: the counters a computation emitted are stored with its
    result, so a later cache hit can replay them even when the entry was
-   written by an untraced run (whose registry recorded nothing).  While
-   no tally is open, [counter_add] pays one extra atomic read. *)
+   written by an untraced run (whose registry recorded nothing).  The
+   count of open tallies is domain-local, so a counter on a domain with
+   none open (a pool runner evaluating pairs) pays one extra atomic
+   read and never takes [tally_lock]. *)
 
-let tallying = Atomic.make 0
+let tallying_key : int Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make 0)
+
+let tallying () = Atomic.get (Domain.DLS.get tallying_key) > 0
 
 let tally_lock = Mutex.create ()
 
@@ -359,7 +364,7 @@ let bump tbl name n =
   | None -> Hashtbl.replace tbl name (ref n)
 
 let tally_add name n =
-  if Atomic.get tallying > 0 then begin
+  if tallying () then begin
     let id = Thread.id (Thread.self ()) in
     Mutex.protect tally_lock (fun () ->
         match Hashtbl.find_opt tallies id with
@@ -367,7 +372,7 @@ let tally_add name n =
         | None -> ())
   end
 
-let counting () = Atomic.get enabled || Atomic.get tallying > 0
+let counting () = Atomic.get enabled || tallying ()
 
 (* a nested tally also feeds the enclosing one, on exit *)
 let tally f =
@@ -379,9 +384,10 @@ let tally f =
         Hashtbl.replace tallies id tbl;
         outer)
   in
-  Atomic.incr tallying;
+  let open_tallies = Domain.DLS.get tallying_key in
+  Atomic.incr open_tallies;
   let close () =
-    Atomic.decr tallying;
+    Atomic.decr open_tallies;
     Mutex.protect tally_lock (fun () ->
         match outer with
         | None -> Hashtbl.remove tallies id

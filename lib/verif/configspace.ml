@@ -609,13 +609,6 @@ let record_counters (r : report) =
   Counter.add "analysis.configspace.proofs_reverted"
     (if r.reverted then 1 else 0)
 
-(* a store hit on a memoized analysis re-records what the exact run
-   recorded, so the counters read the same warm and cold *)
-let replay (r : report) =
-  Counter.incr "analysis.configspace.checks_run";
-  Outcome.record ~phase:"analysis" Outcome.Exact;
-  record_counters r
-
 let analyze ?(label = "datapath") (dp : D.t) =
   Apex_guard.with_phase "analysis" @@ fun () ->
   Counter.incr "analysis.configspace.checks_run";

@@ -63,11 +63,6 @@ val analyze :
     site degrades proofs to differential evidence without changing the
     returned datapath.  A configless datapath is returned unchanged. *)
 
-val replay : report -> unit
-(** [replay r] records the counters and the exact outcome {!analyze}
-    records when it returns [r] — for a caller that serves a stored
-    analysis instead of running it.  No solver runs. *)
-
 val config_realizable :
   Apex_merging.Datapath.t -> Apex_merging.Datapath.config -> bool option
 (** Does any legal configuration word decode to this config's select

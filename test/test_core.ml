@@ -369,6 +369,38 @@ let test_analyze_memo () =
   Alcotest.(check bool) "and proves again" true (calls > 0);
   check int "and is stored" 1 (entries ())
 
+let test_degraded_mining_not_stored () =
+  (* mining cut short by an expired phase deadline returns its
+     best-so-far census, which is never stored: the next analysis
+     equals a store-off run's *)
+  let module Store = Apex_exec.Store in
+  let camera = Apps.by_name "camera" in
+  let census () =
+    Dse.with_local_memo (fun () ->
+        List.map
+          (fun (r : Apex_mining.Analysis.ranked) ->
+            (Pattern.code r.pattern, r.support, r.mis_size))
+          (Dse.analysis_of camera))
+  in
+  let census_t = Alcotest.(list (triple string int int)) in
+  with_scratch_store @@ fun () ->
+  Store.set_enabled false;
+  let reference = census () in
+  Store.set_enabled true;
+  Apex_guard.set_phase_deadline "mining" 0.0;
+  let cut =
+    Fun.protect ~finally:Apex_guard.clear_phase_deadlines census
+  in
+  Alcotest.(check bool) "the deadline cuts mining short" true
+    (List.length cut < List.length reference);
+  check int "nothing stored" 0
+    (List.fold_left
+       (fun n (s : Store.ns_stats) ->
+         if s.ns = "analysis" then n + s.entries else n)
+       0 (Store.stats ()));
+  Alcotest.check census_t "the next analysis equals a store-off run"
+    reference (census ())
+
 let test_kernels_unchanged_by_jobs () =
   (* the kernel table is shared by every caller: a full DSE, analyze
      and lint job on an app, cold then warm, leaves every kernel equal
@@ -522,6 +554,8 @@ let () =
             test_analysis_key_covers_config;
           Alcotest.test_case "configspace memo" `Quick test_configspace_memo;
           Alcotest.test_case "analyze memo" `Quick test_analyze_memo;
+          Alcotest.test_case "degraded mining not stored" `Quick
+            test_degraded_mining_not_stored;
           Alcotest.test_case "kernels unchanged by jobs" `Quick
             test_kernels_unchanged_by_jobs;
           Alcotest.test_case "unknown variant" `Quick test_variant_for_unknown;

@@ -473,6 +473,118 @@ let test_concurrent_memoize () =
   check Alcotest.(option string) "entry readable" (Some "value")
     (Store.lookup ~ns:"t" ~key)
 
+(* --- the memo contract: store only exact results, replay on a hit --- *)
+
+module Outcome = Apex_guard.Outcome
+
+let pairs = Alcotest.(list (pair string int))
+
+let stored ns =
+  List.fold_left
+    (fun n (s : Store.ns_stats) -> if s.ns = ns then n + s.entries else n)
+    0 (Store.stats ())
+
+(* what a hit added, without the hit's own store traffic *)
+let replayed_by f =
+  Registry.reset ();
+  let v = f () in
+  ( v,
+    List.filter
+      (fun (k, _) -> not (String.starts_with ~prefix:"exec.cache_" k))
+      (Registry.snapshot ()).counters )
+
+let test_memo_replays_result_counters () =
+  (* a hit replays what the computation counted, except solver work,
+     store traffic and the run's circumstances; so does a lookup; an
+     entry written by [store] replays nothing *)
+  let key = Store.key ~version:"t/1" [ "replay" ] in
+  let f () =
+    Counter.add "t.work" 3;
+    Counter.add "t.zero" 0;
+    Counter.incr "smt.solver_calls";
+    Counter.incr "exec.t_traffic";
+    Counter.incr "guard.retries.t";
+    Counter.incr "guard.faults_injected";
+    Outcome.record ~phase:"t" Outcome.Exact;
+    42
+  in
+  (* written untraced: the tally does not need the registry *)
+  Registry.disable ();
+  ignore (Store.memoize ~ns:"t" ~key f);
+  Registry.enable ();
+  let expected =
+    [ ("guard.outcome.exact", 1); ("t.work", 3); ("t.zero", 0) ]
+  in
+  let v, hit = replayed_by (fun () -> Store.memoize ~ns:"t" ~key f) in
+  check Alcotest.int "hit value" 42 v;
+  check pairs "a hit replays the result's counters" expected hit;
+  let v, looked_up = replayed_by (fun () -> Store.lookup ~ns:"t" ~key) in
+  check Alcotest.(option int) "lookup value" (Some 42) v;
+  check pairs "so does a lookup" expected looked_up;
+  let key = Store.key ~version:"t/1" [ "plain" ] in
+  Store.store ~ns:"t" ~key 7;
+  let v, plain = replayed_by (fun () -> Store.memoize ~ns:"t" ~key f) in
+  check Alcotest.int "stored value" 7 v;
+  check pairs "a stored entry replays nothing" [] plain
+
+let test_memo_stores_only_exact () =
+  (* a degraded or skipped outcome is a run-local circumstance: the
+     result is returned but recomputed next time, traced or not *)
+  let run traced i outcome =
+    if traced then Registry.enable () else Registry.disable ();
+    let key =
+      Store.key ~version:"t/1" [ string_of_bool traced; string_of_int i ]
+    in
+    let computes = ref 0 in
+    let f () =
+      incr computes;
+      Outcome.record ~phase:"t" outcome;
+      i
+    in
+    check Alcotest.int "value" i (Store.memoize ~ns:"t" ~key f);
+    check Alcotest.int "value again" i (Store.memoize ~ns:"t" ~key f);
+    check Alcotest.int
+      (Printf.sprintf "%s (traced %b): computations" (Outcome.to_string outcome)
+         traced)
+      (if Outcome.is_exact outcome then 1 else 2)
+      !computes
+  in
+  List.iter
+    (fun traced ->
+      List.iteri (run traced)
+        Outcome.
+          [ Exact; Degraded Deadline; Degraded Fuel; Skipped (Fault "t") ])
+    [ true; false ]
+
+let test_memo_inner_degraded_keeps_outer_out () =
+  (* an inner memo's degradation keeps every enclosing memo out of the
+     store; an inner exact hit is replayed into the outer entry *)
+  let key name = Store.key ~version:"t/1" [ name ] in
+  let inner outcome () =
+    Store.memoize ~ns:"inner" ~key:(key (Outcome.to_string outcome))
+      (fun () ->
+        Counter.incr "t.inner";
+        Outcome.record ~phase:"t" outcome;
+        1)
+  in
+  let outer name inner () =
+    Store.memoize ~ns:"outer" ~key:(key name) (fun () ->
+        Counter.incr "t.outer";
+        inner () + 1)
+  in
+  ignore (outer "degraded" (inner (Outcome.Degraded Outcome.Deadline)) ());
+  check Alcotest.int "the degraded inner is not stored" 0 (stored "inner");
+  check Alcotest.int "nor the outer around it" 0 (stored "outer");
+  ignore (inner Outcome.Exact ());
+  ignore (outer "exact" (inner Outcome.Exact) ());
+  check Alcotest.int "an exact inner is stored" 1 (stored "inner");
+  check Alcotest.int "and the outer around its hit" 1 (stored "outer");
+  let v, hit = replayed_by (outer "exact" (fun () -> Alcotest.fail "inner ran")) in
+  check Alcotest.int "outer value" 2 v;
+  check pairs "the outer hit replays the inner's counters too"
+    [ ("guard.outcome.exact", 1); ("t.inner", 1); ("t.outer", 1) ]
+    hit
+
 (* --- scrub and orphan reaping --- *)
 
 let entry_file ~ns =
@@ -599,6 +711,13 @@ let () =
             (with_scratch_store test_gc_ns_and_prefix);
           Alcotest.test_case "concurrent memoize" `Quick
             (with_scratch_store test_concurrent_memoize) ] );
+      ( "memo contract",
+        [ Alcotest.test_case "hit replays counters" `Quick
+            (with_scratch_store test_memo_replays_result_counters);
+          Alcotest.test_case "only exact stored" `Quick
+            (with_scratch_store test_memo_stores_only_exact);
+          Alcotest.test_case "degraded inner keeps outer out" `Quick
+            (with_scratch_store test_memo_inner_degraded_keeps_outer_out) ] );
       ( "scrub",
         [ Alcotest.test_case "quarantines corrupt entries" `Quick
             (with_scratch_store test_scrub_quarantines_corrupt);
