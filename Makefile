@@ -74,7 +74,8 @@ bench-snapshot:
 # --no-cache on the --configs step too: a stored report would replay
 # these counters without computing them); a warm
 # analyze --all on a scratch cache must be served from the store
-# (replayed counters, no solver call) with the cold run's results; and
+# (replayed counters, no store miss, no solver call) with the cold
+# run's results; and
 # the optimized
 # flow must lint clean with warnings fatal (the raw kernels carry
 # provable redundancy that APX1xx legitimately flags, so --werror is
@@ -96,10 +97,12 @@ bench-snapshot:
 #                  is built before the climb scores PE 1 (a pair
 #                  reuses only the covers of variants built before it,
 #                  at every width);
-#   cache        — a warm rerun against a scratch cache must hit
-#                  (exec.cache_hits > 0), replay the configuration-space
-#                  counters its store hits skip the proofs of, and
-#                  compute identical results;
+#   cache        — a warm rerun against a scratch cache must hit on
+#                  every lookup (exec.cache_hits, no exec.cache_misses:
+#                  a key that depended on how a value was built would
+#                  miss here) without a solver call, replay the
+#                  configuration-space counters its store hits skip the
+#                  proofs of, and compute identical results;
 #                  between the two runs, a negative `cache gc` budget is
 #                  rejected (exit exactly 2) and deletes nothing.
 # First, flag checks: --jobs 0 is an invalid argument (exit exactly 2)
@@ -127,7 +130,7 @@ ci: build test
 	APEX_CACHE_DIR=$(CI_ANALYZE_CACHE) dune exec bin/apex_cli.exe -- analyze --all --json --trace=$(CI_ANALYZE_WARM) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE_WARM) \
 	  --require analysis.width.cones_proved --require exec.cache_hits \
-	  --forbid smt.solver_calls
+	  --forbid exec.cache_misses --forbid smt.solver_calls
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
 	rm -rf $(CI_ANALYZE_CACHE)
 	dune exec bin/apex_cli.exe -- analyze --configs --all --optimize --no-cache --json --trace=$(CI_CONFIGS) > /dev/null
@@ -161,6 +164,7 @@ ci: build test
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- cache gc --budget-mb=-1 2> /dev/null; test $$? -eq 2
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_WARM) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_WARM) --require exec.cache_hits \
+	  --forbid exec.cache_misses --forbid smt.solver_calls \
 	  --require analysis.configspace.checks_run \
 	  --require analysis.configspace.proofs_proved
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_COLD) $(CI_WARM)

@@ -65,7 +65,7 @@ let report_for (a : Apps.t) =
   Apex_telemetry.Span.with_ ("analyze:" ^ a.Apps.name) @@ fun () ->
   let report =
     Store.memoize ~ns:"analyze"
-      ~key:(Store.key ~version:"analyze/2" [ Store.fingerprint a.Apps.graph ])
+      ~key:(Store.key ~version:"analyze/2" a.Apps.graph)
       (fun () -> analyze a)
   in
   { report with app = a.Apps.name; graph = a.Apps.graph }

@@ -13,7 +13,7 @@ module Lint = Apex_lint.Engine
    the pool's producer looks a pair's cover up and hands it to the
    task ([evaluate_built]), and runners never read the scope. *)
 type scope = {
-  analyses : (string * string, Analysis.ranked list) Hashtbl.t;
+  analyses : (string * Miner.config * string, Analysis.ranked list) Hashtbl.t;
   variants : (string, Variants.t) Hashtbl.t;
   covers : (string, Metrics.post_mapping * Apex_mapper.Cover.t) Hashtbl.t;
 }
@@ -48,13 +48,9 @@ let with_local_memo f =
 
 let default_mining = { Miner.default_config with max_size = 4 }
 
-let config_key (c : Miner.config) =
-  Printf.sprintf "%d/%d/%b/%b/%d" c.min_support c.max_size c.include_consts
-    c.generalize_consts c.max_subgraphs
-
 let analysis_of ?(config = default_mining) (app : Apps.t) =
   let app = Optimize.app app in
-  let key = (app.name, config_key config ^ Optimize.key_suffix ()) in
+  let key = (app.name, config, Optimize.key_suffix ()) in
   let analyses = (current_scope ()).analyses in
   match Hashtbl.find_opt analyses key with
   | Some r ->
@@ -67,8 +63,7 @@ let analysis_of ?(config = default_mining) (app : Apps.t) =
            structurally identical kernel reuses the mined artifact *)
         Apex_exec.Store.memoize ~ns:"analysis"
           ~key:
-            (Apex_exec.Store.key ~version:"analysis/1"
-               [ Apex_exec.Store.fingerprint app.graph; config_key config ])
+            (Apex_exec.Store.key ~version:"analysis/1" (app.graph, config))
           (fun () -> fst (Analysis.analyze ~config app.graph))
       in
       (* lint verification runs warm or cold — it checks invariants of
@@ -120,8 +115,7 @@ let camera_variants () =
    pipeline changes what it produces; /3 keys on the rule set. *)
 let eval_key ~version ?effort (v : Variants.t) (app : Apps.t) =
   Apex_exec.Store.key ~version
-    [ v.eval_digest; app.Apps.name; Optimize.key_suffix ();
-      (match effort with None -> "d" | Some e -> string_of_int e) ]
+    (v.eval_digest, app.Apps.name, Optimize.key_suffix (), effort)
 
 let mapping_key v app = eval_key ~version:"pm-score/3" v app
 

@@ -65,7 +65,7 @@ let post_mapping (v : Variants.t) (app : Apps.t) =
   let pe_area = D.area v.dp in
   let n_pes = Cover.n_pes mapped in
   (* gating is recomputed from the datapath rather than read off the
-     variant: the store keys fingerprint only the datapath, so two
+     variant: the store keys digest only the datapath, so two
      variants with identical datapaths must cost identically whether or
      not one carries an analysis report *)
   let gated = Apex_verif.Configspace.gated_predicate v.dp in

@@ -23,19 +23,16 @@ module Store = Apex_exec.Store
 (* Evaluation reads a variant's datapath and rule set, so those are
    digested once, here, for Dse to key stored mappings and pair results
    on.  A rule's pattern enters by its canonical code (its graph's
-   marshalled form is not canonical), and nothing enters with its
-   sharing, which depends on how the value was built. *)
+   marshalled form is not canonical). *)
 let v ?configspace name (dp : D.t) patterns rules =
-  let canonical x = Marshal.to_string x [ Marshal.No_sharing ] in
   { name; dp; patterns; rules; configspace;
     eval_digest =
       Store.key ~version:"variant-eval/1"
-        [ canonical (dp.D.nodes, dp.D.edges, dp.D.configs);
-          canonical
-            (List.map
-               (fun (r : Rules.t) ->
-                 (Pattern.code r.pattern, r.config, r.wild_consts, r.size))
-               rules) ] }
+        ( dp,
+          List.map
+            (fun (r : Rules.t) ->
+              (Pattern.code r.pattern, r.config, r.wild_consts, r.size))
+            rules ) }
 
 (* the identity: the analyses a variant is built from come from
    Dse.analysis_of, whose job scope is the one in-process memo;
@@ -60,10 +57,7 @@ let interesting_patterns ?(min_mis = 4) ranked =
    report is re-labelled for this variant. *)
 let configspace name (dp : D.t) =
   let report, dp =
-    Store.memoize ~ns:"configspace"
-      ~key:
-        (Store.key ~version:"configspace/1"
-           [ Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs) ])
+    Store.memoize ~ns:"configspace" ~key:(Store.key ~version:"configspace/1" dp)
       (fun () -> Configspace.analyze ~label:name dp)
   in
   ({ report with label = name }, dp)
@@ -89,9 +83,7 @@ let merge_into dp patterns =
   Store.memoize ~ns:"merge"
     ~key:
       (* merge/2: datapath nodes carry proven widths *)
-      (Store.key ~version:"merge/2"
-         [ Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs);
-           Store.fingerprint (List.map Pattern.code patterns) ])
+      (Store.key ~version:"merge/2" (dp, List.map Pattern.code patterns))
     (fun () -> List.fold_left (fun dp p -> fst (Merge.merge dp p)) dp patterns)
 
 let specialized (app : Apps.t) ranked ~n_subgraphs =

@@ -11,10 +11,11 @@
 
    The payload is a (value, counters to replay on a hit) pair.
 
-   The entry *name* is already a digest of (format version, namespace,
-   phase version tag, canonical inputs), so the header only needs to
-   defend against torn writes, bit rot and stale formats — key
-   collisions are content-addressing's problem and solved upstream. *)
+   The entry *name* is already a digest of (format version, phase
+   version tag, inputs) under its namespace's directory, so the header
+   only needs to defend against torn writes, bit rot and stale formats
+   — key collisions are content-addressing's problem and solved
+   upstream. *)
 
 module Counter = Apex_telemetry.Counter
 module Guard = Apex_guard
@@ -44,11 +45,14 @@ let enabled () = !on
 
 let set_enabled b = on := b
 
-let fingerprint v = Marshal.to_string v []
-
-let key ~version parts =
+(* one marshal of the whole triple, without sharing: the bytes depend
+   only on the inputs' content, never on how they were built, and no
+   separator can be forged by an input *)
+let key ~version inputs =
   Digest.to_hex
-    (Digest.string (String.concat "\x01" (format_version :: version :: parts)))
+    (Digest.string
+       (Marshal.to_string (format_version, version, inputs)
+          [ Marshal.No_sharing ]))
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -250,23 +254,12 @@ let memoize ~ns ~key f =
     | None ->
         Counter.incr "exec.cache_misses";
         let v, counters = Counter.tally f in
-        let payload = Marshal.to_string (v, List.filter replayed counters) [] in
         (* a degraded outcome under [f], an inner memo's included, is a
            circumstance of this run: returned, never stored *)
         if Guard.Outcome.exact_counters counters then
-          store_payload ~ns ~key payload;
-        (* Hand back the *store representation* of the value, not the
-           freshly computed one.  [fingerprint] encodes value sharing,
-           so a downstream key derived from a computed artifact would
-           differ from the same key derived from tomorrow's cache-hit
-           copy — every miss here would then cascade into one redundant
-           rebuild of each dependent entry.  Round-tripping on the miss
-           path makes the cold process and all warm successors derive
-           bit-identical downstream keys.  The entry and the round-trip
-           decode one payload, marshalled once. *)
-        (match decode payload with
-        | Some (v', _) -> v'
-        | None -> v)
+          store_payload ~ns ~key
+            (Marshal.to_string (v, List.filter replayed counters) []);
+        v
 
 (* --- maintenance: stats and gc --- *)
 
@@ -283,7 +276,10 @@ let is_tmp_name name =
    is invisible to the entry walk so stats/gc never touch evidence *)
 let quarantine_dirname = "quarantine"
 
-let entry_files () =
+(* The one namespace walk: every regular file under a namespace
+   directory (the quarantine subtree excluded) whose name passes
+   [keep], in sorted order, with its size and mtime. *)
+let walk keep =
   let root = cache_dir () in
   if not (Sys.file_exists root && Sys.is_directory root) then []
   else
@@ -294,16 +290,18 @@ let entry_files () =
            else
              Sys.readdir d |> Array.to_list |> List.sort String.compare
              |> List.filter_map (fun name ->
-                    (* skip orphaned temp files from crashed writers:
-                       they are not entries and must not count *)
-                    if is_tmp_name name then None
+                    if not (keep name) then None
                     else
-                    let path = Filename.concat d name in
-                    match Unix.stat path with
-                    | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
-                        Some (ns, path, st_size, st_mtime)
-                    | _ -> None
-                    | exception Unix.Unix_error _ -> None))
+                      let path = Filename.concat d name in
+                      match Unix.stat path with
+                      | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
+                          Some (ns, path, st_size, st_mtime)
+                      | _ -> None
+                      | exception Unix.Unix_error _ -> None))
+
+(* orphaned temp files from crashed writers are not entries and must
+   not count *)
+let entry_files () = walk (fun name -> not (is_tmp_name name))
 
 let stats () =
   let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
@@ -347,31 +345,15 @@ let gc_filtered ~budget_bytes keep_ns =
 let default_tmp_max_age_s = 3600.0
 
 let reap_tmp ?(max_age_s = default_tmp_max_age_s) () =
-  let root = cache_dir () in
   let now = Unix.gettimeofday () in
-  if not (Sys.file_exists root && Sys.is_directory root) then 0
-  else
-    Sys.readdir root |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun reaped ns ->
-           let d = Filename.concat root ns in
-           if ns = quarantine_dirname || not (Sys.is_directory d) then reaped
-           else
-             Sys.readdir d |> Array.to_list |> List.sort String.compare
-             |> List.fold_left
-                  (fun reaped name ->
-                    if not (is_tmp_name name) then reaped
-                    else
-                      let path = Filename.concat d name in
-                      match Unix.stat path with
-                      | { Unix.st_kind = Unix.S_REG; st_mtime; _ }
-                        when now -. st_mtime > max_age_s ->
-                          evict path;
-                          reaped + 1
-                      | _ -> reaped
-                      | exception Unix.Unix_error _ -> reaped)
-                  reaped)
-         0
+  List.fold_left
+    (fun reaped (_, path, _, mtime) ->
+      if now -. mtime > max_age_s then begin
+        evict path;
+        reaped + 1
+      end
+      else reaped)
+    0 (walk is_tmp_name)
 
 let gc ?(budget_bytes = 0) () =
   let reaped = reap_tmp () in

@@ -2,7 +2,7 @@
 
     Phase results — mined pattern sets, merged datapaths, synthesized
     rule sets, pipeline plans — are memoized under a digest of their
-    canonical input encoding, the phase configuration, and the cache
+    inputs' content, the phase configuration, and the cache
     format/code version.  Entries live under [APEX_CACHE_DIR] (default
     [~/.cache/apex]), one file per artifact, written atomically
     (temp + rename) so an interrupted sweep leaves only complete
@@ -40,14 +40,14 @@ val with_namespace : string option -> (unit -> 'a) -> 'a
     default (and is how Exec.Pool hands a submitter's scope — possibly
     absent — to its workers).  Domain-local; restored on exit. *)
 
-val fingerprint : 'a -> string
-(** Canonical binary encoding of a (closure-free) value, suitable as a
-    [key] part.  Stable across runs for structurally equal values. *)
-
-val key : version:string -> string list -> string
-(** [key ~version parts] digests the format version, the phase's
+val key : version:string -> 'a -> string
+(** [key ~version inputs] digests the format version, the phase's
     [version] tag (bump it when the cached type or the producing
-    algorithm changes) and the input [parts] into an entry name. *)
+    algorithm changes) and [inputs] into an entry name.  [inputs] is
+    marshalled without sharing, so the key depends only on its content:
+    structurally equal inputs give equal keys however they were built.
+    Precondition: [inputs] holds no closure (marshalling raises) and no
+    cycle (marshalling without sharing does not terminate). *)
 
 val memoize : ns:string -> key:string -> (unit -> 'a) -> 'a
 (** [memoize ~ns ~key f] returns the cached value for [key] in

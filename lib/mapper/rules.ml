@@ -154,9 +154,7 @@ module Store = Apex_exec.Store
 let rule_set (dp : D.t) ~patterns =
   Apex_telemetry.Span.with_ "rules" @@ fun () ->
   let key =
-    Store.key ~version:"rules/2"
-      [ Store.fingerprint (dp.D.nodes, dp.D.edges, dp.D.configs);
-        Store.fingerprint (List.map Pattern.code patterns) ]
+    Store.key ~version:"rules/2" (dp, List.map Pattern.code patterns)
   in
   (* SMT rule synthesis dominates warm-path cost; a hit skips it
      entirely. *)

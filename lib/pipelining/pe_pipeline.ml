@@ -134,9 +134,9 @@ module Store = Apex_exec.Store
 let plan ?(target_ps = Tech.clock_period_ps) ?(benefit_threshold = 0.10) dp =
   Apex_telemetry.Span.with_ "pe_retime" @@ fun () ->
   let cache_key =
+    (* not the configs: the plan reads only the fabric *)
     Store.key ~version:"pipeline/1"
-      [ Store.fingerprint (dp.D.nodes, dp.D.edges);
-        Store.fingerprint (target_ps, benefit_threshold) ]
+      (dp.D.nodes, dp.D.edges, target_ps, benefit_threshold)
   in
   let stages, period_ps, regs_inserted =
     Store.memoize ~ns:"pipeline" ~key:cache_key @@ fun () ->

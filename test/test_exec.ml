@@ -207,7 +207,7 @@ let entry_file ns =
   | files -> Alcotest.failf "expected one %s entry, found %d" ns (Array.length files)
 
 let test_hit_on_identical_input () =
-  let key = Store.key ~version:"t/1" [ Store.fingerprint [ 1; 2; 3 ] ] in
+  let key = Store.key ~version:"t/1" [ 1; 2; 3 ] in
   let computes = ref 0 in
   let f () = incr computes; List.rev [ 1; 2; 3 ] in
   let a = Store.memoize ~ns:"t" ~key f in
@@ -221,15 +221,25 @@ let test_hit_on_identical_input () =
 let test_key_sensitivity () =
   (* the key must move when the input, the phase version or the config
      moves — that is the whole invalidation story *)
-  let base = Store.key ~version:"t/1" [ Store.fingerprint (1, "cfg") ] in
+  let base = Store.key ~version:"t/1" (1, "cfg") in
   check Alcotest.bool "input changes key" true
-    (base <> Store.key ~version:"t/1" [ Store.fingerprint (2, "cfg") ]);
+    (base <> Store.key ~version:"t/1" (2, "cfg"));
   check Alcotest.bool "config changes key" true
-    (base <> Store.key ~version:"t/1" [ Store.fingerprint (1, "cfg2") ]);
+    (base <> Store.key ~version:"t/1" (1, "cfg2"));
   check Alcotest.bool "version changes key" true
-    (base <> Store.key ~version:"t/2" [ Store.fingerprint (1, "cfg") ]);
+    (base <> Store.key ~version:"t/2" (1, "cfg"));
   check Alcotest.bool "key is stable" true
-    (base = Store.key ~version:"t/1" [ Store.fingerprint (1, "cfg") ])
+    (base = Store.key ~version:"t/1" (1, "cfg"));
+  (* the key reads content only: a shared value keys like two fresh,
+     equal ones *)
+  let l = List.init 3 Fun.id in
+  check Alcotest.string "sharing does not change key"
+    (Store.key ~version:"t/1" (List.init 3 Fun.id, List.init 3 Fun.id))
+    (Store.key ~version:"t/1" (l, l));
+  (* no byte of an input can act as a separator between inputs *)
+  check Alcotest.bool "inputs do not run together" true
+    (Store.key ~version:"t/1" [ "a\x01b"; "c" ]
+    <> Store.key ~version:"t/1" [ "a"; "b\x01c" ])
 
 let test_disabled_store_recomputes () =
   let key = Store.key ~version:"t/1" [ "x" ] in
