@@ -35,6 +35,15 @@ CI_CRASH_CLEAN := /tmp/apex-ci-crash-clean.json
 CI_CRASH_OUT := /tmp/apex-ci-crash-out.json
 CI_CHAOS_A := /tmp/apex-ci-chaos-a.json
 CI_CHAOS_B := /tmp/apex-ci-chaos-b.json
+CI_DSE_JSON := /tmp/apex-ci-dse-all.json
+CI_ANALYZE_JSON := /tmp/apex-ci-analyze-all.json
+
+# The results-identical contract, pinned: md5 of the stdout of
+# `dse --all --json --no-cache` and `analyze --all --json --no-cache`.
+# A change that moves results on purpose re-records these two values
+# and gives its reason in CHANGES.md.
+DSE_JSON_MD5 := b0027a039fcf325ed4ed5b475dc27fd0
+ANALYZE_JSON_MD5 := 527f89a33daeaae293166cd53046f0c6
 
 # The daemon must receive SIGTERM itself (dune exec does not forward
 # signals to its child), so serve smoke steps run the built binary.
@@ -68,7 +77,8 @@ bench-snapshot:
 	dune exec bench/main.exe -- --snapshot
 	dune exec bench/main.exe -- --serve-sweep
 
-# Build, run the full test suite, then the static-analysis gates: the
+# Build, run the full test suite, then check the pinned result digests
+# (DSE_JSON_MD5, ANALYZE_JSON_MD5 above), then the static-analysis gates: the
 # abstract interpreter must produce facts and a validated node-count
 # reduction on the built-in kernels (analyze --all --no-cache, and
 # --no-cache on the --configs step too: a stored report would replay
@@ -113,6 +123,10 @@ bench-snapshot:
 # the DSE back end, bitstream, fabric simulation): a MISMATCH against
 # the golden model exits 1.
 ci: build test
+	dune exec bin/apex_cli.exe -- dse --all --json --no-cache > $(CI_DSE_JSON)
+	echo "$(DSE_JSON_MD5)  $(CI_DSE_JSON)" | md5sum -c -
+	dune exec bin/apex_cli.exe -- analyze --all --json --no-cache > $(CI_ANALYZE_JSON)
+	echo "$(ANALYZE_JSON_MD5)  $(CI_ANALYZE_JSON)" | md5sum -c -
 	dune exec bin/apex_cli.exe -- mine gaussian --jobs 0 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- mine gaussian --top=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- evaluate gaussian -l pnr --effort=-1 2> /dev/null; test $$? -eq 2
@@ -398,6 +412,7 @@ clean:
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
+	rm -f $(CI_DSE_JSON) $(CI_ANALYZE_JSON)
 	rm -rf $(CI_CACHE) $(CI_FAULT_CACHE) $(CI_SNAP) $(CI_SERVE_CACHE)
 	rm -rf $(CI_ANALYZE_CACHE)
 	rm -rf $(CI_CRASH_CACHE) $(CI_CRASH_CLEAN_CACHE)

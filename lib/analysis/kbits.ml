@@ -18,8 +18,6 @@ let const v =
   let v = v land mask in
   { zeros = mask land lnot v; ones = v }
 
-let bit_const b = if b then { zeros = mask lxor 1; ones = 1 } else const 0
-
 let known k = k.zeros lor k.ones
 
 let is_const k = if known k = mask then Some k.ones else None

@@ -10,7 +10,6 @@ val bit_top : t
 (** Top for Bit-width values: bits 1..15 known zero. *)
 
 val const : int -> t
-val bit_const : bool -> t
 
 val known : t -> int
 (** Mask of the known bit positions. *)

@@ -18,8 +18,6 @@ let areas =
 
 let file_of_name name = "BENCH_" ^ name ^ ".json"
 
-let file_name a = file_of_name (area_name a)
-
 type t = {
   area : string;
   counters : (string * int) list;

@@ -17,9 +17,6 @@ val areas : (string * area) list
 
 val area_name : area -> string
 
-val file_name : area -> string
-(** ["BENCH_<name>.json"]. *)
-
 type t = {
   area : string;
   counters : (string * int) list;  (** sorted; exact; excludes exec.* *)
@@ -55,7 +52,7 @@ val run : area -> t
 val to_json : t -> Apex_telemetry.Json.t
 
 val write : dir:string -> t -> string
-(** Write [to_json] to [dir/file_name area]; returns the path. *)
+(** Write [to_json] to [dir/BENCH_<area>.json]; returns the path. *)
 
 val diff :
   ?tolerance:int -> Apex_telemetry.Json.t -> Apex_telemetry.Json.t ->

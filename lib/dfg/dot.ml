@@ -48,9 +48,3 @@ let to_string ?(name = "dfg") ?(highlight = []) g =
     edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let to_file ?name ?highlight path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?name ?highlight g))

@@ -7,5 +7,3 @@ val escape : string -> string
 
 val to_string : ?name:string -> ?highlight:int list -> Graph.t -> string
 (** DOT source.  Nodes in [highlight] are filled. *)
-
-val to_file : ?name:string -> ?highlight:int list -> string -> Graph.t -> unit

@@ -25,10 +25,6 @@ let run g env =
          | Op.Output name | Op.Bit_output name -> (name, vals.(n.id))
          | _ -> assert false)
 
-let eval_node g env i =
-  let vals = values g env in
-  vals.(i)
-
 let random_env ?(bits = 16) st g =
   let m = (1 lsl bits) - 1 in
   Graph.io_inputs g

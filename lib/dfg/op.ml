@@ -75,8 +75,6 @@ let is_io = function
 
 let is_const = function Const _ | Bit_const _ -> true | _ -> false
 
-let is_reg = function Reg | Reg_file _ -> true | _ -> false
-
 (* The hardware-block classes below drive the merging rules: an ALU slice
    implements add/sub/min/max/abs, a comparator implements the predicate
    ops (it is an ALU subtract plus flag logic, but it produces a 1-bit
@@ -123,8 +121,6 @@ let pp ppf op = Format.pp_print_string ppf (mnemonic op)
 let equal (a : t) (b : t) = a = b
 
 let compare (a : t) (b : t) = Stdlib.compare a b
-
-let mergeable a b = is_compute a && is_compute b && String.equal (kind a) (kind b)
 
 let all_compute =
   [ Add; Sub; Mul; Shl; Lshr; Ashr; And; Or; Xor; Not; Abs;

@@ -53,9 +53,6 @@ val is_io : t -> bool
 val is_const : t -> bool
 (** [true] for [Const] and [Bit_const]. *)
 
-val is_reg : t -> bool
-(** [true] for [Reg] and [Reg_file]. *)
-
 val kind : t -> string
 (** A label identifying the hardware block class implementing the
     operation ("alu", "mul", "shift", "cmp", "mux", "lut", ...).  Two
@@ -70,10 +67,6 @@ val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-
-val mergeable : t -> t -> bool
-(** [mergeable a b] is [true] iff a single functional unit can implement
-    both operations (same {!kind}). *)
 
 val all_compute : t list
 (** One representative of every compute operation, for enumeration in

@@ -1,7 +1,7 @@
 (* Resource governance for the DSE flow: one budget value bundling a
    wall-clock deadline, step fuel and a cooperative cancellation token,
    checked by a cheap [tick] in every worst-case-exponential hot loop
-   (mining enumeration, MIS and clique branch-and-bound, CDCL search,
+   (mining enumeration, clique branch-and-bound, CDCL search,
    optimizer passes), plus a deterministic fault-injection harness that
    exercises the degradation ladders those loops implement.
 
@@ -513,8 +513,6 @@ let set_phase_deadline phase seconds =
   Hashtbl.replace phase_deadlines phase seconds
 
 let clear_phase_deadlines () = Hashtbl.reset phase_deadlines
-
-let phase_deadline phase = Hashtbl.find_opt phase_deadlines phase
 
 (* Run [f] under the budget a phase deserves: the ambient budget,
    tightened by the phase's configured deadline when one is set.  The

@@ -210,8 +210,6 @@ val reason_of_message : string -> Outcome.reason
 val set_phase_deadline : string -> float -> unit
 (** Configure a per-phase deadline in seconds ([--phase-deadline]). *)
 
-val phase_deadline : string -> float option
-
 val clear_phase_deadlines : unit -> unit
 (** Drop every configured phase deadline (test teardown). *)
 

@@ -37,20 +37,14 @@ let ( -: ) c a b = node c Op.Sub [| a; b |]
 let ( *: ) c a b = node c Op.Mul [| a; b |]
 let shr c a k = node c Op.Lshr [| a; const c k |]
 let ashr' c a k = node c Op.Ashr [| a; const c k |]
-let shl' c a k = node c Op.Shl [| a; const c k |]
 let abs' c a = node c Op.Abs [| a |]
 let smax' c a b = node c Op.Smax [| a; b |]
 let smin' c a b = node c Op.Smin [| a; b |]
-let umin' c a b = node c Op.Umin [| a; b |]
-let umax' c a b = node c Op.Umax [| a; b |]
-let and' c a b = node c Op.And [| a; b |]
 let or' c a b = node c Op.Or [| a; b |]
-let xor' c a b = node c Op.Xor [| a; b |]
 
 let slt' c a b = node c Op.Slt [| a; b |]
 let sgt' c a b = node c Op.Slt [| b; a |]
 let ult' c a b = node c Op.Ult [| a; b |]
-let eq' c a b = node c Op.Eq [| a; b |]
 
 let select c cond a b = node c Op.Mux [| cond; a; b |]
 

@@ -34,20 +34,14 @@ val shr : ctx -> v -> int -> v
 val ashr' : ctx -> v -> int -> v
 (** arithmetic shift right by a constant *)
 
-val shl' : ctx -> v -> int -> v
 val abs' : ctx -> v -> v
 val smax' : ctx -> v -> v -> v
 val smin' : ctx -> v -> v -> v
-val umin' : ctx -> v -> v -> v
-val umax' : ctx -> v -> v -> v
-val and' : ctx -> v -> v -> v
 val or' : ctx -> v -> v -> v
-val xor' : ctx -> v -> v -> v
 
 val slt' : ctx -> v -> v -> b
 val sgt' : ctx -> v -> v -> b
 val ult' : ctx -> v -> v -> b
-val eq' : ctx -> v -> v -> b
 
 val select : ctx -> b -> v -> v -> v
 (** [select c cond a b] is [a] when [cond]. *)

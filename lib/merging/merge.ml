@@ -310,12 +310,3 @@ let merge ?(strategy = Max_weight_clique) ?(clique_budget = 2_000_000)
           0.0 clique;
       optimal = solution.optimal;
       cycles_repaired } )
-
-let merge_all ?strategy = function
-  | [] -> invalid_arg "Merge.merge_all: empty pattern list"
-  | p :: rest ->
-      List.fold_left
-        (fun dp p ->
-          let dp, _ = merge ?strategy dp p in
-          dp)
-        (D.of_pattern p) rest

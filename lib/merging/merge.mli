@@ -34,8 +34,3 @@ val merge :
   Apex_mining.Pattern.t ->
   Datapath.t * report
 (** Fold one pattern into the datapath. *)
-
-val merge_all :
-  ?strategy:strategy -> Apex_mining.Pattern.t list -> Datapath.t
-(** Merge a list of patterns pairwise in order (the APEX flow merges in
-    decreasing MIS order).  @raise Invalid_argument on an empty list. *)

@@ -64,25 +64,6 @@ let analyze ?(config = Miner.default_config) g =
   in
   (List.sort order ranked, stats)
 
-let analyze_many ?(config = Miner.default_config) graphs =
-  let tbl : (string, ranked) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      let ranked, _ = analyze ~config g in
-      List.iter
-        (fun r ->
-          let key = Pattern.code r.pattern in
-          match Hashtbl.find_opt tbl key with
-          | None -> Hashtbl.replace tbl key r
-          | Some prev ->
-              Hashtbl.replace tbl key
-                { prev with
-                  support = prev.support + r.support;
-                  mis_size = prev.mis_size + r.mis_size })
-        ranked)
-    graphs;
-  Hashtbl.fold (fun _ r acc -> r :: acc) tbl [] |> List.sort order
-
 let pp_ranked ppf r =
   Format.fprintf ppf "mis=%d support=%d size=%d inputs=%d  %s" r.mis_size
     r.support (Pattern.size r.pattern) (Pattern.n_inputs r.pattern)

@@ -16,11 +16,4 @@ val analyze :
     is below the miner's support threshold are dropped (their
     occurrences are mostly overlaps). *)
 
-val analyze_many :
-  ?config:Miner.config -> Apex_dfg.Graph.t list -> ranked list
-(** Domain-level analysis: union of per-application rankings.  A pattern
-    found in several applications gets the *sum* of its per-application
-    MIS sizes, which is what balances PE IP across the domain
-    (Section 5.2). *)
-
 val pp_ranked : Format.formatter -> ranked -> unit

@@ -1,136 +1,3 @@
-module Guard = Apex_guard
-
-type overlap_graph = { n : int; edges : (int * int) list }
-
-let overlap_graph embeddings =
-  let embs = Array.of_list embeddings in
-  let n = Array.length embs in
-  (* map node id -> embeddings containing it, then connect all pairs *)
-  let by_node : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i emb ->
-      List.iter
-        (fun v ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt by_node v) in
-          Hashtbl.replace by_node v (i :: prev))
-        emb)
-    embs;
-  let edge_set = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ is ->
-      let is = List.sort compare is in
-      let rec pairs = function
-        | [] -> ()
-        | i :: rest ->
-            List.iter (fun j -> Hashtbl.replace edge_set (i, j) ()) rest;
-            pairs rest
-      in
-      pairs is)
-    by_node;
-  let edges =
-    Hashtbl.fold (fun e () acc -> e :: acc) edge_set [] |> List.sort compare
-  in
-  { n; edges }
-
-let adjacency g =
-  let adj = Array.make g.n [] in
-  List.iter
-    (fun (i, j) ->
-      adj.(i) <- j :: adj.(i);
-      adj.(j) <- i :: adj.(j))
-    g.edges;
-  Array.map (List.sort_uniq compare) adj
-
-let greedy g =
-  let adj = adjacency g in
-  let alive = Array.make g.n true in
-  let degree i = List.length (List.filter (fun j -> alive.(j)) adj.(i)) in
-  let chosen = ref [] in
-  let remaining = ref g.n in
-  while !remaining > 0 do
-    (* minimum alive degree, smallest index on ties: deterministic *)
-    let best = ref (-1) and best_deg = ref max_int in
-    for i = 0 to g.n - 1 do
-      if alive.(i) then begin
-        let d = degree i in
-        if d < !best_deg then begin
-          best := i;
-          best_deg := d
-        end
-      end
-    done;
-    let v = !best in
-    chosen := v :: !chosen;
-    alive.(v) <- false;
-    decr remaining;
-    List.iter
-      (fun u ->
-        if alive.(u) then begin
-          alive.(u) <- false;
-          decr remaining
-        end)
-      adj.(v)
-  done;
-  List.sort compare !chosen
-
-type solution = {
-  members : int list;
-  optimal : bool;
-  outcome : Guard.Outcome.t;
-}
-
-(* Anytime exact MIS: branch and bound under the ambient budget, with a
-   two-rung degradation ladder.  A graph over [node_limit] never enters
-   the search (greedy straight away); a budget trip mid-search keeps
-   the larger of the incumbent and the greedy answer.  Every rung
-   returns a genuinely independent set — only optimality degrades. *)
-let exact_maximum ?(node_limit = 64) g =
-  if g.n > node_limit then begin
-    Apex_telemetry.Counter.incr "mining.mis_fallbacks";
-    { members = greedy g;
-      optimal = false;
-      outcome = Guard.Outcome.Degraded Guard.Outcome.Fuel }
-  end
-  else begin
-    let adj = adjacency g in
-    let best = ref [] in
-    let visited = ref 0 in
-    (* branch and bound on vertices in increasing order *)
-    let rec go i chosen size blocked =
-      Guard.tick ();
-      incr visited;
-      if size + (g.n - i) <= List.length !best then ()
-      else if i = g.n then begin
-        if size > List.length !best then best := chosen
-      end
-      else begin
-        (* branch 1: include i if not blocked *)
-        if not (List.mem i blocked) then
-          go (i + 1) (i :: chosen) (size + 1) (List.rev_append adj.(i) blocked);
-        (* branch 2: exclude i *)
-        go (i + 1) chosen size blocked
-      end
-    in
-    match go 0 [] 0 [] with
-    | () ->
-        Apex_telemetry.Counter.add "mining.mis_bb_nodes" !visited;
-        { members = List.sort compare !best;
-          optimal = true;
-          outcome = Guard.Outcome.Exact }
-    | exception Guard.Cancelled msg ->
-        Apex_telemetry.Counter.add "mining.mis_bb_nodes" !visited;
-        Apex_telemetry.Counter.incr "mining.mis_fallbacks";
-        let incumbent = List.sort compare !best in
-        let fallback = greedy g in
-        let members =
-          if List.length incumbent >= List.length fallback then incumbent
-          else fallback
-        in
-        { members;
-          optimal = false;
-          outcome = Guard.Outcome.Degraded (Guard.reason_of_message msg) }
-  end
-
 let first_fit embeddings =
   (* greedy maximal independent set without materializing the overlap
      graph: scan embeddings in order, keep those disjoint from every

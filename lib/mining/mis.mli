@@ -4,33 +4,9 @@
     Occurrences of a pattern that share application nodes cannot all be
     accelerated by fully-utilized PEs; the size of an independent set of
     the occurrence-overlap graph tells how many fully-utilized PEs a
-    pattern is worth. *)
-
-type overlap_graph = {
-  n : int;                 (** one vertex per occurrence *)
-  edges : (int * int) list; (** overlapping pairs, [i < j] *)
-}
-
-val overlap_graph : int list list -> overlap_graph
-(** Build the overlap graph of embeddings (sorted node-id sets): an edge
-    joins two embeddings that share at least one node. *)
-
-val greedy : overlap_graph -> int list
-(** Greedy maximal independent set (repeatedly take a minimum-degree
-    vertex and discard its neighbors).  Sorted, deterministic. *)
-
-type solution = {
-  members : int list;  (** sorted, always independent *)
-  optimal : bool;      (** true iff the branch and bound ran to the end *)
-  outcome : Apex_guard.Outcome.t;
-}
-
-val exact_maximum : ?node_limit:int -> overlap_graph -> solution
-(** Anytime exact maximum independent set by branch and bound under the
-    ambient {!Apex_guard} budget.  Graphs over [node_limit] (default
-    64) vertices, and searches whose budget trips, degrade to the
-    larger of the incumbent and the {!greedy} answer with
-    [optimal = false] — the members are independent on every rung. *)
+    pattern is worth.  The flow ranks by a {e maximal} independent set,
+    as the paper does: {!first_fit} computes one in a single pass over
+    the embeddings, without building the overlap graph. *)
 
 val first_fit : int list list -> int list
 (** Greedy maximal independent set computed directly on the embedding

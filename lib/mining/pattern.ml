@@ -235,10 +235,6 @@ let of_graph g =
   let size = List.length (List.filter (fun i -> Op.is_compute (G.node g i).op) order) in
   { graph; code; size; n_inputs }
 
-let of_embedding g ids =
-  let sub, _ = G.induced g ids in
-  of_graph sub
-
 let graph p = p.graph
 let code p = p.code
 let size p = p.size

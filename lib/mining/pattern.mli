@@ -14,10 +14,6 @@ val of_graph : Apex_dfg.Graph.t -> t
 (** Canonicalize a pattern graph.  The graph must be a valid dataflow
     graph; nodes that are not reachable from a compute node are fine. *)
 
-val of_embedding : Apex_dfg.Graph.t -> int list -> t
-(** [of_embedding g ids] extracts the subgraph of [g] induced by [ids]
-    (see {!Apex_dfg.Graph.induced}) and canonicalizes it. *)
-
 val graph : t -> Apex_dfg.Graph.t
 (** A representative graph of the isomorphism class, in canonical node
     order, with [Output] markers on every sink compute node. *)

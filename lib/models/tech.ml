@@ -97,8 +97,6 @@ let word_mux_cost n =
 
 let const_register_cost = c 42.0 0.6 0.0
 
-let bit_register_cost = c 3.5 0.05 0.0
-
 let pipeline_register_cost = c 40.0 3.8 35.0
 
 let register_file_cost ~depth = register_file_area depth

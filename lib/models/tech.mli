@@ -46,8 +46,6 @@ val word_mux_cost : int -> cost
 val const_register_cost : cost
 (** 16-bit configuration-time constant register. *)
 
-val bit_register_cost : cost
-
 val pipeline_register_cost : cost
 (** 16-bit pipeline register including clock load. *)
 

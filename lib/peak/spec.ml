@@ -170,23 +170,3 @@ let bit_input_ports spec =
          match n.D.kind with D.Bit_in_port -> Some n.id | _ -> None)
 
 let output_positions spec = List.map fst (D.output_candidates spec.dp)
-
-let const_representatives = [ 0; 1; 2; 0xffff ]
-let lut_representatives = [ 0x00; 0xe8; 0x96; 0xca; 0xff ]
-
-let enumerate_instrs ?(max = 1_000_000) spec =
-  let field_values (f : field) =
-    match f.target with
-    | Const_val _ -> const_representatives
-    | Lut_table _ -> lut_representatives
-    | Fu_op _ | Mux _ | Out_sel _ -> List.init f.choices Fun.id
-  in
-  let rec product : field list -> instr Seq.t = function
-    | [] -> Seq.return []
-    | f :: rest ->
-        let tail = product rest in
-        Seq.concat_map
-          (fun v -> Seq.map (fun t -> (f.name, v) :: t) tail)
-          (List.to_seq (field_values f))
-  in
-  Seq.take max (product spec.fields)

@@ -64,8 +64,3 @@ val input_ports : t -> int list
 val bit_input_ports : t -> int list
 
 val output_positions : t -> int list
-
-val enumerate_instrs : ?max:int -> t -> instr Seq.t
-(** The instruction space as a lazy sequence (constant registers are
-    enumerated over a small set of representative values, not all 2^16),
-    used by rewrite-rule synthesis as the candidate stream. *)

@@ -48,7 +48,3 @@ let request t req =
   | None -> raise (Sys_error "serve: connection closed before a response")
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-let one_shot ~socket req =
-  let c = connect socket in
-  Fun.protect ~finally:(fun () -> close c) (fun () -> request c req)

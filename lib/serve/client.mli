@@ -19,6 +19,3 @@ val request : t -> Proto.request -> Proto.response
     [Invalid_argument] on a malformed response. *)
 
 val close : t -> unit
-
-val one_shot : socket:string -> Proto.request -> Proto.response
-(** [connect], one [request], [close]. *)

@@ -23,7 +23,6 @@ let create ?(word_width = 8) () =
 let sat c = c.s
 
 let word_width c = c.word_width
-let true_lit c = c.tt
 let false_lit c = c.ff
 
 let fresh c width = Array.init width (fun _ -> Sat.pos (Sat.new_var c.s))

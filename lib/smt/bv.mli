@@ -22,7 +22,6 @@ val word_width : ctx -> int
 
 val sat : ctx -> Sat.t
 
-val true_lit : ctx -> int
 val false_lit : ctx -> int
 
 val fresh : ctx -> int -> bv

@@ -273,103 +273,3 @@ let structural ?(width = 8) ?(max_candidates = 2000) dp p =
   if !result <> None then Apex_telemetry.Counter.incr "rules.synthesized";
   !result
 
-(* --- reference CEGIS over the instruction space --- *)
-
-let cegis ?(width = 8) ?(max_instrs = 100_000) (spec : Spec.t) p =
-  let pg = Pattern.graph p in
-  let dp = spec.dp in
-  let pattern_inputs =
-    G.io_inputs pg |> List.map (fun (n : G.node) -> (n.id, n.op))
-  in
-  let sinks = G.io_outputs pg in
-  if List.length sinks <> 1 then None
-  else begin
-    let word_ports = Spec.input_ports spec in
-    let bit_ports = Spec.bit_input_ports spec in
-    (* injective assignments of pattern inputs to ports *)
-    let rec assignments remaining used =
-      match remaining with
-      | [] -> [ [] ]
-      | (pi, op) :: rest ->
-          let pool =
-            match op with Op.Bit_input _ -> bit_ports | _ -> word_ports
-          in
-          List.concat_map
-            (fun port ->
-              if List.mem port used then []
-              else
-                List.map
-                  (fun tail -> (pi, port) :: tail)
-                  (assignments rest (port :: used)))
-            pool
-    in
-    let pis = assignments pattern_inputs [] in
-    let out_cands = D.output_candidates dp in
-    let st = Random.State.make [| 0xcafe |] in
-    let samples =
-      ref
-        (List.init 4 (fun _ ->
-             List.map
-               (fun (pi, op) ->
-                 match op with
-                 | Op.Bit_input _ -> (pi, Random.State.int st 2)
-                 | _ -> (pi, Random.State.int st 0x10000))
-               pattern_inputs))
-    in
-    let golden assignment =
-      let named =
-        List.map
-          (fun (pi, v) ->
-            match (G.node pg pi).op with
-            | Op.Input n | Op.Bit_input n -> (n, v)
-            | _ -> assert false)
-          assignment
-      in
-      Apex_dfg.Interp.run pg named |> List.map snd
-    in
-    let result = ref None in
-    (try
-       Seq.iter
-         (fun instr ->
-           let base_cfg = Spec.decode spec instr in
-           List.iter
-             (fun input_map ->
-               (* candidate output position: any position whose current
-                  selection could carry the sink *)
-               List.iter
-                 (fun (pos, _) ->
-                   match List.assoc_opt pos base_cfg.D.outputs with
-                   | None -> ()
-                   | Some node ->
-                       let cfg =
-                         { base_cfg with
-                           D.label = Pattern.code p;
-                           inputs = input_map;
-                           outputs = [ (0, node) ] }
-                       in
-                       let cfg = { cfg with D.outputs = [ (pos, node) ] } in
-                       let agrees assignment =
-                         let env =
-                           List.map
-                             (fun (pi, port) ->
-                               (port, List.assoc pi assignment))
-                             input_map
-                         in
-                         match D.evaluate dp cfg ~env with
-                         | [ (_, v) ] -> golden assignment = [ v ]
-                         | _ -> false
-                         | exception (Failure _ | Invalid_argument _) -> false
-                       in
-                       if List.for_all agrees !samples then begin
-                         match Verify.verify_config ~width dp cfg p with
-                         | (Verify.Proved _ | Verify.Tested) as verdict ->
-                             result := Some { pattern = p; config = cfg; verdict };
-                             raise Exit
-                         | Verify.Refuted cex -> samples := cex :: !samples
-                       end)
-                 out_cands)
-             pis)
-         (Spec.enumerate_instrs ~max:max_instrs spec)
-     with Exit -> ());
-    !result
-  end

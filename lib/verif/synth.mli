@@ -1,16 +1,10 @@
 (** Rewrite-rule synthesis: find a PE configuration implementing a
     pattern (the [exists x forall y] query of Section 4.1.1).
 
-    Two engines are provided:
-
-    - {!structural}: a directed backtracking search that maps the
-      pattern's nodes onto the datapath's functional units and wiring —
-      fast, and the engine used by the APEX flow.  Every candidate it
-      finds is formally checked with {!Verify.verify_config} before
-      being returned.
-    - {!cegis}: classic counterexample-guided enumeration over the PE's
-      instruction space, feasible for small PEs; kept as a reference
-      implementation and exercised by tests and the ablation bench. *)
+    {!structural} is a directed backtracking search that maps the
+    pattern's nodes onto the datapath's functional units and wiring.
+    Every candidate it finds is formally checked with
+    {!Verify.verify_config} before being returned. *)
 
 type rule = {
   pattern : Apex_mining.Pattern.t;
@@ -29,16 +23,6 @@ val structural :
     canonical code first (merge provenance), then the structural
     search.  Returns the first candidate that is [Proved] or [Tested];
     [None] if the pattern cannot be mapped. *)
-
-val cegis :
-  ?width:int ->
-  ?max_instrs:int ->
-  Apex_peak.Spec.t ->
-  Apex_mining.Pattern.t ->
-  rule option
-(** Enumerate instructions, filtered by a growing counterexample sample
-    set, verifying promising candidates.  Only practical when the
-    instruction space is small (e.g. single-FU PEs). *)
 
 val op_pattern : Apex_dfg.Op.t -> Apex_mining.Pattern.t
 (** The single-operation pattern for a compute op. *)

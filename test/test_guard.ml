@@ -7,7 +7,6 @@ module Guard = Apex_guard
 module Budget = Apex_guard.Budget
 module Fault = Apex_guard.Fault
 module Outcome = Apex_guard.Outcome
-module Mis = Apex_mining.Mis
 module Clique = Apex_merging.Clique
 module Sat = Apex_smt.Sat
 module Pool = Apex_exec.Pool
@@ -148,7 +147,7 @@ let test_arm_validation () =
   check Alcotest.bool "nothing armed after failed arms" true
     (Fault.armed_site () = None)
 
-let test_fire_nth_one_shot () =
+let test_fire_nth_once () =
   Fault.arm "pool-worker:3";
   check Alcotest.bool "1st occurrence" false (Fault.fire "pool-worker");
   check Alcotest.bool "other sites never fire" false (Fault.fire "smt-exhaust");
@@ -319,49 +318,6 @@ let test_seeded_arm_spec () =
 
 (* --- degradation ladders of the exact searches --- *)
 
-(* cycle graph C_n: a worst case the branch and bound must actually
-   search, with a known exact MIS size of floor(n/2) *)
-let cycle n =
-  { Mis.n; edges = List.init n (fun i -> (min i ((i + 1) mod n), max i ((i + 1) mod n))) }
-
-let assert_independent (g : Mis.overlap_graph) members =
-  List.iter
-    (fun (i, j) ->
-      if List.mem i members && List.mem j members then
-        Alcotest.failf "members %d and %d are adjacent" i j)
-    g.Mis.edges
-
-let test_mis_exact_small () =
-  let g = cycle 6 in
-  let s = Mis.exact_maximum g in
-  check Alcotest.bool "optimal" true s.Mis.optimal;
-  check Alcotest.string "outcome" "exact" (Outcome.to_string s.Mis.outcome);
-  check Alcotest.int "C_6 MIS" 3 (List.length s.Mis.members);
-  assert_independent g s.Mis.members
-
-let test_mis_fuel_fallback () =
-  (* seeded budget exhaustion: starve the branch and bound mid-search
-     and demand a valid (independent, nonempty) answer *)
-  let g = cycle 40 in
-  let greedy_size = List.length (Mis.greedy g) in
-  let s =
-    Guard.with_budget (Budget.v ~fuel:25 ()) (fun () -> Mis.exact_maximum g)
-  in
-  check Alcotest.bool "not optimal" false s.Mis.optimal;
-  check Alcotest.string "degraded on fuel" "degraded:fuel"
-    (Outcome.to_string s.Mis.outcome);
-  assert_independent g s.Mis.members;
-  check Alcotest.bool "never worse than greedy" true
-    (List.length s.Mis.members >= greedy_size)
-
-let test_mis_node_limit_fallback () =
-  let g = cycle 70 in
-  let s = Mis.exact_maximum ~node_limit:64 g in
-  check Alcotest.bool "not optimal" false s.Mis.optimal;
-  check Alcotest.bool "degraded" false (Outcome.is_exact s.Mis.outcome);
-  assert_independent g s.Mis.members;
-  check Alcotest.bool "nonempty" true (s.Mis.members <> [])
-
 (* a clique problem with enough structure that the search takes > a few
    nodes: k disjoint cliques of size m plus some cross edges *)
 let clique_problem () =
@@ -428,14 +384,12 @@ let test_deadline_mid_phase () =
   (* a per-phase deadline tightens the ambient budget only inside the
      phase: the search degrades, the enclosing budget stays live *)
   Guard.set_phase_deadline "unit-test-phase" 0.0;
-  let g = cycle 30 in
-  let s =
-    Guard.with_phase "unit-test-phase" (fun () -> Mis.exact_maximum g)
-  in
-  check Alcotest.bool "not optimal" false s.Mis.optimal;
+  let p = clique_problem () in
+  let s = Guard.with_phase "unit-test-phase" (fun () -> Clique.solve p) in
+  check Alcotest.bool "not optimal" false s.Clique.optimal;
   check Alcotest.string "degraded on deadline" "degraded:deadline"
-    (Outcome.to_string s.Mis.outcome);
-  assert_independent g s.Mis.members;
+    (Outcome.to_string s.Clique.outcome);
+  assert_clique p s.Clique.members;
   (* outside the phase the ambient budget never tripped *)
   Guard.tick ();
   check Alcotest.bool "ambient budget live" false (Guard.expired ())
@@ -637,7 +591,7 @@ let () =
       ( "fault-arming",
         [ Alcotest.test_case "validation" `Quick (guarded test_arm_validation);
           Alcotest.test_case "nth occurrence, one-shot" `Quick
-            (guarded test_fire_nth_one_shot);
+            (guarded test_fire_nth_once);
           Alcotest.test_case "APEX_FAULT env" `Quick (guarded test_arm_from_env)
         ] );
       ( "retry",
@@ -657,13 +611,7 @@ let () =
           Alcotest.test_case "seed:S:N arm spec" `Quick
             (guarded test_seeded_arm_spec) ] );
       ( "degradation",
-        [ Alcotest.test_case "mis exact on small graphs" `Quick
-            (guarded test_mis_exact_small);
-          Alcotest.test_case "mis fuel fallback" `Quick
-            (guarded test_mis_fuel_fallback);
-          Alcotest.test_case "mis node-limit fallback" `Quick
-            (guarded test_mis_node_limit_fallback);
-          Alcotest.test_case "clique budget fallback" `Quick
+        [ Alcotest.test_case "clique budget fallback" `Quick
             (guarded test_clique_budget_fallback);
           Alcotest.test_case "clique deadline fallback" `Quick
             (guarded test_clique_deadline_fallback);

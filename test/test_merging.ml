@@ -232,9 +232,8 @@ let test_commutative_merge () =
       (config_matches_pattern merged (List.nth merged.configs 1) p2 st)
   done
 
-let test_merge_all_chain () =
-  let ps = [ subgraph1 (); subgraph2 () ] in
-  let dp = Merge.merge_all ps in
+let test_merge_chain () =
+  let dp, _ = Merge.merge (D.of_pattern (subgraph1 ())) (subgraph2 ()) in
   check int "configs" 2 (List.length dp.configs);
   match D.validate dp with
   | Ok () -> ()
@@ -340,7 +339,7 @@ let () =
           Alcotest.test_case "merge saves area vs union" `Quick test_merged_area_below_union;
           Alcotest.test_case "no-sharing strategy correct" `Quick test_no_sharing_still_correct;
           Alcotest.test_case "commutative operands merge" `Quick test_commutative_merge;
-          Alcotest.test_case "merge_all chain" `Quick test_merge_all_chain;
+          Alcotest.test_case "merge chain" `Quick test_merge_chain;
           Alcotest.test_case "datapath dot" `Quick test_datapath_dot;
           Alcotest.test_case "merge joins widths" `Quick test_merge_joins_widths ] );
       ( "clique",

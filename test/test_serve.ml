@@ -14,6 +14,11 @@ module Guard = Apex_guard
 
 let check = Alcotest.check
 
+(* connect, one request, close *)
+let request_once ~socket req =
+  let c = Client.connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.request c req)
+
 (* --- framing --- *)
 
 let test_frame_roundtrip () =
@@ -284,6 +289,147 @@ let test_journal_rejects_foreign_file path =
   | exception Sys_error _ -> ()
   | _ -> Alcotest.fail "opened a non-journal file"
 
+(* Seeded damage to one admission: flipped bits, or a span overwritten
+   with JSON punctuation, digits and escapes, or with arbitrary bytes,
+   then re-framed with a valid length and digest so the damage reaches
+   the record decoder (JSON, request, job spec) instead of the frame
+   check.  Replay must never raise.  If the damaged payload no longer
+   decodes as an admission, replay keeps exactly the records before
+   it; if it still does, replay treats it as a genuine record. *)
+type model = Adm of int * Proto.request | Fin of int
+
+let mutate_payload st s =
+  let n = String.length s in
+  let span () =
+    let i = Random.State.int st n in
+    (i, min (n - i) (1 + Random.State.int st 8))
+  in
+  let fill alphabet =
+    let i, len = span () in
+    String.mapi
+      (fun j c -> if j >= i && j < i + len then alphabet () else c)
+      s
+  in
+  match Random.State.int st 3 with
+  | 0 ->
+      let flips = List.init (1 + Random.State.int st 3) (fun _ -> Random.State.int st n) in
+      String.mapi
+        (fun j c ->
+          if List.mem j flips then
+            Char.chr (Char.code c lxor (1 + Random.State.int st 255))
+          else c)
+        s
+  | 1 ->
+      let menu = "{}[]\":,.-+e0123456789 \\u" in
+      fill (fun () -> menu.[Random.State.int st (String.length menu)])
+  | _ -> fill (fun () -> Char.chr (Random.State.int st 256))
+
+(* the journal's frame: u32-BE length, MD5 of the payload, payload *)
+let frames raw =
+  let rec go off acc =
+    if off >= String.length raw then List.rev acc
+    else
+      let len = Int32.to_int (String.get_int32_be raw off) in
+      go (off + 20 + len) (String.sub raw (off + 20) len :: acc)
+  in
+  go 10 []
+
+let frame payload =
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
+  Bytes.to_string hdr ^ Digest.string payload ^ payload
+
+(* what the damaged payload decodes to, if it is still an admission *)
+let admission_of payload =
+  match Json.of_string payload with
+  | Result.Error _ -> None
+  | Result.Ok j -> (
+      match (Json.member "rec" j, Json.member "jid" j, Json.member "request" j) with
+      | Some (Json.String "admitted"), Some (Json.Int jid), Some rj -> (
+          match Proto.request_of_json rj with
+          | Result.Ok req -> Some (Adm (jid, req))
+          | Result.Error _ -> None)
+      | _ -> None)
+
+let replay model =
+  let live = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Adm (jid, req) -> Hashtbl.replace live jid req
+      | Fin jid -> Hashtbl.remove live jid)
+    model;
+  Hashtbl.fold (fun jid req acc -> (jid, req) :: acc) live []
+  |> List.sort compare
+
+let test_journal_seeded_mutations path =
+  let reqs =
+    [ { Proto.tenant = "alice";
+        job = Apex.Jobs.Dse { apps = [ "camera" ]; variants = [ "pe1:camera" ] };
+        deadline_s = Some 30.0 };
+      sleep_req "bob" 0.5;
+      { Proto.tenant = "carol";
+        job = Apex.Jobs.Mine { app = "gaussian"; top = 3 };
+        deadline_s = None };
+      { Proto.tenant = "dave";
+        job = Apex.Jobs.Map { app = "harris"; variant = "base" };
+        deadline_s = None };
+      { Proto.tenant = "erin"; job = Apex.Jobs.Lint { apps = [] }; deadline_s = None } ]
+  in
+  let j, _ = Journal.open_ path in
+  let model =
+    List.concat_map
+      (fun req ->
+        let jid = Journal.admit j req in
+        (* the second job finishes: replay must drop it again *)
+        if jid = 2 then begin
+          Journal.finished j jid;
+          [ Adm (jid, req); Fin jid ]
+        end
+        else [ Adm (jid, req) ])
+      reqs
+  in
+  Journal.close j;
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  let payloads = frames raw in
+  check Alcotest.int "one frame per record" (List.length model) (List.length payloads);
+  let admitted =
+    List.filter_map
+      (fun (i, r) -> match r with Adm _ -> Some i | Fin _ -> None)
+      (List.mapi (fun i r -> (i, r)) model)
+  in
+  let rejected = ref 0 in
+  for seed = 1 to 100 do
+    let st = Random.State.make [| seed |] in
+    let k = List.nth admitted (Random.State.int st (List.length admitted)) in
+    let damaged = mutate_payload st (List.nth payloads k) in
+    let expected =
+      match admission_of damaged with
+      | None ->
+          incr rejected;
+          replay (List.filteri (fun i _ -> i < k) model)
+      | Some r -> replay (List.mapi (fun i r' -> if i = k then r else r') model)
+    in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (String.sub raw 0 10);
+        List.iteri
+          (fun i p -> output_string oc (frame (if i = k then damaged else p)))
+          payloads);
+    let replayed () =
+      match Journal.open_ path with
+      | j, unfinished ->
+          Journal.close j;
+          List.map (fun { Journal.jid; req } -> (jid, req)) unfinished
+      | exception e ->
+          Alcotest.failf "seed %d: replay raised %s" seed (Printexc.to_string e)
+    in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    check Alcotest.bool (name "replays the valid prefix") true (replayed () = expected);
+    check Alcotest.bool (name "reopen is idempotent") true (replayed () = expected)
+  done;
+  (* the mutations reach the decoder's rejection paths, not only
+     payloads that still decode *)
+  check Alcotest.bool "most damage rejected" true (!rejected > 50)
+
 let test_journal_replay_e2e path =
   (* pre-seed the journal with one unfinished job, as a kill -9'd
      daemon would leave behind, then start a daemon on it: the job
@@ -356,7 +502,7 @@ let test_journal_clean_shutdown_cancels_queued path =
       (fun () ->
         resp :=
           Some
-            (Client.one_shot ~socket
+            (request_once ~socket
                { Proto.tenant = "alice";
                  job = Apex.Jobs.Sleep { seconds = 30.0 };
                  deadline_s = None }))
@@ -412,7 +558,7 @@ let with_server ?default_deadline_s f () =
       if Sys.file_exists dir then rm dir)
 
 let submit_job ~socket ~tenant ?deadline_s job =
-  Client.one_shot ~socket { Proto.tenant; job; deadline_s }
+  request_once ~socket { Proto.tenant; job; deadline_s }
 
 let counter_of report name =
   match Json.member "counters" report with
@@ -574,6 +720,8 @@ let () =
             (with_journal_file test_journal_torn_tail);
           Alcotest.test_case "foreign file rejected" `Quick
             (with_journal_file test_journal_rejects_foreign_file);
+          Alcotest.test_case "seeded record mutation" `Quick
+            (with_journal_file test_journal_seeded_mutations);
           Alcotest.test_case "daemon replays unfinished job" `Quick
             (with_journal_file test_journal_replay_e2e);
           Alcotest.test_case "clean shutdown cancels queued" `Quick

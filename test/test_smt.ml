@@ -1,4 +1,4 @@
-(* Tests for the SAT solver, bit-vector layer and CEGIS rewrite-rule
+(* Tests for the SAT solver, bit-vector layer and rewrite-rule
    synthesis. *)
 
 module Sat = Apex_smt.Sat
@@ -431,19 +431,6 @@ let test_structural_on_merged_pe () =
   | None -> Alcotest.fail "no add rule on merged PE"
   | Some _ -> ()
 
-let test_cegis_small_pe () =
-  let dp = Library.subset ~ops:[ Op.Add; Op.Sub ] in
-  let spec = Spec.of_datapath ~name:"tiny" dp in
-  (match Synth.cegis ~max_instrs:20_000 spec (Synth.op_pattern Op.Add) with
-  | None -> Alcotest.fail "cegis found no add rule"
-  | Some rule -> (
-      match rule.verdict with
-      | Verify.Proved _ | Verify.Tested -> ()
-      | Verify.Refuted _ -> Alcotest.fail "cegis returned refuted rule"));
-  match Synth.cegis ~max_instrs:20_000 spec (Synth.op_pattern Op.Sub) with
-  | None -> Alcotest.fail "cegis found no sub rule"
-  | Some _ -> ()
-
 let test_structural_rules_for_ops () =
   let ops = [ Op.Add; Op.Sub; Op.Smin ] in
   let dp = Library.subset ~ops in
@@ -483,5 +470,4 @@ let () =
         [ Alcotest.test_case "structural: all ops" `Quick test_structural_synthesizes_all_ops;
           Alcotest.test_case "structural: missing op" `Quick test_structural_fails_for_missing_op;
           Alcotest.test_case "structural: merged PE" `Quick test_structural_on_merged_pe;
-          Alcotest.test_case "cegis: small PE" `Quick test_cegis_small_pe;
           Alcotest.test_case "rules for ops" `Quick test_structural_rules_for_ops ] ) ]
