@@ -18,6 +18,8 @@ CI_DSE_FAULT := /tmp/apex-ci-dse-fault.json
 CI_FAULT_CACHE := /tmp/apex-ci-fault-cache
 CI_HARRIS_BASE := /tmp/apex-ci-harris-base.json
 CI_HARRIS_PLAIN := /tmp/apex-ci-harris-plain.json
+CI_CAMERA_OPT_BASE := /tmp/apex-ci-camera-opt-base.json
+CI_CAMERA_OPT_PLAIN := /tmp/apex-ci-camera-opt-plain.json
 CI_SNAP := /tmp/apex-ci-snap
 CI_SERVE_SOCK := /tmp/apex-ci-serve.sock
 CI_SERVE_CACHE := /tmp/apex-ci-serve-cache
@@ -329,10 +331,15 @@ ci-chaos:
 # --no-cache (a warm cache skips synthesis and mining entirely);
 # cache-corrupt needs a *warm* cache (it fires on the first hit);
 # store-crash needs a *cold* one (it fires on the first write).
-# Last, the store-poisoning gate: a phase deadline degrades mining, then
+# Last, the store-poisoning gates: a phase deadline degrades mining, then
 # rule synthesis, of `dse harris` on a scratch cache; the plain run
 # after each must be results-identical to a --no-cache baseline, since
-# a degraded result is never stored.
+# a degraded result is never stored.  And a deadline that degrades the
+# --optimize rewrite of camera evaluates the unoptimized kernel: that
+# pair is stored under the kernel it evaluated, so the plain optimized
+# run after it must still match --no-cache.  (The gaussian run first
+# stores PE Base's configuration-space report, which the deadline would
+# otherwise degrade too, changing the variant's key.)
 .PHONY: ci-faults
 ci-faults:
 	dune exec bin/apex_cli.exe -- dse camera --no-cache --trace=$(CI_DSE_BASE) > /dev/null
@@ -382,6 +389,17 @@ ci-faults:
 	    $(CI_HARRIS_BASE) $(CI_HARRIS_PLAIN); \
 	done
 	rm -rf $(CI_FAULT_CACHE)
+	dune exec bin/apex_cli.exe -- dse camera -v base --optimize --no-cache \
+	  --trace=$(CI_CAMERA_OPT_BASE) > /dev/null
+	APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse gaussian -v base --optimize > /dev/null
+	APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse camera -v base --optimize \
+	  --phase-deadline analysis=0.00001 --trace=$(CI_DSE_FAULT) > /dev/null
+	dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) --require guard.outcome.degraded
+	APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse camera -v base --optimize \
+	  --trace=$(CI_CAMERA_OPT_PLAIN) > /dev/null
+	dune exec bin/apex_cli.exe -- report-diff --results-only \
+	  $(CI_CAMERA_OPT_BASE) $(CI_CAMERA_OPT_PLAIN)
+	rm -rf $(CI_FAULT_CACHE)
 
 # Benchmark-trajectory regression gate: regenerate every snapshot into
 # a scratch directory and bench-diff it against the committed baseline
@@ -408,6 +426,7 @@ clean:
 	rm -f $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
 	rm -f $(CI_DSE_J1) $(CI_DSE_J2) $(CI_PE1_J1) $(CI_PE1_J2)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT) $(CI_HARRIS_BASE) $(CI_HARRIS_PLAIN)
+	rm -f $(CI_CAMERA_OPT_BASE) $(CI_CAMERA_OPT_PLAIN)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)

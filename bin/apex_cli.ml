@@ -743,7 +743,7 @@ let dse_cmd =
           fallbacks, flagged as guard.outcome.* in the telemetry report. \
           With the cache on, every run resumes: a pair an earlier run \
           (even an interrupted one) finished is restored from its \
-          checkpoint instead of evaluated again (dse.pairs_resumed).")
+          checkpoint (exec.cache_hits) instead of evaluated again.")
     Term.(
       const run $ exec_t $ trace_arg $ check_arg $ optimize_arg $ apps
       $ variants $ json)

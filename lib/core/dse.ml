@@ -107,25 +107,40 @@ let camera_variants () =
   let camera = Apps.by_name "camera" in
   baseline () :: List.init 4 (fun k -> pe_k camera k)
 
+(* A kernel's content as evaluation reads it, not its name.  Kernels are
+   immutable process-lifetime values (Apps' table, Optimize's cache): each
+   is digested once, then found by identity (a lost race digests twice). *)
+let kernel_digests : (Apps.t * string) list Atomic.t = Atomic.make []
+
+let kernel_digest (k : Apps.t) =
+  let known = Atomic.get kernel_digests in
+  match List.assq_opt k known with
+  | Some d -> d
+  | None ->
+      let d =
+        Apex_exec.Store.key ~version:"kernel/1"
+          (k.graph, k.unroll, k.mem_tiles, k.io_tiles, k.outputs_per_run)
+      in
+      ignore (Atomic.compare_and_set kernel_digests known ((k, d) :: known));
+      d
+
 (* Store key of one evaluation of [v] against [app], on what it reads:
-   the variant's datapath and rule set (digested once, when the variant
-   was built), the app and the optimize config.  Not the merged
-   patterns: a degraded synthesis gives the same patterns a different
-   rule set.  Bump the version tag when the synthesis or metrics
-   pipeline changes what it produces; /3 keys on the rule set. *)
+   the variant's datapath and rule set (digested when the variant was
+   built), the kernel [Optimize.app] gives (a degraded rewrite keys the
+   kernel it left) and the effort.  Not the merged patterns: a degraded
+   synthesis gives the same patterns a different rule set.  Bump the
+   version tag when synthesis or metrics change what they produce. *)
 let eval_key ~version ?effort (v : Variants.t) (app : Apps.t) =
   Apex_exec.Store.key ~version
-    (v.eval_digest, app.Apps.name, Optimize.key_suffix (), effort)
+    (v.eval_digest, kernel_digest (Optimize.app app), effort)
 
-let mapping_key v app = eval_key ~version:"pm-score/3" v app
+let mapping_key v app = eval_key ~version:"pm-score/4" v app
 
-(* area-energy score of a variant on one application, post-mapping.
-   The mapping behind it is the costly step of the [pe_spec] climb, so
-   the score is store-memoized like any other phase product; the
-   structural [Unmappable] verdict is part of the cached result (an
-   [Error] re-raises on every hit).  A computed mapping is also kept in
-   the memo scope's covers, for the pair evaluations of variants built
-   after it. *)
+(* area-energy score of a variant on one application, post-mapping:
+   the costly step of the [pe_spec] climb, store-memoized with its
+   structural verdict as pairs are (an [Error] re-raises on every hit).
+   A computed mapping is also kept in the memo scope's covers, for the
+   pair evaluations of variants built after it. *)
 let score (v : Variants.t) app =
   let key = mapping_key v app in
   match
@@ -225,32 +240,17 @@ type pair_result =
   | Skipped of string
   | Failed of string
 
-(* Pair evaluations are pure in (variant, app, effort, optimize config),
-   so their two *structural* verdicts are shared through the artifact
-   store like any other phase product.  Budget trips and injected
-   faults are run-local circumstances, never cached. *)
-type cached_pair =
-  | Cached_mapped of Metrics.post_pipelining
-  | Cached_unmappable of string
-
+(* A pair's structural verdict, the metrics or the [Unmappable]
+   message, is store-memoized like any other phase product: a stored
+   pair is the checkpoint a killed run resumes from. *)
 let eval_pair ?effort ?mapping (v : Variants.t) (app : Apps.t) =
-  let key = eval_key ~version:"pair-eval/3" ?effort v app in
-  match Apex_exec.Store.lookup ~ns:"pairs" ~key with
-  | Some c ->
-      (* a pair-granularity checkpoint: this exact evaluation completed
-         in some earlier (possibly killed) run and resumes for free *)
-      Counter.incr "dse.pairs_resumed";
-      (c : cached_pair)
-  | None ->
+  Apex_exec.Store.memoize ~ns:"pairs"
+    ~key:(eval_key ~version:"pair-eval/4" ?effort v app)
+    (fun () ->
       if Option.is_some mapping then Counter.incr "dse.covers_reused";
-      let c =
-        match Metrics.post_pipelining ?effort ?mapping v app with
-        | pp, _, _ -> Cached_mapped pp
-        | exception Apex_mapper.Cover.Unmappable m -> Cached_unmappable m
-      in
-      Apex_exec.Store.store ~ns:"pairs" ~key c;
-      Counter.incr "dse.pairs_checkpointed";
-      c
+      match Metrics.post_pipelining ?effort ?mapping v app with
+      | pp, _, _ -> Ok pp
+      | exception Apex_mapper.Cover.Unmappable m -> Error m)
 
 let mapped_opt = function Mapped pp -> Some pp | _ -> None
 
@@ -282,10 +282,10 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
         Apex_guard.Fault.inject "pair-eval-transient";
         eval_pair ?effort ?mapping v app)
   with
-  | Cached_mapped pp ->
+  | Ok pp ->
       Apex_guard.Outcome.record ~phase:"evaluate" Apex_guard.Outcome.Exact;
       Mapped pp
-  | Cached_unmappable m ->
+  | Error m ->
       Counter.incr "dse.unmappable_pairs";
       Unmappable m
   | exception Apex_guard.Cancelled msg ->
@@ -315,10 +315,8 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
 let evaluate_built ?effort ~build items =
   let produce x =
     let ((v, app) as pair) = build x in
-    (* the optimized kernel, too, is built here rather than on a runner *)
-    ignore (Optimize.app app : Apps.t);
-    ( pair,
-      Hashtbl.find_opt (current_scope ()).covers (mapping_key v app) )
+    (* the key builds the optimized kernel here rather than on a runner *)
+    (pair, Hashtbl.find_opt (current_scope ()).covers (mapping_key v app))
   in
   Apex_exec.Pool.pipeline ~produce
     (fun (pair, mapping) -> (pair, evaluate_pair ?effort ?mapping pair))

@@ -102,7 +102,8 @@ val evaluate_pairs :
     [dse.unmappable_pairs] / [dse.skipped_pairs] / [dse.failed_pairs])
     and never aborts the fleet.  A pair whose mapping the memo scope
     holds (a PE Spec climb scored it) is not mapped again
-    ([dse.covers_reused]).  [evaluate_built ~build:Fun.id]. *)
+    ([dse.covers_reused]).  Verdicts are store-memoized (ns [pairs]) on
+    the variant's and kernel's content.  [evaluate_built ~build:Fun.id]. *)
 
 val evaluate_built :
   ?effort:int ->

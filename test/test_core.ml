@@ -427,6 +427,62 @@ let test_kernels_unchanged_by_jobs () =
         mobilenet_layer; laplacian; stereo; fast_corner; sobel; median3;
         resize ]
 
+let test_pair_key_follows_kernel () =
+  (* a stored pair is keyed on the kernel it evaluated, not on the
+     app's name: camera's optimized graph under camera's name misses
+     and evaluates as a store-off run does, and a renamed copy of a
+     stored kernel hits *)
+  let module Store = Apex_exec.Store in
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  Registry.enable ();
+  Registry.reset ();
+  Fun.protect ~finally:(fun () ->
+      Registry.disable ();
+      Registry.reset ())
+  @@ fun () ->
+  with_scratch_store @@ fun () ->
+  Dse.with_local_memo @@ fun () ->
+  let camera = Apps.by_name "camera" in
+  let optimized =
+    { camera with graph = (Apex_analysis.Opt.run camera.graph).graph }
+  in
+  let base = Dse.baseline () in
+  let eval app =
+    match Dse.evaluate_pairs [ (base, app) ] with
+    | [ Dse.Mapped pp ] -> pp
+    | _ -> Alcotest.fail "the pair did not map"
+  in
+  let pairs_stored () =
+    List.fold_left
+      (fun n (s : Store.ns_stats) -> if s.ns = "pairs" then n + s.entries else n)
+      0 (Store.stats ())
+  in
+  let traffic f =
+    let hits = Counter.get "exec.cache_hits"
+    and misses = Counter.get "exec.cache_misses" in
+    let r = f () in
+    (r, Counter.get "exec.cache_hits" - hits, Counter.get "exec.cache_misses" - misses)
+  in
+  Store.set_enabled false;
+  let reference = eval optimized in
+  Store.set_enabled true;
+  let raw = eval camera in
+  check int "the raw pair is stored" 1 (pairs_stored ());
+  Alcotest.(check bool) "the optimized kernel maps differently" true
+    (raw <> reference);
+  let got, _, misses = traffic (fun () -> eval optimized) in
+  Alcotest.(check bool) "the optimized kernel misses" true (misses >= 1);
+  check int "and is stored apart" 2 (pairs_stored ());
+  Alcotest.(check bool) "equal to a store-off evaluation" true
+    (got = reference);
+  let got, hits, misses =
+    traffic (fun () -> eval { camera with name = "camera2" })
+  in
+  check int "a renamed kernel hits" 1 hits;
+  check int "without a miss" 0 misses;
+  Alcotest.(check bool) "with the stored result" true (got = raw)
+
 (* --- where parallelism lives --- *)
 
 let test_only_pair_evaluation_fans_out () =
@@ -558,6 +614,8 @@ let () =
             test_degraded_mining_not_stored;
           Alcotest.test_case "kernels unchanged by jobs" `Quick
             test_kernels_unchanged_by_jobs;
+          Alcotest.test_case "pair key follows the kernel" `Quick
+            test_pair_key_follows_kernel;
           Alcotest.test_case "unknown variant" `Quick test_variant_for_unknown;
           Alcotest.test_case "unknown application" `Quick test_variant_for_unknown_app;
           Alcotest.test_case "bad subgraph count" `Quick

@@ -361,20 +361,21 @@ let replay model =
   Hashtbl.fold (fun jid req acc -> (jid, req) :: acc) live []
   |> List.sort compare
 
+(* one request of each shape: options, numbers, lists, nesting *)
+let sample_requests =
+  [ { Proto.tenant = "alice";
+      job = Apex.Jobs.Dse { apps = [ "camera" ]; variants = [ "pe1:camera" ] };
+      deadline_s = Some 30.0 };
+    sleep_req "bob" 0.5;
+    { Proto.tenant = "carol";
+      job = Apex.Jobs.Mine { app = "gaussian"; top = 3 };
+      deadline_s = None };
+    { Proto.tenant = "dave";
+      job = Apex.Jobs.Map { app = "harris"; variant = "base" };
+      deadline_s = None };
+    { Proto.tenant = "erin"; job = Apex.Jobs.Lint { apps = [] }; deadline_s = None } ]
+
 let test_journal_seeded_mutations path =
-  let reqs =
-    [ { Proto.tenant = "alice";
-        job = Apex.Jobs.Dse { apps = [ "camera" ]; variants = [ "pe1:camera" ] };
-        deadline_s = Some 30.0 };
-      sleep_req "bob" 0.5;
-      { Proto.tenant = "carol";
-        job = Apex.Jobs.Mine { app = "gaussian"; top = 3 };
-        deadline_s = None };
-      { Proto.tenant = "dave";
-        job = Apex.Jobs.Map { app = "harris"; variant = "base" };
-        deadline_s = None };
-      { Proto.tenant = "erin"; job = Apex.Jobs.Lint { apps = [] }; deadline_s = None } ]
-  in
   let j, _ = Journal.open_ path in
   let model =
     List.concat_map
@@ -386,7 +387,7 @@ let test_journal_seeded_mutations path =
           [ Adm (jid, req); Fin jid ]
         end
         else [ Adm (jid, req) ])
-      reqs
+      sample_requests
   in
   Journal.close j;
   let raw = In_channel.with_open_bin path In_channel.input_all in
@@ -429,6 +430,87 @@ let test_journal_seeded_mutations path =
   (* the mutations reach the decoder's rejection paths, not only
      payloads that still decode *)
   check Alcotest.bool "most damage rejected" true (!rejected > 50)
+
+(* The same seeded damage to request frames on the wire.  In the length
+   prefix (digits and newline) it reaches [Proto.read_frame], which must
+   read exactly what the damaged prefix still announces or raise
+   [Sys_error]; in the payload it reaches the JSON and request decoders,
+   which must answer with a typed invalid-argument error or a genuine
+   request — never an exception. *)
+let read_damaged_frame bytes =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      try Unix.close w with Unix.Unix_error _ -> ())
+    (fun () ->
+      ignore (Unix.write_substring w bytes 0 (String.length bytes));
+      Unix.close w;
+      match Proto.read_frame r with
+      | frame -> Ok frame
+      | exception Sys_error m -> Error m)
+
+(* what a damaged frame still announces: 1 to 11 digits, a newline,
+   a length within the limit and at least that many bytes after it *)
+let announced bytes =
+  match String.index_opt bytes '\n' with
+  | Some i
+    when i >= 1 && i <= 11
+         && String.for_all (function '0' .. '9' -> true | _ -> false)
+              (String.sub bytes 0 i) ->
+      let len = int_of_string (String.sub bytes 0 i) in
+      if len <= Proto.max_frame_bytes && i + 1 + len <= String.length bytes
+      then Some (String.sub bytes (i + 1) len)
+      else None
+  | _ -> None
+
+let test_frame_seeded_mutations () =
+  let payloads =
+    List.map
+      (fun r -> Json.to_string (Proto.request_to_json r))
+      sample_requests
+  in
+  let prefix_errors = ref 0 and payload_errors = ref 0 in
+  for seed = 1 to 100 do
+    let st = Random.State.make [| seed |] in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    let payload =
+      List.nth payloads (Random.State.int st (List.length payloads))
+    in
+    let prefix = string_of_int (String.length payload) ^ "\n" in
+    let bytes = mutate_payload st prefix ^ payload in
+    (match (read_damaged_frame bytes, announced bytes) with
+    | Ok (Some got), Some want ->
+        check Alcotest.string (name "reads the announced frame") want got
+    | Error _, None -> incr prefix_errors
+    | Ok None, _ -> Alcotest.fail (name "clean EOF on a nonempty stream")
+    | Ok (Some _), None -> Alcotest.fail (name "read a malformed frame")
+    | Error m, Some _ -> Alcotest.fail (name ("rejected a well-formed frame: " ^ m))
+    | exception e ->
+        Alcotest.failf "seed %d: read_frame raised %s" seed
+          (Printexc.to_string e));
+    match Json.of_string (mutate_payload st payload) with
+    | Result.Error _ -> incr payload_errors
+    | Result.Ok j -> (
+        match Proto.request_of_json j with
+        | Result.Error e ->
+            incr payload_errors;
+            check Alcotest.int (name "typed invalid-argument error") 2 e.Proto.code
+        | Result.Ok req ->
+            check Alcotest.bool (name "a genuine request") true
+              (Proto.validate_tenant req.Proto.tenant = Result.Ok ()
+              && Result.is_ok
+                   (Proto.request_of_json (Proto.request_to_json req)))
+        | exception e ->
+            Alcotest.failf "seed %d: request_of_json raised %s" seed
+              (Printexc.to_string e))
+    | exception e ->
+        Alcotest.failf "seed %d: Json.of_string raised %s" seed
+          (Printexc.to_string e)
+  done;
+  (* the mutations reach both decoders' rejection paths *)
+  check Alcotest.bool "damaged prefixes rejected" true (!prefix_errors > 30);
+  check Alcotest.bool "most damaged payloads rejected" true (!payload_errors > 50)
 
 let test_journal_replay_e2e path =
   (* pre-seed the journal with one unfinished job, as a kill -9'd
@@ -706,7 +788,9 @@ let () =
             test_request_validation_errors;
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
           Alcotest.test_case "response roundtrip" `Quick
-            test_response_roundtrip ] );
+            test_response_roundtrip;
+          Alcotest.test_case "seeded frame mutation" `Quick
+            test_frame_seeded_mutations ] );
       ( "admission",
         [ Alcotest.test_case "round-robin fairness" `Quick
             test_admission_round_robin;
@@ -722,6 +806,7 @@ let () =
             (with_journal_file test_journal_rejects_foreign_file);
           Alcotest.test_case "seeded record mutation" `Quick
             (with_journal_file test_journal_seeded_mutations);
+
           Alcotest.test_case "daemon replays unfinished job" `Quick
             (with_journal_file test_journal_replay_e2e);
           Alcotest.test_case "clean shutdown cancels queued" `Quick
