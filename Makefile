@@ -28,6 +28,7 @@ CI_SERVE_OUT := /tmp/apex-ci-serve-out.json
 CI_SERVE_CLI_LINT := /tmp/apex-ci-serve-cli-lint.json
 CI_SERVE_CLI_DSE := /tmp/apex-ci-serve-cli-dse.json
 CI_SERVE_CLI_PROFILE := /tmp/apex-ci-serve-cli-profile.json
+CI_SERVE_CLI_MAP := /tmp/apex-ci-serve-cli-map.json
 CI_CRASH_SOCK := /tmp/apex-ci-crash.sock
 CI_CRASH_CACHE := /tmp/apex-ci-crash-cache
 CI_CRASH_CLEAN_CACHE := /tmp/apex-ci-crash-clean-cache
@@ -200,10 +201,15 @@ ci: build test
 # `lint camera` and `dse camera` --trace reports carry the same results
 # section as alice's served lint and dse reports, and `profile camera`
 # carries that of the served DSE job spec:camera + pe1:camera.
+# Last, alice's first map request stores its post-mapping cover (a
+# miss: the DSE job stored only scores), and her repeated one is served
+# from the store with no miss and the results of a --no-cache
+# `apex map camera -v base`.
 .PHONY: ci-serve
 ci-serve:
 	rm -rf $(CI_SERVE_CACHE) && rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE)
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
+	rm -f $(CI_SERVE_CLI_MAP)
 	set -e; \
 	APEX_CACHE_DIR=$(CI_SERVE_CACHE) $(APEX_BIN) serve \
 	  --socket $(CI_SERVE_SOCK) --jobs 4 --trace=$(CI_SERVE_TRACE) & \
@@ -233,6 +239,15 @@ ci-serve:
 	  '{"kind":"dse","apps":["camera"],"variants":["spec:camera","pe1:camera"]}'; \
 	$(APEX_BIN) profile camera --no-cache --trace=$(CI_SERVE_CLI_PROFILE) > /dev/null; \
 	$(APEX_BIN) report-diff --results-only $(CI_SERVE_CLI_PROFILE) $(CI_SERVE_OUT); \
+	$(APEX_BIN) submit --socket $(CI_SERVE_SOCK) --tenant alice \
+	  --out $(CI_SERVE_OUT) '{"kind":"map","app":"camera","variant":"base"}'; \
+	$(APEX_BIN) trace-check $(CI_SERVE_OUT) --require exec.cache_misses; \
+	$(APEX_BIN) submit --socket $(CI_SERVE_SOCK) --tenant alice \
+	  --out $(CI_SERVE_OUT) '{"kind":"map","app":"camera","variant":"base"}'; \
+	$(APEX_BIN) trace-check $(CI_SERVE_OUT) \
+	  --require exec.cache_hits --forbid exec.cache_misses; \
+	$(APEX_BIN) map camera -v base --no-cache --trace=$(CI_SERVE_CLI_MAP) > /dev/null; \
+	$(APEX_BIN) report-diff --results-only $(CI_SERVE_CLI_MAP) $(CI_SERVE_OUT); \
 	kill -TERM $$pid; \
 	wait $$pid; \
 	trap - EXIT
@@ -339,7 +354,9 @@ ci-chaos:
 # pair is stored under the kernel it evaluated, so the plain optimized
 # run after it must still match --no-cache.  (The gaussian run first
 # stores PE Base's configuration-space report, which the deadline would
-# otherwise degrade too, changing the variant's key.)
+# otherwise degrade too, changing the variant's key.)  A second plain
+# optimized run is warm: it must read the stored rewrite (no solver
+# call, no store miss) and still match --no-cache.
 .PHONY: ci-faults
 ci-faults:
 	dune exec bin/apex_cli.exe -- dse camera --no-cache --trace=$(CI_DSE_BASE) > /dev/null
@@ -399,6 +416,12 @@ ci-faults:
 	  --trace=$(CI_CAMERA_OPT_PLAIN) > /dev/null
 	dune exec bin/apex_cli.exe -- report-diff --results-only \
 	  $(CI_CAMERA_OPT_BASE) $(CI_CAMERA_OPT_PLAIN)
+	APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse camera -v base --optimize \
+	  --trace=$(CI_CAMERA_OPT_PLAIN) > /dev/null
+	dune exec bin/apex_cli.exe -- trace-check $(CI_CAMERA_OPT_PLAIN) \
+	  --require exec.cache_hits --forbid exec.cache_misses --forbid smt.solver_calls
+	dune exec bin/apex_cli.exe -- report-diff --results-only \
+	  $(CI_CAMERA_OPT_BASE) $(CI_CAMERA_OPT_PLAIN)
 	rm -rf $(CI_FAULT_CACHE)
 
 # Benchmark-trajectory regression gate: regenerate every snapshot into
@@ -429,6 +452,7 @@ clean:
 	rm -f $(CI_CAMERA_OPT_BASE) $(CI_CAMERA_OPT_PLAIN)
 	rm -f $(CI_SERVE_SOCK) $(CI_SERVE_TRACE) $(CI_SERVE_OUT)
 	rm -f $(CI_SERVE_CLI_LINT) $(CI_SERVE_CLI_DSE) $(CI_SERVE_CLI_PROFILE)
+	rm -f $(CI_SERVE_CLI_MAP)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
 	rm -f $(CI_DSE_JSON) $(CI_ANALYZE_JSON)

@@ -136,23 +136,34 @@ let eval_key ~version ?effort (v : Variants.t) (app : Apps.t) =
 
 let mapping_key v app = eval_key ~version:"pm-score/4" v app
 
-(* area-energy score of a variant on one application, post-mapping:
-   the costly step of the [pe_spec] climb, store-memoized with its
-   structural verdict as pairs are (an [Error] re-raises on every hit).
-   A computed mapping is also kept in the memo scope's covers, for the
-   pair evaluations of variants built after it. *)
-let score (v : Variants.t) app =
-  let key = mapping_key v app in
+(* [f ()] store-memoized with its structural verdict: an [Unmappable]
+   is stored as [Error] and re-raised on every hit *)
+let memo_verdict ~ns ~key f =
   match
-    Apex_exec.Store.memoize ~ns:"mapping" ~key (fun () ->
-        match Metrics.post_mapping v app with
-        | (pm, _) as mapping ->
-            Hashtbl.replace (current_scope ()).covers key mapping;
-            Ok (pm.Metrics.total_pe_area *. pm.Metrics.pe_energy_per_output)
+    Apex_exec.Store.memoize ~ns ~key (fun () ->
+        match f () with
+        | x -> Ok x
         | exception Apex_mapper.Cover.Unmappable m -> Error m)
   with
-  | Ok s -> s
+  | Ok x -> x
   | Error m -> raise (Apex_mapper.Cover.Unmappable m)
+
+(* area-energy score of a variant on one application, post-mapping:
+   the costly step of the [pe_spec] climb.  A computed mapping is also
+   kept in the memo scope's covers, for the pair evaluations of
+   variants built after it.  Its store entry holds the score alone, so
+   a warm climb reads a few bytes per step, not a cover. *)
+let score (v : Variants.t) app =
+  let key = mapping_key v app in
+  memo_verdict ~ns:"mapping" ~key (fun () ->
+      let ((pm, _) as mapping) = Metrics.post_mapping v app in
+      Hashtbl.replace (current_scope ()).covers key mapping;
+      pm.Metrics.total_pe_area *. pm.Metrics.pe_energy_per_output)
+
+let mapping v app =
+  memo_verdict ~ns:"cover"
+    ~key:(eval_key ~version:"cover/2" v app)
+    (fun () -> Metrics.post_mapping v app)
 
 (* the climb's cap on merged subgraphs; [spec:<app>] names its result *)
 let max_spec_subgraphs = 5
@@ -244,13 +255,12 @@ type pair_result =
    message, is store-memoized like any other phase product: a stored
    pair is the checkpoint a killed run resumes from. *)
 let eval_pair ?effort ?mapping (v : Variants.t) (app : Apps.t) =
-  Apex_exec.Store.memoize ~ns:"pairs"
+  memo_verdict ~ns:"pairs"
     ~key:(eval_key ~version:"pair-eval/4" ?effort v app)
     (fun () ->
       if Option.is_some mapping then Counter.incr "dse.covers_reused";
-      match Metrics.post_pipelining ?effort ?mapping v app with
-      | pp, _, _ -> Ok pp
-      | exception Apex_mapper.Cover.Unmappable m -> Error m)
+      let pp, _, _ = Metrics.post_pipelining ?effort ?mapping v app in
+      pp)
 
 let mapped_opt = function Mapped pp -> Some pp | _ -> None
 
@@ -282,10 +292,10 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
         Apex_guard.Fault.inject "pair-eval-transient";
         eval_pair ?effort ?mapping v app)
   with
-  | Ok pp ->
+  | pp ->
       Apex_guard.Outcome.record ~phase:"evaluate" Apex_guard.Outcome.Exact;
       Mapped pp
-  | Error m ->
+  | exception Apex_mapper.Cover.Unmappable m ->
       Counter.incr "dse.unmappable_pairs";
       Unmappable m
   | exception Apex_guard.Cancelled msg ->

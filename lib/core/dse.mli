@@ -54,6 +54,19 @@ val pe_spec : Apex_halide.Apps.t -> Variants.t
     Each scored mapping is kept in the memo scope for the pair
     evaluations of variants built after it. *)
 
+val mapping :
+  Variants.t ->
+  Apex_halide.Apps.t ->
+  Metrics.post_mapping * Apex_mapper.Cover.t
+(** {!Metrics.post_mapping} of the variant on the application's
+    (optimized) kernel, store-memoized (ns [cover]) on the variant's
+    and kernel's content: the cover [apex map] and [apex lint] read, so
+    a warm request maps nothing and replays the [mapper.*] counters.
+    An [Unmappable] verdict is stored too and re-raised on every hit.
+    The PE Spec climb does not read it: its steps store only their
+    score (ns [mapping]), a few bytes against a cover's kilobytes.
+    @raise Apex_mapper.Cover.Unmappable *)
+
 val ip_apps : unit -> Apex_halide.Apps.t list
 (** camera, harris, gaussian, unsharp. *)
 

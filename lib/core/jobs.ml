@@ -159,7 +159,7 @@ let execute = function
   | Map { app; variant } ->
       let app = app_by_name app in
       let variant = Dse.variant_for variant in
-      let post, cover = Metrics.post_mapping variant app in
+      let post, cover = Dse.mapping variant app in
       Mapped { app; variant; post; cover }
   | Mine { app; top } ->
       let app = app_by_name app in

@@ -8,7 +8,6 @@
 
 module Apps = Apex_halide.Apps
 module Pattern = Apex_mining.Pattern
-module Cover = Apex_mapper.Cover
 module Pe_pipeline = Apex_pipelining.Pe_pipeline
 module App_pipeline = Apex_pipelining.App_pipeline
 module Engine = Apex_lint.Engine
@@ -29,7 +28,7 @@ let artifacts_for (app : Apps.t) =
              { label = label (Pattern.code p); graph = Pattern.graph p })
          v.Variants.patterns
   in
-  let mapped = Cover.map_app ~rules:v.Variants.rules app.Apps.graph in
+  let _, mapped = Dse.mapping v app in
   let pe_plan = Pe_pipeline.plan v.Variants.dp in
   let app_plan = App_pipeline.balance mapped ~pe_latency:pe_plan.stages in
   dfgs

@@ -5,7 +5,8 @@
    mapping or linting is first reduced by [Apex_analysis.Opt.run] —
    constant folding, identities, CSE, dead-node elimination — so the
    whole flow works on smaller, redundancy-free kernels.  Optimization
-   is memoized per application name; the flag is set once at process
+   is memoized per application name in the process and in the store
+   (ns [optimize], on the raw graph); the flag is set once at process
    start (before any variant is built), and the DSE memo keys carry an
    ":opt" suffix so a mixed-state process cannot alias cached
    variants. *)
@@ -38,9 +39,16 @@ let app (a : Apps.t) =
     with
     | Some a' -> a'
     | None ->
-        let r = Span.with_ ("optimize:" ^ a.Apps.name) (fun () -> Opt.run a.Apps.graph) in
+        let graph =
+          Span.with_ ("optimize:" ^ a.Apps.name) (fun () ->
+              (* keyed on the raw graph; a deadline-degraded rewrite
+                 records a degraded outcome, so it is never stored *)
+              Apex_exec.Store.memoize ~ns:"optimize"
+                ~key:(Apex_exec.Store.key ~version:"optimize/1" a.Apps.graph)
+                (fun () -> (Opt.run a.Apps.graph).Opt.graph))
+        in
         Counter.incr "analysis.apps_optimized";
-        let a' = { a with Apps.graph = r.Opt.graph } in
+        let a' = { a with Apps.graph } in
         Mutex.protect cache_lock (fun () ->
             Hashtbl.replace cache a.Apps.name a');
         a'

@@ -4,8 +4,10 @@
     validated optimizer ({!Apex_analysis.Opt.run}) before it enters
     mining, merging, mapping or linting.  Disabled, {!app} is the
     identity.  Set the flag once at process start: the per-application
-    result is memoized, and {!key_suffix} lets in-process memo tables
-    distinguish optimized from raw variants. *)
+    result is memoized in the process and in the store (ns [optimize],
+    keyed on the raw graph, so a warm run makes no solver call), and
+    {!key_suffix} lets in-process memo tables distinguish optimized
+    from raw variants. *)
 
 val enable : unit -> unit
 val disable : unit -> unit

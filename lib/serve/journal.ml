@@ -2,10 +2,14 @@
 
    Every admission is appended (and fsynced) *before* the job enters
    the in-memory queue, so the set of jobs the daemon has accepted is
-   always recoverable from disk.  Records are length-prefixed and
-   checksummed; a crash mid-append leaves a torn tail that replay
-   truncates.  Replay returns the admitted-but-unfinished jobs in
-   admission order and compacts the file down to exactly those. *)
+   always recoverable from disk.  The other records are written but
+   not fsynced: a killed process cannot lose them (the kernel already
+   holds the write), only a host crash can, and then the job merely
+   replays — the contract for a started-but-not-done job anyway.
+   Records are length-prefixed and checksummed; a crash mid-append
+   leaves a torn tail that replay truncates.  Replay returns the
+   admitted-but-unfinished jobs in admission order and compacts the
+   file down to exactly those. *)
 
 module Counter = Apex_telemetry.Counter
 module Json = Apex_telemetry.Json
@@ -155,7 +159,9 @@ let append t r =
       | Started _ -> ()
       | Done jid | Cancelled jid -> Hashtbl.remove t.live jid);
       write_all t.fd (frame (record_to_string r));
-      Unix.fsync t.fd;
+      (match r with
+      | Admitted _ -> Unix.fsync t.fd
+      | Started _ | Done _ | Cancelled _ -> ());
       Counter.incr "serve.journal_appends";
       t.since_compact <- t.since_compact + 1;
       if t.since_compact >= compact_every then compact_locked t)
@@ -227,4 +233,6 @@ let cancelled t jid = append t (Cancelled jid)
 
 let close t =
   Mutex.protect t.lock (fun () ->
+      (* the records [append] wrote unsynced reach the disk here *)
+      (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
       try Unix.close t.fd with Unix.Unix_error _ -> ())

@@ -5,7 +5,10 @@
     to the journal {e before} the job enters the in-memory queue, so a
     [kill -9] at any point loses no accepted job: on restart, {!open_}
     replays the file, truncates any torn tail, and returns the
-    admitted-but-unfinished jobs for automatic re-enqueue.  The file is
+    admitted-but-unfinished jobs for automatic re-enqueue.  Only
+    admissions are fsynced: the other records are written, so a killed
+    process keeps them, but a host crash may lose them, and the job
+    then replays as a started-but-not-done one would.  The file is
     compacted (rewritten to exactly the live set) on open and every
     [compact_every] appends.
 
@@ -29,16 +32,21 @@ val admit : t -> Proto.request -> int
 val started : t -> int -> unit
 (** The job left the queue and began executing.  Purely informational
     for replay (a started-but-not-done job is still unfinished), kept
-    for post-mortem forensics of what was in flight at a crash. *)
+    for post-mortem forensics of what was in flight at a crash.
+    Written, not fsynced. *)
 
 val finished : t -> int -> unit
 (** The job reached a terminal non-cancelled response (ok {e or} a
-    deterministic error — neither should re-run on restart). *)
+    deterministic error — neither should re-run on restart).  Written,
+    not fsynced: a [kill -9] keeps it, a host crash may lose it and
+    replay the job. *)
 
 val cancelled : t -> int -> unit
 (** The job was cancelled (shutdown, queue overflow, expired while
-    queued) — it will not be replayed. *)
+    queued) — it will not be replayed.  Written, not fsynced, like
+    {!finished}. *)
 
 val close : t -> unit
+(** fsync what the unsynced appends wrote, then close. *)
 
 val path : t -> string

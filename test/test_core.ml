@@ -427,20 +427,42 @@ let test_kernels_unchanged_by_jobs () =
         mobilenet_layer; laplacian; stereo; fast_corner; sobel; median3;
         resize ]
 
+(* the entries the store holds in namespace [ns] *)
+let stored ns =
+  List.fold_left
+    (fun n (s : Apex_exec.Store.ns_stats) ->
+      if s.ns = ns then n + s.entries else n)
+    0 (Apex_exec.Store.stats ())
+
+(* store traffic and mapping work of [f ()], with telemetry on *)
+let with_counters f =
+  let module Registry = Apex_telemetry.Registry in
+  Registry.enable ();
+  Registry.reset ();
+  Fun.protect ~finally:(fun () ->
+      Registry.disable ();
+      Registry.reset ())
+    f
+
+let traffic f =
+  let module Counter = Apex_telemetry.Counter in
+  let names =
+    [ "exec.cache_hits"; "exec.cache_misses"; "mapper.map_app_calls";
+      "smt.solver_calls" ]
+  in
+  let before = List.map Counter.get names in
+  let r = f () in
+  match List.map2 (fun n b -> Counter.get n - b) names before with
+  | [ hits; misses; maps; solver_calls ] -> (r, hits, misses, maps, solver_calls)
+  | _ -> assert false
+
 let test_pair_key_follows_kernel () =
   (* a stored pair is keyed on the kernel it evaluated, not on the
      app's name: camera's optimized graph under camera's name misses
      and evaluates as a store-off run does, and a renamed copy of a
      stored kernel hits *)
   let module Store = Apex_exec.Store in
-  let module Registry = Apex_telemetry.Registry in
-  let module Counter = Apex_telemetry.Counter in
-  Registry.enable ();
-  Registry.reset ();
-  Fun.protect ~finally:(fun () ->
-      Registry.disable ();
-      Registry.reset ())
-  @@ fun () ->
+  with_counters @@ fun () ->
   with_scratch_store @@ fun () ->
   Dse.with_local_memo @@ fun () ->
   let camera = Apps.by_name "camera" in
@@ -453,35 +475,120 @@ let test_pair_key_follows_kernel () =
     | [ Dse.Mapped pp ] -> pp
     | _ -> Alcotest.fail "the pair did not map"
   in
-  let pairs_stored () =
-    List.fold_left
-      (fun n (s : Store.ns_stats) -> if s.ns = "pairs" then n + s.entries else n)
-      0 (Store.stats ())
-  in
-  let traffic f =
-    let hits = Counter.get "exec.cache_hits"
-    and misses = Counter.get "exec.cache_misses" in
-    let r = f () in
-    (r, Counter.get "exec.cache_hits" - hits, Counter.get "exec.cache_misses" - misses)
-  in
   Store.set_enabled false;
   let reference = eval optimized in
   Store.set_enabled true;
   let raw = eval camera in
-  check int "the raw pair is stored" 1 (pairs_stored ());
+  check int "the raw pair is stored" 1 (stored "pairs");
   Alcotest.(check bool) "the optimized kernel maps differently" true
     (raw <> reference);
-  let got, _, misses = traffic (fun () -> eval optimized) in
+  let got, _, misses, _, _ = traffic (fun () -> eval optimized) in
   Alcotest.(check bool) "the optimized kernel misses" true (misses >= 1);
-  check int "and is stored apart" 2 (pairs_stored ());
+  check int "and is stored apart" 2 (stored "pairs");
   Alcotest.(check bool) "equal to a store-off evaluation" true
     (got = reference);
-  let got, hits, misses =
+  let got, hits, misses, _, _ =
     traffic (fun () -> eval { camera with name = "camera2" })
   in
   check int "a renamed kernel hits" 1 hits;
   check int "without a miss" 0 misses;
   Alcotest.(check bool) "with the stored result" true (got = raw)
+
+let test_mapping_memo () =
+  (* [Dse.mapping] is what map and lint requests read: cold and warm
+     give the same results, a warm request hits without a miss and
+     replays the mapping's counters, the key follows the kernel, and
+     an unmappable verdict is stored like a mapping *)
+  with_counters @@ fun () ->
+  with_scratch_store @@ fun () ->
+  let run job () =
+    Dse.with_local_memo (fun () ->
+        Apex_telemetry.Json.to_string (Apex.Jobs.run job))
+  in
+  List.iter
+    (fun job ->
+      let kind = Apex.Jobs.kind job in
+      let cold, _, cold_misses, cold_maps, _ = traffic (run job) in
+      let warm, hits, misses, maps, _ = traffic (run job) in
+      Alcotest.(check bool) (kind ^ ": cold misses") true (cold_misses >= 1);
+      Alcotest.(check bool) (kind ^ ": cold maps") true (cold_maps >= 1);
+      Alcotest.(check string) (kind ^ ": warm results equal cold") cold warm;
+      Alcotest.(check bool) (kind ^ ": warm hits") true (hits >= 1);
+      check int (kind ^ ": without a miss") 0 misses;
+      check int (kind ^ ": mapper counters replayed") cold_maps maps)
+    Apex.Jobs.
+      [ Map { app = "camera"; variant = "base" }; Lint { apps = [ "camera" ] } ];
+  check int "one cover each: (PE Base, camera) and (pek:2, camera)" 2
+    (stored "cover");
+  Dse.with_local_memo @@ fun () ->
+  let camera = Apps.by_name "camera" in
+  let base = Dse.baseline () in
+  let stored = fst (Dse.mapping base camera) in
+  let renamed, hits, misses, _, _ =
+    traffic (fun () -> fst (Dse.mapping base { camera with name = "camera2" }))
+  in
+  check int "a renamed kernel hits" 1 hits;
+  check int "without a miss" 0 misses;
+  Alcotest.(check bool) "with the stored mapping" true (renamed = stored);
+  let optimized =
+    { camera with graph = (Apex_analysis.Opt.run camera.graph).graph }
+  in
+  let got, _, misses, _, _ =
+    traffic (fun () -> fst (Dse.mapping base optimized))
+  in
+  Alcotest.(check bool) "the optimized kernel misses" true (misses >= 1);
+  Alcotest.(check bool) "and maps as Metrics does" true
+    (got = fst (Metrics.post_mapping base optimized));
+  (* PE Spec for gaussian has no subtractor; harris needs one *)
+  let spec = Dse.variant_for "spec:gaussian" in
+  let harris = Apps.by_name "harris" in
+  let verdict () =
+    match Dse.mapping spec harris with
+    | _ -> Alcotest.fail "spec:gaussian mapped harris"
+    | exception Apex_mapper.Cover.Unmappable m -> m
+  in
+  let cold, _, cold_misses, _, _ = traffic verdict in
+  let warm, hits, misses, _, _ = traffic verdict in
+  Alcotest.(check bool) "unmappable: cold misses" true (cold_misses >= 1);
+  check int "unmappable: warm hits" 1 hits;
+  check int "unmappable: without a miss" 0 misses;
+  Alcotest.(check string) "the same verdict" cold warm
+
+let test_optimize_memo () =
+  (* the validated rewrite is stored on the raw graph: another kernel
+     with camera's graph (a fresh name, so the per-process table misses)
+     reads it with no solver call; a deadline-degraded rewrite is never
+     stored *)
+  let module Store = Apex_exec.Store in
+  let camera = Apps.by_name "camera" in
+  let optimized name = (Apex.Optimize.app { camera with name }).graph in
+  with_counters @@ fun () ->
+  with_scratch_store @@ fun () ->
+  Apex.Optimize.enable ();
+  Fun.protect ~finally:Apex.Optimize.disable @@ fun () ->
+  Store.set_enabled false;
+  let reference = optimized "camera-opt-reference" in
+  Store.set_enabled true;
+  Apex_guard.set_phase_deadline "analysis" 0.0;
+  Fun.protect ~finally:Apex_guard.clear_phase_deadlines (fun () ->
+      ignore (optimized "camera-opt-cut"));
+  check int "a degraded rewrite is not stored" 0 (stored "optimize");
+  let cold, _, misses, _, cold_calls =
+    traffic (fun () -> optimized "camera-opt-cold")
+  in
+  check int "cold misses" 1 misses;
+  Alcotest.(check bool) "and proves its rewrites" true (cold_calls > 0);
+  check int "and is stored" 1 (stored "optimize");
+  let warm, hits, misses, _, calls =
+    traffic (fun () -> optimized "camera-opt-warm")
+  in
+  check int "warm hits" 1 hits;
+  check int "without a miss" 0 misses;
+  check int "with no solver call" 0 calls;
+  Alcotest.(check bool) "cold equals a store-off rewrite" true
+    (cold = reference);
+  Alcotest.(check bool) "warm equals a store-off rewrite" true
+    (warm = reference)
 
 (* --- where parallelism lives --- *)
 
@@ -616,6 +723,10 @@ let () =
             test_kernels_unchanged_by_jobs;
           Alcotest.test_case "pair key follows the kernel" `Quick
             test_pair_key_follows_kernel;
+          Alcotest.test_case "post-mapping cover memoized" `Quick
+            test_mapping_memo;
+          Alcotest.test_case "optimized kernel memoized" `Quick
+            test_optimize_memo;
           Alcotest.test_case "unknown variant" `Quick test_variant_for_unknown;
           Alcotest.test_case "unknown application" `Quick test_variant_for_unknown_app;
           Alcotest.test_case "bad subgraph count" `Quick

@@ -259,6 +259,40 @@ let test_journal_roundtrip path =
   check Alcotest.bool "jid monotonic across reopen" true (j4 > j3);
   Journal.close j
 
+(* The durability contract at a process kill: only admissions are
+   fsynced, but every record an append wrote survives [kill -9], since
+   the kernel already holds it.  A forked child finishes one job,
+   starts a second and dies by SIGKILL, running no shutdown path. *)
+let test_journal_survives_sigkill path =
+  match Unix.fork () with
+  | 0 ->
+      let j, _ = Journal.open_ path in
+      let j1 = Journal.admit j (sleep_req "alice" 0.1) in
+      Journal.started j j1;
+      Journal.finished j j1;
+      let j2 = Journal.admit j (sleep_req "bob" 0.2) in
+      Journal.started j j2;
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+      Unix._exit 3
+  | pid ->
+      (match snd (Unix.waitpid [] pid) with
+      | Unix.WSIGNALED s when s = Sys.sigkill -> ()
+      | _ -> Alcotest.fail "child did not die by SIGKILL");
+      let j, unfinished = Journal.open_ path in
+      (match unfinished with
+      | [ { Journal.jid; req } ] ->
+          check Alcotest.string "the started job replays" "bob"
+            req.Proto.tenant;
+          Journal.finished j jid
+      | l ->
+          Alcotest.fail
+            (Printf.sprintf "expected 1 unfinished, got %d" (List.length l)));
+      Journal.close j;
+      let j, unfinished = Journal.open_ path in
+      check Alcotest.int "nothing replays after a clean close" 0
+        (List.length unfinished);
+      Journal.close j
+
 let test_journal_torn_tail path =
   let j, _ = Journal.open_ path in
   ignore (Journal.admit j (sleep_req "alice" 0.1) : int);
@@ -800,6 +834,8 @@ let () =
       ( "journal",
         [ Alcotest.test_case "record roundtrip and replay" `Quick
             (with_journal_file test_journal_roundtrip);
+          Alcotest.test_case "unsynced records survive SIGKILL" `Quick
+            (with_journal_file test_journal_survives_sigkill);
           Alcotest.test_case "torn tail truncation" `Quick
             (with_journal_file test_journal_torn_tail);
           Alcotest.test_case "foreign file rejected" `Quick
