@@ -40,13 +40,20 @@ CI_CHAOS_A := /tmp/apex-ci-chaos-a.json
 CI_CHAOS_B := /tmp/apex-ci-chaos-b.json
 CI_DSE_JSON := /tmp/apex-ci-dse-all.json
 CI_ANALYZE_JSON := /tmp/apex-ci-analyze-all.json
+CI_DSE_PE_JSON := /tmp/apex-ci-dse-pes.json
+CI_DSE_REST_JSON := /tmp/apex-ci-dse-rest.json
 
 # The results-identical contract, pinned: md5 of the stdout of
-# `dse --all --json --no-cache` and `analyze --all --json --no-cache`.
-# A change that moves results on purpose re-records these two values
-# and gives its reason in CHANGES.md.
+# `dse --all --json --no-cache` and `analyze --all --json --no-cache`,
+# and of two more DSE runs: `dse --all -v ip -v ip2 -v ip3 -v ml`
+# (instruction selection rejects 31 matches there that would close a
+# cycle in the PE netlist) and `dse` on the six kernels `--all` skips.
+# A change that moves results on purpose re-records these values and
+# gives its reason in CHANGES.md.
 DSE_JSON_MD5 := b0027a039fcf325ed4ed5b475dc27fd0
 ANALYZE_JSON_MD5 := 527f89a33daeaae293166cd53046f0c6
+DSE_PE_JSON_MD5 := 10c2a1332d289c32d363829947a668a5
+DSE_REST_JSON_MD5 := 4d37f83e4ca54b7d393f512422d41405
 
 # The daemon must receive SIGTERM itself (dune exec does not forward
 # signals to its child), so serve smoke steps run the built binary.
@@ -81,7 +88,8 @@ bench-snapshot:
 	dune exec bench/main.exe -- --serve-sweep
 
 # Build, run the full test suite, then check the pinned result digests
-# (DSE_JSON_MD5, ANALYZE_JSON_MD5 above), then the static-analysis gates: the
+# (DSE_JSON_MD5, ANALYZE_JSON_MD5, DSE_PE_JSON_MD5, DSE_REST_JSON_MD5
+# above), then the static-analysis gates: the
 # abstract interpreter must produce facts and a validated node-count
 # reduction on the built-in kernels (analyze --all --no-cache, and
 # --no-cache on the --configs step too: a stored report would replay
@@ -128,6 +136,10 @@ bench-snapshot:
 ci: build test
 	dune exec bin/apex_cli.exe -- dse --all --json --no-cache > $(CI_DSE_JSON)
 	echo "$(DSE_JSON_MD5)  $(CI_DSE_JSON)" | md5sum -c -
+	dune exec bin/apex_cli.exe -- dse --all -v ip -v ip2 -v ip3 -v ml --json --no-cache > $(CI_DSE_PE_JSON)
+	echo "$(DSE_PE_JSON_MD5)  $(CI_DSE_PE_JSON)" | md5sum -c -
+	dune exec bin/apex_cli.exe -- dse laplacian stereo fast sobel median3 resize --json --no-cache > $(CI_DSE_REST_JSON)
+	echo "$(DSE_REST_JSON_MD5)  $(CI_DSE_REST_JSON)" | md5sum -c -
 	dune exec bin/apex_cli.exe -- analyze --all --json --no-cache > $(CI_ANALYZE_JSON)
 	echo "$(ANALYZE_JSON_MD5)  $(CI_ANALYZE_JSON)" | md5sum -c -
 	dune exec bin/apex_cli.exe -- mine gaussian --jobs 0 2> /dev/null; test $$? -eq 2
@@ -455,7 +467,7 @@ clean:
 	rm -f $(CI_SERVE_CLI_MAP)
 	rm -f $(CI_CRASH_SOCK) $(CI_CRASH_JOURNAL) $(CI_CRASH_TRACE)
 	rm -f $(CI_CRASH_CLEAN) $(CI_CRASH_OUT) $(CI_CHAOS_A) $(CI_CHAOS_B)
-	rm -f $(CI_DSE_JSON) $(CI_ANALYZE_JSON)
+	rm -f $(CI_DSE_JSON) $(CI_ANALYZE_JSON) $(CI_DSE_PE_JSON) $(CI_DSE_REST_JSON)
 	rm -rf $(CI_CACHE) $(CI_FAULT_CACHE) $(CI_SNAP) $(CI_SERVE_CACHE)
 	rm -rf $(CI_ANALYZE_CACHE)
 	rm -rf $(CI_CRASH_CACHE) $(CI_CRASH_CLEAN_CACHE)

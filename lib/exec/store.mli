@@ -14,7 +14,12 @@
     [exec.cache_stale]), evicted, and transparently recomputed. *)
 
 val format_version : string
-(** Container format tag; changing it invalidates every entry. *)
+(** Container format tag; changing it invalidates every entry.  It is
+    salted with a digest of the library sources made at build time, so
+    each build reads only the entries it wrote itself or that a build of
+    the same sources wrote: an entry from another build, even under the
+    same key, reads as stale ([exec.cache_stale]) and is recomputed,
+    never unmarshalled as a type it may not have. *)
 
 val cache_dir : unit -> string
 (** Resolved cache root: [APEX_CACHE_DIR], else [$HOME/.cache/apex],
@@ -59,8 +64,9 @@ val memoize : ns:string -> key:string -> (unit -> 'a) -> 'a
     [smt.*] (solver work), [exec.*] (store traffic) and [guard.*] other
     than [guard.outcome.exact] (the run's circumstances); a hit replays
     them, so warm and cold runs report the same phase counters.
-    Unmarshalling is only type-safe because the key embeds the phase
-    version tag — callers must bump the tag on any type change. *)
+    Unmarshalling is type-safe because the key embeds the build salt
+    of {!format_version}, and the phase version tag, which keeps the
+    phases' types apart within one build. *)
 
 val lookup : ns:string -> key:string -> 'a option
 (** Cache probe without compute; [None] on miss/corrupt/disabled.  A

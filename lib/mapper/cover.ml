@@ -105,61 +105,64 @@ let map_app ?(order = Complex_first) ~rules app =
   in
   let n = G.length app in
   let succs = G.succs app in
+  let is_const = Array.map (fun (nd : G.node) -> Op.is_const nd.op) (G.nodes app) in
   let covered = Array.make n false in
   let accepted = ref [] in
   (* grouping nodes into one PE contracts them in the dataflow graph;
      every accepted match must keep the contracted graph acyclic or the
      PE-level netlist (and its static schedule) would contain a cycle.
-     Constants never participate: each PE gets a private register copy. *)
+     Constants never participate: each PE gets a private register copy.
+     Group [g] holds the compute nodes of the [g]-th accepted match;
+     every other node is a group of its own. *)
   let owner = Array.make n (-1) in
+  let members = Array.make n [] in
   let n_accepted = ref 0 in
+  let attempts = ref 0 in
+  (* per-candidate marks, valid while they equal [!epoch]: the image,
+     and the nodes (slot [a]) and groups (slot [n + g]) the cycle
+     search has reached *)
+  let epoch = ref 0 in
+  let in_image = Array.make n (-1) in
+  let seen = Array.make (2 * n) (-1) in
+  let stack = Array.make n 0 in
+  (* The contracted graph is acyclic before every candidate: the app is
+     a DAG, every accepted group passed this check, and a group with
+     one compute node contracts nothing.  The image's compute nodes are
+     uncovered, so each is its own group; merging them closes a cycle
+     exactly when some path leaves the image and comes back to it.
+     Search forward from the image's outside successors, a group at a
+     time, until an image node is reached or the search runs out.
+     Constants have no arguments, so no path passes through one. *)
   let acyclic_with image =
-    let multi =
-      List.length (List.filter (fun a -> Op.is_compute (G.node app a).op) image)
-      >= 2
+    let depth = ref 0 in
+    (* push the unseen nodes of a successor list; [true] at the first
+       image node *)
+    let rec step = function
+      | [] -> false
+      | s :: _ when in_image.(s) = !epoch -> true
+      | s :: rest ->
+          let slot = if owner.(s) >= 0 then n + owner.(s) else s in
+          if seen.(slot) <> !epoch then begin
+            seen.(slot) <- !epoch;
+            stack.(!depth) <- s;
+            incr depth
+          end;
+          step rest
     in
-    if not multi then true (* singleton groups cannot change the contraction *)
-    else begin
-      let temp_owner = !n_accepted in
-      let group a =
-        if List.mem a image then temp_owner
-        else if owner.(a) >= 0 then owner.(a)
-        else ~-(a + 2) (* unique singleton group *)
-      in
-      (* cycle detection on the contracted graph via DFS coloring *)
-      let color : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      (* members of each group *)
-      let members : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-      Array.iter
-        (fun (nd : G.node) ->
-          if not (Op.is_const nd.op) then begin
-            let g = group nd.id in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt members g) in
-            Hashtbl.replace members g (nd.id :: prev)
-          end)
-        (G.nodes app);
-      let ok = ref true in
-      let rec visit g =
-        match Hashtbl.find_opt color g with
-        | Some 1 -> ok := false (* back edge: cycle *)
-        | Some 2 -> ()
-        | Some _ | None ->
-            Hashtbl.replace color g 1;
-            List.iter
-              (fun member ->
-                List.iter
-                  (fun s ->
-                    if !ok && not (Op.is_const (G.node app s).op) then begin
-                      let gs = group s in
-                      if gs <> g then visit gs
-                    end)
-                  succs.(member))
-              (Option.value ~default:[] (Hashtbl.find_opt members g));
-            Hashtbl.replace color g 2
-      in
-      Hashtbl.iter (fun g _ -> if !ok && Hashtbl.find_opt color g <> Some 2 then visit g) members;
-      !ok
-    end
+    match List.filter (fun a -> not is_const.(a)) image with
+    | [] | [ _ ] -> true (* singleton groups cannot change the contraction *)
+    | compute ->
+        let outside s = in_image.(s) <> !epoch in
+        List.iter (fun a -> ignore (step (List.filter outside succs.(a)))) compute;
+        let closes = ref false in
+        while (not !closes) && !depth > 0 do
+          decr depth;
+          let v = stack.(!depth) in
+          closes :=
+            if owner.(v) < 0 then step succs.(v)
+            else List.exists (fun m -> step succs.(m)) members.(owner.(v))
+        done;
+        not !closes
   in
   (* per-rule facts are computed once, outside the root loop *)
   let try_rule (rule : Rules.t) =
@@ -170,25 +173,27 @@ let map_app ?(order = Complex_first) ~rules app =
     let p_compute =
       Array.map (fun (nd : G.node) -> Op.is_compute nd.op) (G.nodes pg)
     in
-    let sinks = pattern_sinks rule.pattern in
+    let p_sink = Array.make (G.length pg) false in
+    List.iter (fun p -> p_sink.(p) <- true) (pattern_sinks rule.pattern);
     let viable (b : Match.binding) =
-      let image = List.map snd b.nodes in
+      incr epoch;
+      List.iter (fun (_, a) -> in_image.(a) <- !epoch) b.nodes;
       List.for_all
         (fun (p, a) ->
-          if p_const.(p) then Op.is_const (G.node app a).op
+          if p_const.(p) then is_const.(a)
           else
             (not covered.(a))
             && (* interior results must stay inside the match *)
-            (List.mem p sinks
-            || List.for_all (fun s -> List.mem s image) succs.(a)))
+            (p_sink.(p)
+            || List.for_all (fun s -> in_image.(s) = !epoch) succs.(a)))
         b.nodes
       && (* inputs must not be constants: the $-variants cover those *)
-      List.for_all (fun (_, a) -> not (Op.is_const (G.node app a).op)) b.inputs
-      && acyclic_with image
+      List.for_all (fun (_, a) -> not is_const.(a)) b.inputs
+      && acyclic_with (List.map snd b.nodes)
     in
     fun root ->
       if not covered.(root) then begin
-        Counter.incr "mapper.cover_attempts";
+        incr attempts;
         let bindings =
           Match.matches_at ~wild_consts:rule.Rules.wild_consts ~succs
             rule.pattern app ~root
@@ -199,15 +204,16 @@ let map_app ?(order = Complex_first) ~rules app =
             match specialize rule app binding with
             | None -> ()
             | Some config ->
+                let g = !n_accepted in
                 List.iter
                   (fun (p, a) ->
                     if p_compute.(p) then begin
                       covered.(a) <- true;
-                      owner.(a) <- !n_accepted
+                      owner.(a) <- g;
+                      members.(g) <- a :: members.(g)
                     end)
                   binding.nodes;
                 incr n_accepted;
-                Counter.incr "mapper.matches_accepted";
                 accepted := (rule, binding, config) :: !accepted)
       end
   in
@@ -218,6 +224,10 @@ let map_app ?(order = Complex_first) ~rules app =
         probe root
       done)
     rules;
+  (* one registry update per call: an increment per probe costs a lock
+     and two table lookups under a store tally *)
+  if !attempts > 0 then Counter.add "mapper.cover_attempts" !attempts;
+  if !n_accepted > 0 then Counter.add "mapper.matches_accepted" !n_accepted;
   (* every compute node must be covered *)
   Array.iter
     (fun (nd : G.node) ->

@@ -300,6 +300,32 @@ let test_stale_version_recovers () =
   check Alcotest.int "stale counted" 1 (Counter.get "exec.cache_stale");
   check Alcotest.int "not served stale" 1 !computes
 
+(* An entry another build wrote, with another layout for the same
+   value: its header carries another build salt and its payload another
+   type.  It must read as stale and be recomputed; unmarshalled as this
+   build's type it would crash the reader. *)
+let test_other_build_entry_is_stale () =
+  let key = Store.key ~version:"t/1" [ "other build" ] in
+  ignore (Store.memoize ~ns:"t" ~key (fun () -> [ "mine" ]));
+  let other_salt =
+    match String.index_opt Store.format_version '+' with
+    | Some i ->
+        String.sub Store.format_version 0 (i + 1)
+        ^ Digest.to_hex (Digest.string "another build")
+    | None -> Alcotest.fail "format version carries no build salt"
+  in
+  let payload = Marshal.to_string ((3.5, [| 1.0; 2.0 |]), [ ("x", 1) ]) [] in
+  corrupt_with (entry_file "t") (fun _ ->
+      String.concat "\n"
+        [ "APEXCACHE"; other_salt; Digest.to_hex (Digest.string payload);
+          string_of_int (String.length payload); payload ]);
+  let computes = ref 0 in
+  check Alcotest.(list string) "recomputed" [ "fresh" ]
+    (Store.memoize ~ns:"t" ~key (fun () -> incr computes; [ "fresh" ]));
+  check Alcotest.int "stale counted" 1 (Counter.get "exec.cache_stale");
+  check Alcotest.int "not read as corrupt" 0 (Counter.get "exec.cache_corrupt");
+  check Alcotest.int "recomputed once" 1 !computes
+
 (* Seeded damage to a written entry: a flipped bit, an overwritten
    byte (digits, signs and line breaks among the candidates, so the
    header's numbers and line structure are hit too), a truncation, an
@@ -308,8 +334,14 @@ let test_stale_version_recovers () =
    Half the single-byte damage falls in the text header. *)
 let mutate st s =
   let n = String.length s in
+  (* the end of the [k]-th header line *)
+  let rec eol i k =
+    let j = String.index_from s i '\n' in
+    if k = 1 then j else eol (j + 1) (k - 1)
+  in
+  let header = eol 0 4 + 1 in
   let pos () =
-    if Random.State.bool st then Random.State.int st (min n 72)
+    if Random.State.bool st then Random.State.int st (min n header)
     else Random.State.int st n
   in
   let set i c = String.mapi (fun j c' -> if j = i then c else c') s in
@@ -328,10 +360,6 @@ let mutate st s =
               Char.chr (Random.State.int st 256))
   | _ ->
       (* the length is the fourth header line *)
-      let rec eol i k =
-        let j = String.index_from s i '\n' in
-        if k = 1 then j else eol (j + 1) (k - 1)
-      in
       let a = eol 0 3 + 1 and b = eol 0 4 in
       let len = int_of_string (String.sub s a (b - a)) in
       let len' =
@@ -455,7 +483,11 @@ let test_gc_ns_and_prefix () =
   let entries = Sys.readdir adir in
   Array.sort compare entries;
   Unix.utimes (Filename.concat adir entries.(0)) old old;
-  let deleted, _ = Store.gc_prefix ~prefix:"alice~" ~budget_bytes:600 () in
+  (* room for one of the two equal-size entries, not both *)
+  let one = (Unix.stat (Filename.concat adir entries.(1))).Unix.st_size in
+  let deleted, _ =
+    Store.gc_prefix ~prefix:"alice~" ~budget_bytes:(3 * one / 2) ()
+  in
   check Alcotest.int "oldest alice entry evicted" 1 deleted;
   let left = List.map (fun (s : Store.ns_stats) -> s.ns) (Store.stats ()) in
   check Alcotest.(list string) "bob untouched"
@@ -711,6 +743,8 @@ let () =
             (with_scratch_store test_garbage_entry_recovers);
           Alcotest.test_case "stale version" `Quick
             (with_scratch_store test_stale_version_recovers);
+          Alcotest.test_case "another build's entry is stale" `Quick
+            (with_scratch_store test_other_build_entry_is_stale);
           Alcotest.test_case "seeded entry mutations" `Quick
             (with_scratch_store test_seeded_entry_mutations);
           Alcotest.test_case "stats and gc budget" `Quick

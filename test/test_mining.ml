@@ -358,29 +358,10 @@ let brute_force_embeddings g max_size =
   |> List.filter (fun s -> List.length s <= max_size)
   |> List.sort compare
 
-(* small random DAG over word and bit values, with constants, the
-   commutative add/mul/smax/and, and sub, slt and mux *)
-let random_dag st =
-  let b = G.Builder.create () in
-  let words = ref [ G.Builder.add0 b (Op.Input "x"); G.Builder.add0 b (Op.Input "y") ] in
-  let bits = ref [ G.Builder.add0 b (Op.Bit_input "p") ] in
-  let pick l = List.nth !l (Random.State.int st (List.length !l)) in
-  for _ = 1 to 2 + Random.State.int st 6 do
-    match Random.State.int st 9 with
-    | 0 -> words := G.Builder.add0 b (Op.Const (Random.State.int st 4)) :: !words
-    | 1 -> bits := G.Builder.add2 b Op.Slt (pick words) (pick words) :: !bits
-    | 2 -> words := G.Builder.add3 b Op.Mux (pick bits) (pick words) (pick words) :: !words
-    | k ->
-        let op = [| Op.Add; Op.Sub; Op.Mul; Op.Smax; Op.And; Op.Add |].(k - 3) in
-        words := G.Builder.add2 b op (pick words) (pick words) :: !words
-  done;
-  ignore (G.Builder.add1 b (Op.Output "o") (List.hd !words));
-  G.Builder.finish b
-
 let prop_miner_matches_brute_force =
   QCheck.Test.make ~name:"ESU enumerates exactly the connected subgraphs"
     ~count:100 QCheck.int (fun seed ->
-      let g = random_dag (Random.State.make [| seed |]) in
+      let g = Dags.random (Random.State.make [| seed |]) in
       let cfg = { Miner.default_config with min_support = 1; max_size = 3 } in
       let mined, _ = Miner.mine cfg g in
       let mined_sets =
@@ -408,7 +389,7 @@ let prop_code_invariant =
   QCheck.Test.make ~name:"canonical code is invariant under renumbering"
     ~count:200 QCheck.int (fun seed ->
       let st = Random.State.make [| seed |] in
-      let g = random_dag st in
+      let g = Dags.random st in
       let code g = Pattern.code (Pattern.of_graph g) in
       code g = code (renumber st g))
 
@@ -416,7 +397,7 @@ let prop_induced_rejects_bad_ids =
   QCheck.Test.make ~name:"induced names an out-of-range or repeated id"
     ~count:100 QCheck.int (fun seed ->
       let st = Random.State.make [| seed |] in
-      let g = random_dag st in
+      let g = Dags.random st in
       let n = G.length g in
       let ids = List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id) in
       let bad =
