@@ -79,13 +79,14 @@ perfbench:
 	python3 perfbench/run.py --workload dse-suite --seed 1 --seconds 10 --trace 1
 
 # Regenerate the committed benchmark-trajectory baselines
-# (BENCH_{mining,merging,smt,configspace,dse,serve}.json at the repo
-# root): exact phase
-# counters plus banded wall clock.  Run this — and commit the result —
-# when a change intentionally moves the search-space counters.
+# (BENCH_{mining,merging,smt,configspace,dse}.json at the repo root):
+# exact phase counters plus each layer's own allocation in kilowords.
+# No wall clock: perfbench gates time.  APEX_JOBS=1 keeps every span on
+# one domain, where a layer's words reproduce across processes.  Run
+# this — and commit the result — when a change intentionally moves the
+# search-space counters or a layer's allocation.
 bench-snapshot:
-	dune exec bench/main.exe -- --snapshot
-	dune exec bench/main.exe -- --serve-sweep
+	APEX_JOBS=1 dune exec bench/main.exe -- --snapshot
 
 # Build, run the full test suite, then check the pinned result digests
 # (DSE_JSON_MD5, ANALYZE_JSON_MD5, DSE_PE_JSON_MD5, DSE_REST_JSON_MD5
@@ -146,8 +147,12 @@ ci: build test
 	dune exec bin/apex_cli.exe -- mine gaussian --top=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- evaluate gaussian -l pnr --effort=-1 2> /dev/null; test $$? -eq 2
 	dune exec bin/apex_cli.exe -- compile gaussian --sim=-1 2> /dev/null; test $$? -eq 2
-	dune exec bin/apex_cli.exe -- compile gaussian --sim 3
-	dune exec bin/apex_cli.exe -- compile unsharp --sim 3
+	set -e; for a in $$($(APEX_BIN) apps | awk 'NR > 1 { print $$1 }'); do \
+	  for v in base spec:$$a ip ml; do \
+	    $(APEX_BIN) compile $$a -v $$v --sim 3 > /dev/null \
+	      || { echo "compile $$a -v $$v --sim 3 failed"; exit 1; }; \
+	  done; \
+	done
 	dune exec bin/apex_cli.exe -- analyze --all --no-cache --json --trace=$(CI_ANALYZE) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_ANALYZE) \
 	  --require analysis.facts_computed \
@@ -437,22 +442,26 @@ ci-faults:
 	rm -rf $(CI_FAULT_CACHE)
 
 # Benchmark-trajectory regression gate: regenerate every snapshot into
-# a scratch directory and bench-diff it against the committed baseline
-# — any exact-counter drift, or a wall-clock band excursion beyond the
-# tolerance, fails the build.  Then the gate gates itself: perturb one
-# counter in a copy of a fresh snapshot and assert bench-diff catches
-# it (a seeded regression the gate must flag, or the gate is dead).
+# a scratch directory (APEX_JOBS=1, as the committed ones were made) and
+# bench-diff it against the committed baseline — any exact-counter
+# drift, or a layer whose allocation moved by more than the larger of
+# 10% and 64 kw, fails the build.  Then the gate gates itself: perturb
+# one counter, and separately double one layer's allocation, in copies
+# of a fresh snapshot and assert bench-diff catches each (a seeded
+# regression the gate must flag, or the gate is dead).
 .PHONY: ci-bench
 ci-bench:
 	rm -rf $(CI_SNAP) && mkdir -p $(CI_SNAP)
-	dune exec bench/main.exe -- --snapshot=$(CI_SNAP) > /dev/null
-	dune exec bench/main.exe -- --serve-sweep=$(CI_SNAP) > /dev/null
-	for a in mining merging smt configspace dse serve; do \
+	APEX_JOBS=1 dune exec bench/main.exe -- --snapshot=$(CI_SNAP) > /dev/null
+	for a in mining merging smt configspace dse; do \
 	  dune exec bin/apex_cli.exe -- bench-diff BENCH_$$a.json $(CI_SNAP)/BENCH_$$a.json || exit 1; \
 	done
 	sed -E 's/"mining\.patterns_grown": ([0-9]+)/"mining.patterns_grown": 1\1/' \
 	  $(CI_SNAP)/BENCH_mining.json > $(CI_SNAP)/perturbed.json
 	! dune exec bin/apex_cli.exe -- bench-diff $(CI_SNAP)/BENCH_mining.json $(CI_SNAP)/perturbed.json
+	awk '$$1 == "\"mining\":" { n = $$2 + 0; sub(/[0-9]+/, 2 * n) } { print }' \
+	  $(CI_SNAP)/BENCH_mining.json > $(CI_SNAP)/perturbed-alloc.json
+	! dune exec bin/apex_cli.exe -- bench-diff $(CI_SNAP)/BENCH_mining.json $(CI_SNAP)/perturbed-alloc.json
 	rm -rf $(CI_SNAP)
 
 clean:

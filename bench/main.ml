@@ -7,8 +7,6 @@
      dune exec bench/main.exe -- table2 fig11  run selected experiments
      dune exec bench/main.exe -- --snapshot[=DIR]
                                  committable BENCH_<area>.json snapshots
-     dune exec bench/main.exe -- --serve-sweep[=DIR]
-                                 serve daemon sweep, BENCH_serve.json
 
    The pool width for pair evaluation comes from APEX_JOBS.  Absolute
    numbers come from our synthetic technology model; the point of each
@@ -495,172 +493,17 @@ let ablation_isel () =
 (* ------------------------------------------------------------------ *)
 
 let snapshot dir =
-  section "Benchmark snapshot: exact phase counters + banded wall clock";
+  section "Benchmark snapshot: exact phase counters + per-layer allocation";
   List.iter
     (fun (name, area) ->
       let t = Snapshot.run area in
       let path = Snapshot.write ~dir t in
-      Format.printf "  %-8s %3d counters, %7.1f ms (band %d) -> %s@." name
+      Format.printf "  %-11s %3d counters, %2d layers, %9d kw -> %s@." name
         (List.length t.Snapshot.counters)
-        (1e3 *. t.Snapshot.seconds)
-        (Snapshot.band_of_seconds t.Snapshot.seconds)
+        (List.length t.Snapshot.alloc_kw)
+        (List.fold_left (fun acc (_, kw) -> acc + kw) 0 t.Snapshot.alloc_kw)
         path)
     Snapshot.areas
-
-(* ------------------------------------------------------------------ *)
-(* --serve-sweep: multi-tenant daemon throughput (BENCH_serve.json)    *)
-(* ------------------------------------------------------------------ *)
-
-module Server = Apex_serve.Server
-module Client = Apex_serve.Client
-module Proto = Apex_serve.Proto
-module Registry = Apex_telemetry.Registry
-module Store = Apex_exec.Store
-module Json = Apex_telemetry.Json
-
-let time_s f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-(* the mixed batch every tenant submits: one request per job kind the
-   daemon serves, sized so a sweep stays under ~10 s end to end *)
-let serve_batch : Apex.Jobs.t list =
-  [ Dse { apps = [ "camera" ]; variants = [] };
-    Lint { apps = [ "camera" ] };
-    Analyze { apps = [ "camera" ] };
-    Mine { app = "camera"; top = 3 } ]
-
-let serve_tenants = [ "alice"; "bob" ]
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (Float.of_int (n - 1) *. q +. 0.5)))
-
-let serve_sweep dir =
-  section "Serve sweep: 2-tenant warm daemon batch vs sequential cold runs";
-  (* Baseline: the same 2x4 jobs as separate cold CLI processes would
-     run them — no artifact store, a fresh request-local memo per job —
-     executed back to back.  Registry stays off so the baseline's
-     counters cannot leak into the serve snapshot. *)
-  let seq_cold, () =
-    Store.set_enabled false;
-    time_s (fun () ->
-        List.iter
-          (fun _tenant ->
-            List.iter
-              (fun job ->
-                Dse.with_local_memo (fun () -> ignore (Apex.Jobs.run job)))
-              serve_batch)
-          serve_tenants)
-  in
-  Format.printf "  sequential cold: %.2f s (%d jobs)@." seq_cold
-    (List.length serve_tenants * List.length serve_batch);
-  (* Daemon against a scratch store: one warmup pass per tenant fills
-     that tenant's cache namespaces, then the measured phase replays
-     the same mixed batch from both tenants concurrently. *)
-  let scratch = Filename.temp_file "apex-bench-serve" "" in
-  Sys.remove scratch;
-  Store.set_dir scratch;
-  Store.set_enabled true;
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "apex-serve-bench-%d.sock" (Unix.getpid ()))
-  in
-  Registry.reset ();
-  let server =
-    Server.start
-      { socket_path = socket; jobs = 4; max_queue = 16;
-        default_deadline_s = None; tenant_quota_bytes = None;
-        journal_path = None }
-  in
-  let rec remove_tree path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> remove_tree (Filename.concat path n))
-        (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () ->
-      Server.shutdown server;
-      Store.set_enabled false;
-      (* the whole scratch tree: [Store.gc] keeps namespace directories *)
-      if Sys.file_exists scratch then remove_tree scratch)
-  @@ fun () ->
-  let submit conn tenant job =
-    match Client.request conn { Proto.tenant; job; deadline_s = None } with
-    | Proto.Ok _ -> ()
-    | Proto.Error e ->
-        failwith
-          (Printf.sprintf "serve sweep: %s job for %s failed: %s"
-             (Apex.Jobs.kind job) tenant e.Proto.message)
-  in
-  List.iter
-    (fun tenant ->
-      let conn = Client.connect socket in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () -> List.iter (submit conn tenant) serve_batch))
-    serve_tenants;
-  (* measured phase: one client thread per tenant, per-request
-     latencies recorded client-side *)
-  let latencies = ref [] in
-  let lock = Mutex.create () in
-  let tenant_thread tenant =
-    let conn = Client.connect socket in
-    Fun.protect
-      ~finally:(fun () -> Client.close conn)
-      (fun () ->
-        List.iter
-          (fun job ->
-            let s, () = time_s (fun () -> submit conn tenant job) in
-            Mutex.protect lock (fun () -> latencies := s :: !latencies))
-          serve_batch)
-  in
-  let warm_wall, () =
-    time_s (fun () ->
-        let threads = List.map (Thread.create tenant_thread) serve_tenants in
-        List.iter Thread.join threads)
-  in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
-  let p50 = percentile sorted 0.5 and p95 = percentile sorted 0.95 in
-  let ratio = seq_cold /. Float.max 1e-9 warm_wall in
-  Format.printf
-    "  warm concurrent: %.2f s  p50 %.0f ms  p95 %.0f ms  (%.1fx throughput)@."
-    warm_wall (1e3 *. p50) (1e3 *. p95) ratio;
-  if ratio < 2.0 then
-    Format.printf "  WARNING: throughput ratio %.2f below the 2x target@." ratio;
-  let snap = Registry.snapshot () in
-  let t =
-    { Snapshot.area = "serve";
-      (* admitted/completed are exact (2 tenants x 4 jobs x 2 passes);
-         wall clocks and latency percentiles go into banded fields *)
-      counters =
-        List.filter
-          (fun (k, _) -> String.starts_with ~prefix:"serve." k)
-          snap.Registry.counters;
-      seconds = warm_wall;
-      extra_bands =
-        [ ("seq_cold", seq_cold); ("warm_p50", p50); ("warm_p95", p95) ];
-      info =
-        [ ("seq_cold_ms", Json.Float (1e3 *. seq_cold));
-          ("warm_wall_ms", Json.Float (1e3 *. warm_wall));
-          ("warm_p50_ms", Json.Float (1e3 *. p50));
-          ("warm_p95_ms", Json.Float (1e3 *. p95));
-          ("throughput_ratio", Json.Float ratio);
-          ("tenants", Json.List
-             (List.map (fun t -> Json.String t) serve_tenants));
-          ("jobs", Json.List
-             (List.map
-                (fun j -> Json.String (Apex.Jobs.kind j))
-                serve_batch)) ]
-    }
-  in
-  let path = Snapshot.write ~dir t in
-  Format.printf "  serve snapshot -> %s@." path
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -682,9 +525,6 @@ let () =
   | [ "--snapshot" ] -> snapshot "."
   | [ a ] when String.starts_with ~prefix:"--snapshot=" a ->
       snapshot (after "--snapshot=" a)
-  | [ "--serve-sweep" ] -> serve_sweep "."
-  | [ a ] when String.starts_with ~prefix:"--serve-sweep=" a ->
-      serve_sweep (after "--serve-sweep=" a)
   | [] ->
       Format.printf "APEX evaluation harness: regenerating every table and figure.@.";
       List.iter (fun (_, f) -> f ()) experiments

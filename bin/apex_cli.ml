@@ -1173,7 +1173,7 @@ let report_diff_cmd =
    `make ci` against the committed BENCH_<area>.json baselines) --- *)
 
 let bench_diff_cmd =
-  let run old_file new_file tolerance =
+  let run old_file new_file =
     let fail fmt =
       Format.kasprintf
         (fun m ->
@@ -1181,17 +1181,15 @@ let bench_diff_cmd =
           exit 2)
         fmt
     in
-    if tolerance < 0 then
-      fail "--tolerance: %d is negative (band count expected)" tolerance;
     let load = load_json ~fail:(fail "%s") in
     let old_j = load old_file in
     let new_j = load new_file in
-    match Apex.Snapshot.diff ~tolerance old_j new_j with
+    match Apex.Snapshot.diff old_j new_j with
     | [] ->
         Format.printf
-          "bench-diff: %s and %s agree (exact counters, time bands within \
-           %d)@."
-          old_file new_file tolerance;
+          "bench-diff: %s and %s agree (exact counters, per-layer allocation \
+           within bounds)@."
+          old_file new_file;
         exit 0
     | errs ->
         Format.printf "bench-diff: %s vs %s: %d regression finding%s@."
@@ -1210,21 +1208,14 @@ let bench_diff_cmd =
       required & pos 1 (some string) None
       & info [] ~docv:"NEW" ~doc:"Freshly generated snapshot to gate.")
   in
-  let tolerance =
-    Arg.(
-      value & opt int 1
-      & info [ "tolerance" ] ~docv:"BANDS"
-          ~doc:
-            "Allowed time-band drift per phase (bands are factor-of-4 wide; \
-             default 1). Exact counters never tolerate drift.")
-  in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two benchmark snapshots written by `bench --snapshot`: \
-          exit 1 on any exact-counter drift or a wall-clock band excursion \
-          beyond --tolerance, 0 when the trajectory holds.")
-    Term.(const run $ old_file $ new_file $ tolerance)
+          exit 1 on any exact-counter drift or a layer whose allocation \
+          moved by more than the larger of 10% and 64 kw, 0 when the \
+          trajectory holds.")
+    Term.(const run $ old_file $ new_file)
 
 (* --- serve / submit: the multi-tenant job daemon and its client --- *)
 

@@ -44,8 +44,9 @@ let unpack (spec : Spec.t) words =
       (f.name, !v))
     spec.fields
 
-(* switch-box config: encode each hop through the tile as a small code
-   (in-direction, out-direction) *)
+(* switch-box config: each hop leaving the tile as a 2-bit
+   out-direction code.  No in-direction, track or connection-box port
+   is encoded, so these words cannot be decoded back into a route. *)
 let dir_code (ax, ay) (bx, by) =
   if bx = ax + 1 then 0 (* east *)
   else if bx = ax - 1 then 1 (* west *)

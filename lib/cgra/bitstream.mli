@@ -3,15 +3,17 @@
     Every PE tile hosting an instance receives its instruction — the
     PE spec's fields packed LSB-first into 32-bit words — and every tile
     crossed by routing receives its switch-box hop configuration.  The
-    packing is invertible: the fabric simulator configures itself by
-    decoding the bitstream, which closes the hardware/compiler loop the
-    paper checks with VCS. *)
+    instruction packing is invertible ({!unpack}): the fabric simulator
+    decodes each PE's instruction from [pe_words].  The switch-box words
+    are not: they hold one 2-bit out-direction code per hop leaving the
+    tile, with no in-direction, track or connection-box port, so no
+    route can be read back from them. *)
 
 type t = {
   pe_words : ((int * int) * int list) list;
       (** tile -> packed instruction words *)
   sb_words : ((int * int) * int list) list;
-      (** tile -> packed switch-box route words *)
+      (** tile -> packed out-direction codes of the hops leaving it *)
   total_bits : int;
 }
 

@@ -24,6 +24,16 @@ let run ~(spec : Spec.t) ~(mapped : Cover.t) ~(plan : App_pipeline.plan)
                  (fst tile) (snd tile))
         | Some instr -> Spec.decode spec instr)
   in
+  (* every PE input port; one no connection drives reads 0, as an
+     unselected connection box does *)
+  let in_ports =
+    List.filter_map
+      (fun (nd : D.node) ->
+        match nd.kind with
+        | D.In_port | D.Bit_in_port -> Some nd.id
+        | _ -> None)
+      (Array.to_list dp.nodes)
+  in
   (* per-instance output pipelines, oldest last *)
   let pipes = Array.make n [] in
   for i = 0 to n - 1 do
@@ -69,7 +79,12 @@ let run ~(spec : Spec.t) ~(mapped : Cover.t) ~(plan : App_pipeline.plan)
       Array.mapi
         (fun i (inst : Cover.instance) ->
           let env =
-            List.map (fun (port, drv) -> (port, delayed i port drv)) inst.inputs
+            List.map
+              (fun port ->
+                match List.assoc_opt port inst.inputs with
+                | Some drv -> (port, delayed i port drv)
+                | None -> (port, 0))
+              in_ports
           in
           D.evaluate dp configs.(i) ~env)
         mapped.instances

@@ -5,9 +5,13 @@
     instance is a [pe_latency]-deep pipeline, every balanced edge is a
     delay line of the registers that branch-delay matching inserted, and
     one input frame is consumed per cycle (initiation interval 1).  PE
-    behaviour comes from the configuration decoded out of the bitstream,
-    so a bad bitstream packing or a bad balancing plan shows up as a
-    wrong output, exactly like an RTL simulation mismatch.
+    instructions come from the bitstream ({!Bitstream.instr_at}), so a
+    bad instruction packing or a bad balancing plan shows up as a wrong
+    output, exactly like an RTL simulation mismatch.  Connections do
+    not: which driver feeds each PE input and application output is
+    read from the cover ([mapped]), not from the switch-box words, so
+    routing is not checked.  A PE input that no connection drives reads
+    0, as an unselected connection box does.
 
     Outputs for frame [f] appear at cycle [f + plan.depth_cycles]; the
     result list is aligned per input frame. *)

@@ -21,35 +21,50 @@ let file_of_name name = "BENCH_" ^ name ^ ".json"
 type t = {
   area : string;
   counters : (string * int) list;
-  seconds : float;
-  extra_bands : (string * float) list;
-  info : (string * Json.t) list;
+  alloc_kw : (string * int) list;
 }
 
-let schema_version = "apex.bench.snapshot/1"
+let schema_version = "apex.bench.snapshot/2"
 
-(* Wall clock cannot be committed exactly, so the snapshot coarsens it
-   into geometric bands: band 0 is "at most [band_unit_ms]", band k is
-   "about [band_unit_ms * band_ratio^k]".  With ratio 4 a timing must
-   double (move past the sqrt-4 band edge) before its band can change,
-   which keeps the committed files stable across machines of roughly
-   similar speed while still catching order-of-magnitude regressions. *)
-let band_unit_ms = 1.0
+(* A layer's words reproduce across processes under [--jobs 1], but
+   almost any edit to the code it runs moves them a little, and at
+   larger widths a memo is paid for by whichever domain fills it
+   first.  So [diff] bounds them instead of matching them exactly: each
+   layer may move by the larger of a relative bound, for the big
+   layers, and an absolute floor, for the small ones whose few
+   kilowords of bookkeeping would otherwise dominate the ratio. *)
+let alloc_ratio = 0.10
 
-let band_ratio = 4.0
-
-let band_of_seconds t =
-  let ms = 1e3 *. t in
-  if ms <= band_unit_ms then 0
-  else
-    max 0
-      (int_of_float
-         (Float.round (Float.log (ms /. band_unit_ms) /. Float.log band_ratio)))
+let alloc_floor_kw = 64
 
 (* exec.* counters (pool batches, cache hits) vary with --jobs and the
    on-disk store; everything else in the registry is covered by the
    pool's bit-identical-counters contract *)
 let keep_counter (k, _) = not (String.starts_with ~prefix:"exec." k)
+
+(* Self minor words per span name (a span's words minus its children's,
+   summed over every node of that name), in kilowords.  Span words are
+   the span's own domain's, so under [--jobs 1] — every task on the
+   calling domain — the self words of a phase's spans partition its
+   allocation. *)
+let self_kw (phase : Registry.span) =
+  let tbl = Hashtbl.create 16 in
+  let rec walk (sp : Registry.span) =
+    let kids = Registry.children_in_order sp in
+    let self =
+      List.fold_left
+        (fun w (k : Registry.span) -> w -. k.minor_words)
+        sp.minor_words kids
+    in
+    Hashtbl.replace tbl sp.name
+      (self +. Option.value ~default:0.0 (Hashtbl.find_opt tbl sp.name));
+    List.iter walk kids
+  in
+  walk phase;
+  Hashtbl.fold
+    (fun name w acc -> (name, int_of_float (Float.round (w /. 1e3))) :: acc)
+    tbl []
+  |> List.sort compare
 
 let measure area phase =
   let name = area_name area in
@@ -58,19 +73,11 @@ let measure area phase =
   Registry.reset ();
   Span.with_ ("snapshot:" ^ name) phase;
   let snap = Registry.snapshot () in
-  let seconds =
-    match
-      Hashtbl.find_opt snap.Registry.spans.Registry.children ("snapshot:" ^ name)
-    with
-    | Some sp -> sp.Registry.total_s
-    | None -> 0.0
-  in
   if not was_enabled then Registry.disable ();
   { area = name;
     counters = List.filter keep_counter snap.Registry.counters;
-    seconds;
-    extra_bands = [];
-    info = [] }
+    alloc_kw =
+      List.concat_map self_kw (Registry.children_in_order snap.Registry.spans) }
 
 (* shared prerequisites, built OUTSIDE the measured window so the
    in-memory memo caches they warm (Dse.analysis_of) are in the
@@ -143,28 +150,18 @@ let run area =
           measure Dse (fun () ->
               (* materialize the width-aware PE area as an exact integer
                  counter (0.1 um^2 units) so snapshot diffs surface area
-                 regressions, not just time bands *)
+                 regressions *)
               Apex_telemetry.Counter.add "dse.pe_area_um2_x10"
                 (int_of_float ((Apex_peak.Cost.pe_area dp *. 10.0) +. 0.5));
               ignore (Dse.evaluate_pairs pairs)))
 
 let to_json t =
+  let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l) in
   Json.Obj
-    ([ ("schema", Json.String schema_version);
-       ("area", Json.String t.area);
-       ("band_unit_ms", Json.Float band_unit_ms);
-       ("band_ratio", Json.Float band_ratio);
-       ( "counters",
-         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.counters) );
-       ( "time_bands",
-         Json.Obj
-           (("total", Json.Int (band_of_seconds t.seconds))
-           :: List.map
-                (fun (k, s) -> (k, Json.Int (band_of_seconds s)))
-                t.extra_bands) ) ]
-    (* raw measurements too volatile to gate (latency ratios, exact
-       milliseconds) ride along unbanded; [diff] never reads them *)
-    @ (if t.info = [] then [] else [ ("info", Json.Obj t.info) ]))
+    [ ("schema", Json.String schema_version);
+      ("area", Json.String t.area);
+      ("counters", ints t.counters);
+      ("alloc_kw", ints t.alloc_kw) ]
 
 let write ~dir t =
   let path = Filename.concat dir (file_of_name t.area) in
@@ -176,7 +173,7 @@ let write ~dir t =
 
 (* --- the regression gate --- *)
 
-let diff ?(tolerance = 1) old_j new_j =
+let diff old_j new_j =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let str j k =
@@ -207,35 +204,29 @@ let diff ?(tolerance = 1) old_j new_j =
           fields
     | _ -> []
   in
-  let old_c = int_fields old_j "counters" in
-  let new_c = int_fields new_j "counters" in
-  (* exact in both directions: a counter that vanished (or appeared) is
-     drift just as much as one that changed value *)
-  List.iter
-    (fun (k, ov) ->
-      match List.assoc_opt k new_c with
-      | Some nv when nv = ov -> ()
-      | Some nv -> err "counter %s: %d -> %d" k ov nv
-      | None -> err "counter %s: %d -> <missing>" k ov)
-    old_c;
-  List.iter
-    (fun (k, nv) ->
-      if not (List.mem_assoc k old_c) then
-        err "counter %s: <missing> -> %d" k nv)
-    new_c;
-  let old_b = int_fields old_j "time_bands" in
-  let new_b = int_fields new_j "time_bands" in
-  List.iter
-    (fun (k, ov) ->
-      match List.assoc_opt k new_b with
-      | Some nv when abs (nv - ov) <= tolerance -> ()
-      | Some nv ->
-          err "time band %s: %d -> %d (tolerance %d)" k ov nv tolerance
-      | None -> err "time band %s: %d -> <missing>" k ov)
-    old_b;
-  List.iter
-    (fun (k, nv) ->
-      if not (List.mem_assoc k old_b) then
-        err "time band %s: <missing> -> %d" k nv)
-    new_b;
+  (* both sections are checked in both directions: a key that vanished
+     (or appeared) is drift just as much as one that changed value *)
+  let compare_section section ~what ~within =
+    let old_s = int_fields old_j section in
+    let new_s = int_fields new_j section in
+    List.iter
+      (fun (k, ov) ->
+        match List.assoc_opt k new_s with
+        | Some nv when within ov nv -> ()
+        | Some nv -> err "%s %s: %d -> %d" what k ov nv
+        | None -> err "%s %s: %d -> <missing>" what k ov)
+      old_s;
+    List.iter
+      (fun (k, nv) ->
+        if not (List.mem_assoc k old_s) then
+          err "%s %s: <missing> -> %d" what k nv)
+      new_s
+  in
+  compare_section "counters" ~what:"counter" ~within:( = );
+  compare_section "alloc_kw" ~what:"alloc_kw" ~within:(fun ov nv ->
+      let bound =
+        max alloc_floor_kw
+          (int_of_float (Float.ceil (alloc_ratio *. float_of_int (abs ov))))
+      in
+      abs (nv - ov) <= bound);
   List.rev !errs

@@ -320,13 +320,31 @@ let stats () =
     tbl []
   |> List.sort (fun a b -> String.compare a.ns b.ns)
 
-(* newest entries survive: sort by mtime descending, keep while the
-   running total fits the budget, delete the tail *)
+(* Whether this build can read the entry: its header names this
+   build's format version.  Only the header is read, not the payload,
+   so the check costs one short read per entry. *)
+let is_current path =
+  match open_in_bin path with
+  | exception Sys_error _ -> false
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match input_line ic with
+          | m -> m = magic && input_line ic = format_version
+          | exception End_of_file -> false)
+
+(* Other builds' entries go first (no lookup of this build can ever hit
+   them), then this build's oldest: sort current-first, newest first
+   within each group, keep while the running total fits the budget,
+   delete the tail *)
 let gc_filtered ~budget_bytes keep_ns =
   let files =
-    List.sort
-      (fun (_, _, _, ma) (_, _, _, mb) -> compare mb ma)
-      (List.filter (fun (ns, _, _, _) -> keep_ns ns) (entry_files ()))
+    List.filter (fun (ns, _, _, _) -> keep_ns ns) (entry_files ())
+    |> List.map (fun ((_, path, _, _) as e) -> (is_current path, e))
+    |> List.sort (fun (ca, (_, _, _, ma)) (cb, (_, _, _, mb)) ->
+           compare (cb, mb) (ca, ma))
+    |> List.map snd
   in
   let _, deleted, freed =
     List.fold_left
@@ -388,8 +406,9 @@ type scrub_stats = {
    moved under <cache>/quarantine/<ns>/ — never silently deleted: bit
    rot and torn writes are evidence worth keeping, and a quarantined
    path can be inspected or diffed against a recomputed entry.  Stale
-   entries (older format version) are counted but left for the normal
-   lookup/gc paths to retire. *)
+   entries (another build's format version) are counted but left in
+   place: no lookup of this build reads them, and [gc] deletes them
+   before any of this build's entries. *)
 let scrub ?ns () =
   let keep = match ns with None -> fun _ -> true | Some n -> String.equal n in
   let tbl : (string, scrub_stats) Hashtbl.t = Hashtbl.create 8 in

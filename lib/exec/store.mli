@@ -83,9 +83,10 @@ val stats : unit -> ns_stats list
 (** Per-namespace entry counts and byte totals, sorted by namespace. *)
 
 val gc : ?budget_bytes:int -> unit -> int * int
-(** [gc ~budget_bytes ()] deletes oldest entries (by mtime) until the
-    cache fits the budget (default 0 = delete everything); returns
-    (entries deleted, bytes freed).  Also reaps writer temp files
+(** [gc ~budget_bytes ()] deletes entries until the cache fits the
+    budget (default 0 = delete everything); returns (entries deleted,
+    bytes freed).  Entries whose header names another build's
+    {!format_version} go first, then this build's oldest (by mtime).  Also reaps writer temp files
     ([*.tmp.<pid>.<domain>]) orphaned by a crashed writer, once they
     are over an hour old (counted as [exec.cache_tmp_reaped]). *)
 
@@ -96,7 +97,8 @@ val reap_tmp : ?max_age_s:float -> unit -> int
 
 val gc_ns : ns:string -> ?budget_bytes:int -> unit -> int * int
 (** Like [gc] but confined to one namespace directory: evicts that
-    namespace's oldest entries until it fits the budget.  Other
+    namespace's entries, other builds' first, until it fits the
+    budget.  Other
     namespaces are never touched. *)
 
 val gc_prefix : prefix:string -> ?budget_bytes:int -> unit -> int * int
@@ -109,7 +111,9 @@ type scrub_stats = {
   checked : int;
   ok : int;  (** digest verified *)
   corrupt : int;  (** quarantined (or unremovable-in-place) *)
-  stale : int;  (** older format version; left for lookup/gc to retire *)
+  stale : int;
+      (** another build's format version; left in place, and deleted by
+          [gc] before any current entry *)
   quarantined_bytes : int;
 }
 

@@ -128,9 +128,10 @@ let execute t (p : pending) =
       (match resp with
       | Proto.Error e when e.code = 4 -> journal_op t p Journal.cancelled
       | Proto.Ok _ | Proto.Error _ -> journal_op t p Journal.finished);
-      (* tenant byte quota: trim the tenant's namespaces oldest-first
-         after every request, so a tenant can exceed the quota only by
-         the size of one request's artifacts *)
+      (* tenant byte quota: trim the tenant's namespaces (other builds'
+         entries first, then the oldest) after every request, so a
+         tenant can exceed the quota only by the size of one request's
+         artifacts *)
       (match t.config.tenant_quota_bytes with
       | Some budget_bytes ->
           let deleted, freed =

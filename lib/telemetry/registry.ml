@@ -51,11 +51,11 @@ type span = {
   name : string;
   mutable count : int;
   mutable total_s : float;
-  (* per-span GC deltas (Gc.quick_stat before/after), aggregated like
-     total_s: how much allocation each phase is responsible for *)
+  (* per-span allocation deltas (Gc.counters before/after, so the
+     words of the span's own domain), aggregated like total_s: how much
+     allocation each phase is responsible for *)
   mutable minor_words : float;
   mutable major_words : float;
-  mutable compactions : int;
   mutable rev_order : string list; (* child names, most recent first *)
   children : (string, span) Hashtbl.t;
 }
@@ -82,7 +82,6 @@ let new_span ~scope_alloc name =
     total_s = 0.0;
     minor_words = 0.0;
     major_words = 0.0;
-    compactions = 0;
     rev_order = [];
     children = Hashtbl.create 4 }
 
@@ -279,12 +278,11 @@ let enter name =
   ts.st <- sp :: ts.st;
   sp
 
-let leave sp ~dt ~minor ~major ~compactions =
+let leave sp ~dt ~minor ~major =
   locked (fun () ->
       sp.total_s <- sp.total_s +. dt;
       sp.minor_words <- sp.minor_words +. minor;
-      sp.major_words <- sp.major_words +. major;
-      sp.compactions <- sp.compactions + compactions);
+      sp.major_words <- sp.major_words +. major);
   let ts = tstate () in
   (match ts.st with
   | top :: rest when top == sp -> ts.st <- rest
@@ -330,7 +328,6 @@ let rec merge_children dst src =
           d.total_s <- d.total_s +. c.total_s;
           d.minor_words <- d.minor_words +. c.minor_words;
           d.major_words <- d.major_words +. c.major_words;
-          d.compactions <- d.compactions + c.compactions;
           merge_children d c)
     (children_in_order src)
 
@@ -500,7 +497,6 @@ let rec copy_span sp =
     total_s = sp.total_s;
     minor_words = sp.minor_words;
     major_words = sp.major_words;
-    compactions = sp.compactions;
     rev_order = sp.rev_order;
     children }
 
@@ -518,8 +514,7 @@ let snapshot () =
         (fun c ->
           spans.total_s <- spans.total_s +. c.total_s;
           spans.minor_words <- spans.minor_words +. c.minor_words;
-          spans.major_words <- spans.major_words +. c.major_words;
-          spans.compactions <- spans.compactions + c.compactions)
+          spans.major_words <- spans.major_words +. c.major_words)
         (children_in_order spans);
       { spans;
         counters = sorted_bindings sc.counters (fun r -> !r);

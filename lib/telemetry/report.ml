@@ -32,12 +32,11 @@ let pp_span_tree ppf (snap : Registry.snapshot) =
 let pp_gc_table ppf (snap : Registry.snapshot) =
   let phases = Registry.children_in_order snap.spans in
   if phases <> [] then begin
-    Format.fprintf ppf "gc (per phase):%33s%12s%9s@." "minor Mw" "major Mw"
-      "compact";
+    Format.fprintf ppf "gc (per phase):%33s%12s@." "minor Mw" "major Mw";
     List.iter
       (fun (sp : Registry.span) ->
-        Format.fprintf ppf "  %-38s %7.2f %11.2f %8d@." sp.name
-          (sp.minor_words /. 1e6) (sp.major_words /. 1e6) sp.compactions)
+        Format.fprintf ppf "  %-38s %7.2f %11.2f@." sp.name
+          (sp.minor_words /. 1e6) (sp.major_words /. 1e6))
       phases
   end
 
@@ -82,8 +81,7 @@ let rec span_json (sp : Registry.span) =
       ("gc",
        Json.Obj
          [ ("minor_words", Json.Float sp.minor_words);
-           ("major_words", Json.Float sp.major_words);
-           ("compactions", Json.Int sp.compactions) ]);
+           ("major_words", Json.Float sp.major_words) ]);
       ("children",
        Json.List (List.map span_json (Registry.children_in_order sp))) ]
 

@@ -363,6 +363,43 @@ let test_sim_unsharp_end_to_end () =
     frames
 
 
+(* Every mapped pair of the suite — the 12 apps under PE Base, their
+   own specialized PE, PE IP and PE ML — through the DSE back end, its
+   bitstream and the fabric simulator, against the golden interpreter
+   on seeded frames.  A PE input no connection drives reads 0, so an
+   output no consumer reads cannot fail the simulation. *)
+let test_sim_every_mapped_pair () =
+  let store_was = Apex_exec.Store.enabled () in
+  Apex_exec.Store.set_enabled false;
+  Fun.protect ~finally:(fun () -> Apex_exec.Store.set_enabled store_was)
+  @@ fun () ->
+  let st = Random.State.make [| 2023 |] in
+  List.iter
+    (fun (app : Apps.t) ->
+      List.iter
+        (fun variant ->
+          let v = Apex.Dse.variant_for variant in
+          let _, { Apex.Metrics.cover; placement; routes; _ }, plan =
+            Apex.Metrics.post_pipelining v app
+          in
+          let spec = Spec.of_datapath ~name:v.name v.dp in
+          let bitstream = Bitstream.generate spec placement cover routes in
+          let frames = List.init 3 (fun _ -> random_frame st app.graph) in
+          let report =
+            Sim.run ~spec ~mapped:cover ~plan ~bitstream ~placement ~frames
+          in
+          List.iteri
+            (fun i frame ->
+              if
+                List.sort compare (Interp.run app.graph frame)
+                <> List.sort compare (List.nth report.outputs i)
+              then
+                Alcotest.failf "%s under %s: frame %d diverges" app.name
+                  variant i)
+            frames)
+        [ "base"; "spec:" ^ app.name; "ip"; "ml" ])
+    (Apps.evaluated () @ Apps.unseen () @ Apps.extended ())
+
 (* --- top-level fabric Verilog --- *)
 
 let test_fabric_verilog () =
@@ -458,7 +495,8 @@ let () =
       ( "sim",
         [ Alcotest.test_case "gaussian matches golden" `Quick test_sim_matches_golden;
           Alcotest.test_case "pipelined PEs" `Quick test_sim_pipelined_pe_latency;
-          Alcotest.test_case "unsharp end to end" `Quick test_sim_unsharp_end_to_end ] );
+          Alcotest.test_case "unsharp end to end" `Quick test_sim_unsharp_end_to_end;
+          Alcotest.test_case "every mapped pair" `Quick test_sim_every_mapped_pair ] );
       ( "verilog-top",
         [ Alcotest.test_case "structure" `Quick test_fabric_verilog;
           Alcotest.test_case "tile instantiation" `Quick

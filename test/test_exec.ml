@@ -436,6 +436,74 @@ let test_stats_and_gc_budget () =
   check Alcotest.(list string) "empty" []
     (List.map (fun (s : Store.ns_stats) -> s.ns) (Store.stats ()))
 
+(* Other builds' entries cannot be read by this build, so gc reclaims
+   them before any current entry, even when they are newer: with a
+   budget that fits exactly the current entries, exactly the entries
+   of the two other salts go. *)
+let test_gc_other_builds_first () =
+  let keys =
+    List.map (fun i -> Store.key ~version:"t/1" [ string_of_int i ]) [ 1; 2; 3 ]
+  in
+  List.iter (fun key -> Store.store ~ns:"t" ~key (String.make 1000 'z')) keys;
+  let dir = Filename.concat (Store.cache_dir ()) "t" in
+  let current = Array.to_list (Sys.readdir dir) in
+  let budget =
+    List.fold_left
+      (fun acc e -> acc + (Unix.stat (Filename.concat dir e)).Unix.st_size)
+      0 current
+  in
+  let sample =
+    let ic = open_in_bin (Filename.concat dir (List.hd current)) in
+    Fun.protect
+      (fun () -> really_input_string ic (in_channel_length ic))
+      ~finally:(fun () -> close_in ic)
+  in
+  let salted build =
+    match String.index_opt Store.format_version '+' with
+    | Some i ->
+        String.sub Store.format_version 0 (i + 1)
+        ^ Digest.to_hex (Digest.string build)
+    | None -> Alcotest.fail "format version carries no build salt"
+  in
+  (* same size as a current entry, another version line, and newer *)
+  let old = Unix.time () -. 3600.0 in
+  List.iter (fun e -> Unix.utimes (Filename.concat dir e) old old) current;
+  let foreign =
+    List.concat_map
+      (fun build ->
+        List.map
+          (fun i ->
+            let name = Printf.sprintf "%s-%d" (Digest.to_hex (Digest.string build)) i in
+            let oc = open_out_bin (Filename.concat dir name) in
+            Fun.protect
+              (fun () ->
+                output_string oc
+                  (Str.replace_first
+                     (Str.regexp_string Store.format_version)
+                     (salted build) sample))
+              ~finally:(fun () -> close_out oc);
+            name)
+          [ 1; 2 ])
+      [ "build a"; "build b" ]
+  in
+  let deleted, freed = Store.gc ~budget_bytes:budget () in
+  check Alcotest.int "exactly the foreign entries deleted"
+    (List.length foreign) deleted;
+  check Alcotest.int "their bytes freed"
+    (List.length foreign * String.length sample) freed;
+  check Alcotest.(list string) "current entries kept"
+    (List.sort compare current)
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  let computes = ref 0 in
+  List.iter
+    (fun key ->
+      ignore
+        (Store.memoize ~ns:"t" ~key (fun () ->
+             incr computes;
+             "recomputed")))
+    keys;
+  check Alcotest.int "every current entry still hits" 0 !computes
+
 let test_tenant_namespaces () =
   let key = Store.key ~version:"t/1" [ "shared" ] in
   let computes = ref 0 in
@@ -753,6 +821,8 @@ let () =
             (with_scratch_store test_tenant_namespaces);
           Alcotest.test_case "gc by namespace and prefix" `Quick
             (with_scratch_store test_gc_ns_and_prefix);
+          Alcotest.test_case "gc reclaims other builds first" `Quick
+            (with_scratch_store test_gc_other_builds_first);
           Alcotest.test_case "concurrent memoize" `Quick
             (with_scratch_store test_concurrent_memoize) ] );
       ( "memo contract",

@@ -1,5 +1,5 @@
-(* Tests for the benchmark-trajectory snapshots: the band math, the
-   diff gate's tolerance semantics, and — the expensive but load-bearing
+(* Tests for the benchmark-trajectory snapshots: the diff gate's exact
+   counters and allocation bounds, and — the expensive but load-bearing
    part — the determinism contract that makes BENCH_<area>.json files
    committable at all: consecutive runs and different pool widths must
    produce byte-identical counter sections. *)
@@ -10,31 +10,16 @@ module Pool = Apex_exec.Pool
 
 let check = Alcotest.check
 
-(* --- band math --- *)
-
-let test_band_of_seconds () =
-  check Alcotest.int "zero time" 0 (Snapshot.band_of_seconds 0.0);
-  check Alcotest.int "below the unit" 0 (Snapshot.band_of_seconds 0.0005);
-  check Alcotest.int "exactly the unit" 0 (Snapshot.band_of_seconds 0.001);
-  (* band k is centered on unit * ratio^k: 4 ms -> 1, 16 ms -> 2 *)
-  check Alcotest.int "4 ms" 1 (Snapshot.band_of_seconds 0.004);
-  check Alcotest.int "16 ms" 2 (Snapshot.band_of_seconds 0.016);
-  check Alcotest.int "1 s" 5 (Snapshot.band_of_seconds 1.0);
-  (* monotone: more time can never lower the band *)
-  let bands =
-    List.map Snapshot.band_of_seconds [ 0.001; 0.003; 0.01; 0.1; 1.0; 10.0 ]
-  in
-  check Alcotest.(list int) "monotone" (List.sort compare bands) bands
-
 (* --- the diff gate (pure JSON-level checks) --- *)
 
-let snap_json ?(area = "mining") ?(counters = [ ("c", 10) ]) ?(band = 3) () =
+let snap_json ?(area = "mining") ?(counters = [ ("c", 10) ])
+    ?(alloc = [ ("mining", 1000) ]) () =
+  let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l) in
   Json.Obj
     [ ("schema", Json.String Snapshot.schema_version);
       ("area", Json.String area);
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
-      ("time_bands", Json.Obj [ ("total", Json.Int band) ])
-    ]
+      ("counters", ints counters);
+      ("alloc_kw", ints alloc) ]
 
 let test_diff_agreement () =
   check Alcotest.(list string) "identical snapshots agree" []
@@ -55,19 +40,28 @@ let test_diff_counter_drift () =
   let mismatched_area = Snapshot.diff (snap_json ()) (snap_json ~area:"smt" ()) in
   check Alcotest.bool "area mismatch caught" true (mismatched_area <> [])
 
-let test_diff_band_tolerance () =
-  let old_j = snap_json ~band:3 () in
-  (* pass at the boundary, fail one beyond it *)
-  check Alcotest.(list string) "band +1 within default tolerance" []
-    (Snapshot.diff old_j (snap_json ~band:4 ()));
-  check Alcotest.(list string) "band -1 within default tolerance" []
-    (Snapshot.diff old_j (snap_json ~band:2 ()));
-  check Alcotest.bool "band +2 beyond default tolerance" true
-    (Snapshot.diff old_j (snap_json ~band:5 ()) <> []);
-  check Alcotest.(list string) "band +2 within tolerance 2" []
-    (Snapshot.diff ~tolerance:2 old_j (snap_json ~band:5 ()));
-  check Alcotest.bool "tolerance 0 rejects +1" true
-    (Snapshot.diff ~tolerance:0 old_j (snap_json ~band:4 ()) <> [])
+let test_diff_alloc_bound () =
+  let old_j = snap_json ~alloc:[ ("big", 1000); ("small", 10) ] () in
+  let with_ big small = snap_json ~alloc:[ ("big", big); ("small", small) ] () in
+  (* a big layer may move by 10%, a small one by the 64 kw floor *)
+  check Alcotest.(list string) "big +10% within bound" []
+    (Snapshot.diff old_j (with_ 1100 10));
+  check Alcotest.(list string) "big -10% within bound" []
+    (Snapshot.diff old_j (with_ 900 10));
+  check Alcotest.bool "big +11% beyond bound" true
+    (Snapshot.diff old_j (with_ 1110 10) <> []);
+  check Alcotest.(list string) "small +64 kw within floor" []
+    (Snapshot.diff old_j (with_ 1000 74));
+  check Alcotest.bool "small +65 kw beyond floor" true
+    (Snapshot.diff old_j (with_ 1000 75) <> []);
+  check Alcotest.bool "doubled layer caught" true
+    (Snapshot.diff old_j (with_ 2000 10) <> []);
+  check Alcotest.bool "missing layer caught" true
+    (Snapshot.diff old_j (snap_json ~alloc:[ ("big", 1000) ] ()) <> []);
+  check Alcotest.bool "extra layer caught" true
+    (Snapshot.diff old_j
+       (snap_json ~alloc:[ ("big", 1000); ("new", 1); ("small", 10) ] ())
+    <> [])
 
 (* --- the determinism contract --- *)
 
@@ -98,10 +92,10 @@ let test_jobs_invariance () =
           check Alcotest.string
             (Snapshot.area_name area ^ " counters jobs-invariant")
             (per_jobs 1 area) (per_jobs 4 area))
-        (* mining fans the growth frontier out on the pool; smt fans the
-           per-pattern rule synthesis out — the two parallel phases a
-           jobs-width bug would desynchronize first *)
-        [ Snapshot.Mining; Snapshot.Smt ])
+        (* DSE pair evaluation is the pool's one caller in these
+           areas; mining and smt run serially at every width, so they
+           check that the width reaches nothing else *)
+        [ Snapshot.Mining; Snapshot.Smt; Snapshot.Dse ])
 
 let test_no_exec_counters () =
   let t = Snapshot.run Snapshot.Smt in
@@ -113,12 +107,10 @@ let test_no_exec_counters () =
 
 let () =
   Alcotest.run "snapshot"
-    [ ( "bands",
-        [ Alcotest.test_case "band_of_seconds" `Quick test_band_of_seconds ] );
-      ( "diff",
+    [ ( "diff",
         [ Alcotest.test_case "agreement" `Quick test_diff_agreement;
           Alcotest.test_case "counter drift" `Quick test_diff_counter_drift;
-          Alcotest.test_case "band tolerance" `Quick test_diff_band_tolerance ]
+          Alcotest.test_case "alloc bound" `Quick test_diff_alloc_bound ]
       );
       ( "determinism",
         [ Alcotest.test_case "run twice identical" `Quick

@@ -124,8 +124,34 @@ let test_span_gc_gauges () =
      allocated large (major words) or promoted; either way the root
      aggregates its children *)
   check Alcotest.bool "root sums children" true
-    (snap.spans.minor_words >= alloc.minor_words);
-  check Alcotest.bool "compactions non-negative" true (alloc.compactions >= 0)
+    (snap.spans.minor_words >= alloc.minor_words)
+
+(* A span is charged the words of its own domain only: a second domain
+   allocating ten times as much while the span is open (and joined
+   before it closes) adds nothing to it. *)
+let test_span_words_own_domain () =
+  let alloc n = ignore (Sys.opaque_identity (List.init n Fun.id)) in
+  let minor_words () =
+    let minor, _, _ = Gc.counters () in
+    minor
+  in
+  let other = ref 0.0 in
+  Span.with_ "own" (fun () ->
+      let d =
+        Domain.spawn (fun () ->
+            let w0 = minor_words () in
+            alloc 1_000_000;
+            minor_words () -. w0)
+      in
+      alloc 100_000;
+      other := Domain.join d);
+  let own = (find_child (Registry.snapshot ()).spans "own").minor_words in
+  (* 100k list cells are 300k words; the span's own overhead is tiny *)
+  check Alcotest.bool "own words counted" true (own >= 300_000.0);
+  check Alcotest.bool "other domain allocated at least 5x more" true
+    (!other >= 5.0 *. own);
+  check Alcotest.bool "other domain's words not charged" true
+    (own < 300_000.0 +. (!other /. 10.0))
 
 let test_snapshot_isolated_from_reset () =
   Counter.add "kept" 7;
@@ -498,6 +524,8 @@ let () =
             (with_registry test_percentiles);
           Alcotest.test_case "span gc gauges" `Quick
             (with_registry test_span_gc_gauges);
+          Alcotest.test_case "span words are its own domain's" `Quick
+            (with_registry test_span_words_own_domain);
           Alcotest.test_case "snapshot isolation" `Quick
             (with_registry test_snapshot_isolated_from_reset);
           Alcotest.test_case "tally" `Quick (with_registry test_tally) ] );
