@@ -9,10 +9,7 @@
 
 type fact = { itv : Itv.t; kb : Kbits.t; cst : int option }
 
-val top_word : fact
-val top_bit : fact
 val of_const : int -> fact
-val fact_equal : fact -> fact -> bool
 
 val reduce : fact -> fact
 (** Exchange information between the domains: a singleton interval or a
@@ -33,5 +30,4 @@ val analyze : Apex_dfg.Graph.t -> fact array
 val is_top : Apex_dfg.Graph.node -> fact -> bool
 (** Does the fact say nothing beyond the node's width? *)
 
-val pp_fact : Format.formatter -> fact -> unit
 val fact_to_string : fact -> string

@@ -19,18 +19,9 @@
 val analyze : Apex_dfg.Graph.t -> int array
 (** Demanded-bits mask per node id (bit-valued nodes use bit 0). *)
 
-val demand_on_arg : Apex_dfg.Graph.t -> Apex_dfg.Graph.node -> int -> int -> int
-(** [demand_on_arg g u p d] — bits user [u] needs of its [p]-th
-    argument when [u]'s own result is demanded to mask [d].  Exposed
-    for the lint layer and tests.
-    @raise Invalid_argument on a nullary [u]. *)
-
 val is_live : int array -> int -> bool
 (** [is_live (analyze g) id] — does any output transitively observe
     node [id]? *)
-
-val upto : int -> int
-(** All bits at or below the highest set bit of the mask. *)
 
 val from : int -> int
 (** All bits at or above the lowest set bit of the mask. *)

@@ -43,7 +43,6 @@ val mul : t -> t -> t
 val shl : t -> t -> t
 val lshr : t -> t -> t
 val ashr : t -> t -> t
-val trailing_zeros : t -> int
 
 val unsigned_min : t -> int
 val unsigned_max : t -> int

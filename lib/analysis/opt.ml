@@ -222,7 +222,7 @@ let cse_key (op : Op.t) (args : int array) =
   in
   (op, args)
 
-let rewrite_pass ~validate (g : G.t) (facts : Absint.fact array) (pc : pass_counters) =
+let rewrite_pass (g : G.t) (facts : Absint.fact array) (pc : pass_counters) =
   let n = G.length g in
   let b = G.Builder.create () in
   let remap = Array.make n (-1) in
@@ -250,12 +250,12 @@ let rewrite_pass ~validate (g : G.t) (facts : Absint.fact array) (pc : pass_coun
       match choose_rewrite facts nd with
       | None -> emit ()
       | Some (cls, repl) ->
-          let ok = (not validate) || validate_rewrite g facts nd repl in
-          if validate then
-            if ok then pc.proved <- pc.proved + 1
-            else pc.rejected <- pc.rejected + 1;
-          if not ok then emit ()
+          if not (validate_rewrite g facts nd repl) then begin
+            pc.rejected <- pc.rejected + 1;
+            emit ()
+          end
           else begin
+            pc.proved <- pc.proved + 1;
             changed := true;
             (match cls with
             | `Fold -> pc.folds <- pc.folds + 1
@@ -320,7 +320,7 @@ let equiv_check ?(vectors = 64) (g : G.t) (g' : G.t) =
     !ok
   with _ -> false
 
-let run ?(validate = true) ?(vectors = 64) (g : G.t) =
+let run ?(vectors = 64) (g : G.t) =
   Apex_guard.with_phase "analysis" @@ fun () ->
   let pc = { folds = 0; idents = 0; cse = 0; proved = 0; rejected = 0 } in
   let cur = ref g in
@@ -335,7 +335,7 @@ let run ?(validate = true) ?(vectors = 64) (g : G.t) =
      while !continue_ && !iterations < 8 do
        incr iterations;
        let facts = Absint.analyze !cur in
-       let g', changed = rewrite_pass ~validate !cur facts pc in
+       let g', changed = rewrite_pass !cur facts pc in
        cur := g';
        continue_ := changed
      done

@@ -32,11 +32,6 @@ type result = {
   validated : bool;
 }
 
-val choose_rewrite :
-  Absint.fact array -> Apex_dfg.Graph.node -> ([ `Fold | `Identity ] * repl) option
-(** The rewrite the fact base justifies for one node, if any (exposed
-    for the lint checkers and tests). *)
-
 val constrain_fact :
   Apex_smt.Bv.ctx -> Apex_smt.Bv.bv -> Absint.fact -> int -> unit
 (** Constrain a fresh bit-vector of the given width by an abstract
@@ -44,15 +39,11 @@ val constrain_fact :
     unsigned-range side condition.  Shared with {!Width} so every SMT
     discharge reads the fact base identically. *)
 
-val validate_rewrite :
-  Apex_dfg.Graph.t -> Absint.fact array -> Apex_dfg.Graph.node -> repl -> bool
-(** Discharge one rewrite by SMT at the full 16-bit width. *)
-
 val equiv_check : ?vectors:int -> Apex_dfg.Graph.t -> Apex_dfg.Graph.t -> bool
 (** Differential interpreter equivalence on seeded random vectors (the
     second graph's inputs must be a subset of the first's). *)
 
-val run : ?validate:bool -> ?vectors:int -> Apex_dfg.Graph.t -> result
-(** Optimize a graph.  [validate] (default [true]) controls the
-    per-rewrite SMT checks; the differential interpreter check always
-    runs.  Emits [analysis.*] telemetry counters. *)
+val run : ?vectors:int -> Apex_dfg.Graph.t -> result
+(** Optimize a graph: every rewrite is SMT-checked, then the result is
+    checked on [vectors] (default 64) random interpreter vectors.
+    Emits [analysis.*] telemetry counters. *)

@@ -39,18 +39,6 @@ val bits_saved : t -> int
 val width_of_mask : int -> int
 (** Highest set bit plus one, at least 1. *)
 
-val validate_cone :
-  Apex_dfg.Graph.t ->
-  Absint.fact array ->
-  Apex_dfg.Graph.node ->
-  arg_mask:(int -> int) ->
-  out_mask:int ->
-  bool
-(** One per-node narrowing proof (exposed for tests): under the
-    arguments' forward facts, masking argument [j] to [arg_mask j] and
-    the result to [out_mask] must not change the result's [out_mask]
-    bits. *)
-
 val differential_check : ?vectors:int -> Apex_dfg.Graph.t -> int array -> bool
 (** [differential_check g live] — the tested-only rung: seeded random
     vectors through the evaluator that masks each node to the [live]

@@ -2,22 +2,14 @@ module Interconnect = Apex_models.Interconnect
 
 type tile_kind = Pe_tile | Mem_tile
 
-type t = {
-  width : int;
-  height : int;
-  mem_column_period : int;
-  params : Interconnect.params;
-}
+type t = { width : int; height : int; params : Interconnect.params }
 
-let create ?(width = 32) ?(height = 16) ?(mem_column_period = 4)
-    ?(params = Interconnect.default) () =
+let create ?(width = 32) ?(height = 16) ?(params = Interconnect.default) () =
   if width <= 0 || height <= 0 then invalid_arg "Fabric.create: empty grid";
-  { width; height; mem_column_period; params }
+  { width; height; params }
 
-let kind f ~x ~y =
-  ignore y;
-  if f.mem_column_period > 0 && (x + 1) mod f.mem_column_period = 0 then Mem_tile
-  else Pe_tile
+(* every 4th column holds MEM tiles *)
+let kind _ ~x ~y:_ = if (x + 1) mod 4 = 0 then Mem_tile else Pe_tile
 
 let positions f want =
   let acc = ref [] in

@@ -9,14 +9,12 @@ type tile_kind = Pe_tile | Mem_tile
 type t = {
   width : int;
   height : int;
-  mem_column_period : int;  (** every k-th column holds MEM tiles *)
   params : Apex_models.Interconnect.params;
 }
 
 val create :
   ?width:int ->
   ?height:int ->
-  ?mem_column_period:int ->
   ?params:Apex_models.Interconnect.params ->
   unit ->
   t
@@ -27,8 +25,6 @@ val kind : t -> x:int -> y:int -> tile_kind
 
 val pe_positions : t -> (int * int) list
 (** All PE tile coordinates, row-major. *)
-
-val mem_positions : t -> (int * int) list
 
 val n_pe_tiles : t -> int
 val n_mem_tiles : t -> int

@@ -224,7 +224,7 @@ let route_net s ~source ~sinks =
     sinks;
   if !ok then Some (List.rev !tree_edges) else None
 
-let route ?(max_iters = 30) (p : Place.t) (m : Cover.t) =
+let route (p : Place.t) (m : Cover.t) =
   let s = new_search p.fabric in
   let h = s.height in
   (* sinks nearest the source first *)
@@ -240,7 +240,7 @@ let route ?(max_iters = 30) (p : Place.t) (m : Cover.t) =
   let routed = ref [] in
   let iterations = ref 0 in
   let legal = ref false in
-  while (not !legal) && !iterations < max_iters do
+  while (not !legal) && !iterations < 30 do
     incr iterations;
     Array.fill s.usage 0 n_edges 0;
     routed := [];

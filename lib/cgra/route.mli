@@ -29,7 +29,9 @@ type t = {
   iterations : int;     (** rip-up/reroute rounds used *)
 }
 
-val route : ?max_iters:int -> Place.t -> Apex_mapper.Cover.t -> t
+val route : Place.t -> Apex_mapper.Cover.t -> t
+(** Route every net in at most 30 rip-up/reroute rounds; [overuse > 0]
+    when the last round is still over capacity. *)
 
 val tiles_touched : t -> (int * int) list
 (** Tiles any route passes through, sorted: fabric tiles and the IO

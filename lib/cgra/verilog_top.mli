@@ -8,5 +8,3 @@ val emit : Fabric.t -> Apex_peak.Spec.t -> string
 (** Full fabric source: the PE module (from {!Apex_peak.Verilog},
     pipelined at {!Apex_pipelining.Pe_pipeline.rtl_stages}), a
     switch-box module, a memory-tile module and the top-level grid. *)
-
-val top_module_name : Fabric.t -> string

@@ -28,6 +28,4 @@ val pp : ?width_table:bool -> Format.formatter -> app_report list -> unit
 (** Per-app summary lines; [width_table] additionally prints one row
     per narrowed node (id, op, demanded mask, live mask, width). *)
 
-val pp_width_table : Format.formatter -> app_report -> unit
-
 val to_json : app_report list -> Apex_telemetry.Json.t

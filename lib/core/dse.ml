@@ -256,7 +256,7 @@ type pair_result =
    pair is the checkpoint a killed run resumes from. *)
 let eval_pair ?effort ?mapping (v : Variants.t) (app : Apps.t) =
   memo_verdict ~ns:"pairs"
-    ~key:(eval_key ~version:"pair-eval/4" ?effort v app)
+    ~key:(eval_key ~version:"pair-eval/5" ?effort v app)
     (fun () ->
       if Option.is_some mapping then Counter.incr "dse.covers_reused";
       let pp, _, _ = Metrics.post_pipelining ?effort ?mapping v app in
@@ -282,15 +282,7 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
   match
     Apex_guard.tick ();
     Apex_guard.Fault.inject "pair-eval";
-    (* transient failures retry with bounded deterministic backoff;
-       only exhaustion falls through to the Failed/Skipped ladder *)
-    Apex_guard.Retry.run ~label:"pair_eval"
-      ~retryable:(function
-        | Apex_guard.Fault.Injected "pair-eval-transient" -> true
-        | _ -> false)
-      (fun () ->
-        Apex_guard.Fault.inject "pair-eval-transient";
-        eval_pair ?effort ?mapping v app)
+    eval_pair ?effort ?mapping v app
   with
   | pp ->
       Apex_guard.Outcome.record ~phase:"evaluate" Apex_guard.Outcome.Exact;
@@ -322,7 +314,7 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
    task: a pair reuses the cover of a variant built before it, never
    one a later build scores while it runs, so what it reuses is the
    same at every pool width.  Results come back in submission order. *)
-let evaluate_built ?effort ~build items =
+let evaluate ?effort ~build items =
   let produce x =
     let ((v, app) as pair) = build x in
     (* the key builds the optimized kernel here rather than on a runner *)
@@ -332,8 +324,10 @@ let evaluate_built ?effort ~build items =
     (fun (pair, mapping) -> (pair, evaluate_pair ?effort ?mapping pair))
     items
 
+let evaluate_built ~build items = evaluate ~build items
+
 let evaluate_pairs ?effort pairs =
-  List.map snd (evaluate_built ?effort ~build:Fun.id pairs)
+  List.map snd (evaluate ?effort ~build:Fun.id pairs)
 
 let accepted_variant_forms =
   [ "base"; "ip"; "ip2"; "ip3"; "ml"; "spec:<app>"; "pe1:<app>"; "pek:<app>:<k>" ]

@@ -119,7 +119,6 @@ val evaluate_pairs :
     the variant's and kernel's content.  [evaluate_built ~build:Fun.id]. *)
 
 val evaluate_built :
-  ?effort:int ->
   build:('a -> Variants.t * Apex_halide.Apps.t) ->
   'a list ->
   ((Variants.t * Apex_halide.Apps.t) * pair_result) list

@@ -33,6 +33,7 @@ type post_pnr = {
   routing_tiles : int;
   word_hops : int;
   wirelength : float;
+  overuse : int;
 }
 
 type post_pipelining = {
@@ -105,11 +106,10 @@ let post_pnr ?(effort = 1) ?mapping (v : Variants.t) (app : Apps.t) =
   let fabric = fabric_for mapped in
   let placement = Place.place ~effort fabric mapped in
   let routes = Route.route placement mapped in
-  if routes.Route.overuse > 0 then begin
+  (* overuse is a property of the pair (kernel, variant, effort), not
+     a circumstance of this run: the pair is priced and stored as is *)
+  if routes.Route.overuse > 0 then
     Apex_telemetry.Counter.add "cgra.route_overuse" routes.Route.overuse;
-    Apex_guard.Outcome.record ~phase:"pnr"
-      (Apex_guard.Outcome.Degraded Apex_guard.Outcome.Fuel)
-  end;
   let routing_tiles = Route.routing_only_tiles routes placement in
   let params = fabric.Fabric.params in
   let word_inputs = D.n_word_inputs v.dp in
@@ -152,7 +152,8 @@ let post_pnr ?(effort = 1) ?mapping (v : Variants.t) (app : Apps.t) =
         +. per_output (interconnect_energy +. mem_energy);
       routing_tiles;
       word_hops = routes.Route.word_hops;
-      wirelength = placement.Place.wirelength },
+      wirelength = placement.Place.wirelength;
+      overuse = routes.Route.overuse },
     { cover = mapped; fabric; placement; routes } )
 
 let post_pipelining ?(effort = 1) ?mapping (v : Variants.t) (app : Apps.t) =

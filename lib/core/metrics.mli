@@ -31,6 +31,9 @@ type post_pnr = {
   routing_tiles : int;         (** routing-only tiles (Table 3) *)
   word_hops : int;
   wirelength : float;
+  overuse : int;
+      (** boundaries still over capacity when routing stopped (0 =
+          legal), also counted in [cgra.route_overuse] *)
 }
 
 type post_pipelining = {
@@ -72,10 +75,10 @@ val post_pnr :
 (** {!post_mapping} (or [mapping], its result for this same pair when
     the caller already has it: the DSE hands over the mapping its
     PE Spec climb scored), then place ([effort], default 1) and route
-    on the layout's fabric.  A
-    routing still over capacity when negotiation stops is priced as is,
-    but recorded as a degraded ["pnr"] outcome and counted in
-    [cgra.route_overuse]. *)
+    on the layout's fabric.  A routing still over capacity when
+    negotiation stops is priced as is and reported in [overuse]: a
+    result of the pair, not a degraded outcome, so it is stored like
+    any other. *)
 
 val post_pipelining :
   ?effort:int ->

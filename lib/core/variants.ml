@@ -39,10 +39,10 @@ let v ?configspace name (dp : D.t) patterns rules =
    perfbench still wraps its jobs in this *)
 let with_local_memo f = f ()
 
-let interesting_patterns ?(min_mis = 4) ranked =
+let interesting_patterns ranked =
   List.filter_map
     (fun (r : Analysis.ranked) ->
-      if r.mis_size >= min_mis && Pattern.size r.pattern >= 2 then
+      if r.mis_size >= 4 && Pattern.size r.pattern >= 2 then
         Some r.pattern
       else None)
     ranked

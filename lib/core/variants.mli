@@ -44,9 +44,9 @@ val pe1 : Apex_halide.Apps.t -> t
     application needs. *)
 
 val interesting_patterns :
-  ?min_mis:int -> Apex_mining.Analysis.ranked list -> Apex_mining.Pattern.t list
+  Apex_mining.Analysis.ranked list -> Apex_mining.Pattern.t list
 (** MIS-ordered patterns worth merging: at least 2 compute nodes and a
-    MIS size of at least [min_mis] (default 4). *)
+    MIS size of at least 4. *)
 
 val specialized :
   Apex_halide.Apps.t -> Apex_mining.Analysis.ranked list -> n_subgraphs:int -> t

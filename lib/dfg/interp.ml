@@ -25,11 +25,10 @@ let run g env =
          | Op.Output name | Op.Bit_output name -> (name, vals.(n.id))
          | _ -> assert false)
 
-let random_env ?(bits = 16) st g =
-  let m = (1 lsl bits) - 1 in
+let random_env st g =
   Graph.io_inputs g
   |> List.map (fun (n : Graph.node) ->
          match n.op with
-         | Op.Input name -> (name, Random.State.int st 0x10000 land m)
+         | Op.Input name -> (name, Random.State.int st 0x10000)
          | Op.Bit_input name -> (name, Random.State.int st 2)
          | _ -> assert false)

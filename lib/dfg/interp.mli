@@ -13,6 +13,6 @@ val run : Graph.t -> env -> (string * int) list
     [Output]/[Bit_output], in output order.
     @raise Not_found if an input name is missing from the environment. *)
 
-val random_env : ?bits:int -> Random.State.t -> Graph.t -> env
-(** An environment with uniformly random values for every input of the
-    graph, restricted to [bits] low bits (default 16). *)
+val random_env : Random.State.t -> Graph.t -> env
+(** An environment with uniformly random 16-bit words (and bits) for
+    every input of the graph. *)

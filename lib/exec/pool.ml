@@ -52,22 +52,6 @@ let set_jobs n = override := Some (clamp n)
 (* true while this domain is executing pool tasks: nested maps go serial *)
 let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-(* Task dispatch with the pool-worker fault site: the armed occurrence
-   raises before the task body runs, and the runner re-executes the
-   task inline exactly once.  Real task exceptions are untouched — they
-   keep the deterministic lowest-index delivery below. *)
-let run_task f x =
-  match
-    Guard.Fault.inject "pool-worker";
-    f x
-  with
-  | r -> r
-  | exception Guard.Fault.Injected site ->
-      Counter.incr "exec.pool_task_retries";
-      Guard.Outcome.record ~phase:"pool"
-        (Guard.Outcome.Degraded (Guard.Outcome.Fault site));
-      f x
-
 (* Run one batch.  [produce] runs on the calling domain, in order, and
    stops at its first exception; every produced task still runs, and
    the failure at the lowest index -- producer's or task's -- is raised
@@ -113,7 +97,7 @@ let pipeline ~produce f xs =
     match claim ~retire with
     | None -> ()
     | Some (i, x) ->
-        (match Registry.with_context parts.(i) (fun () -> run_task f x) with
+        (match Registry.with_context parts.(i) (fun () -> f x) with
         | r -> results.(i) <- Some r
         | exception e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
         run_tasks ~retire

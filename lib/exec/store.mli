@@ -90,11 +90,6 @@ val gc : ?budget_bytes:int -> unit -> int * int
     ([*.tmp.<pid>.<domain>]) orphaned by a crashed writer, once they
     are over an hour old (counted as [exec.cache_tmp_reaped]). *)
 
-val reap_tmp : ?max_age_s:float -> unit -> int
-(** Delete orphaned writer temp files older than [max_age_s] (default
-    3600); returns the count.  Fresh temp files are left alone — a
-    live writer may still own them. *)
-
 val gc_ns : ns:string -> ?budget_bytes:int -> unit -> int * int
 (** Like [gc] but confined to one namespace directory: evicts that
     namespace's entries, other builds' first, until it fits the

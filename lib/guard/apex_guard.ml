@@ -148,14 +148,14 @@ end
 (* --- bounded deterministic retry --- *)
 
 module Retry = struct
-  (* Transient-failure policy for the I/O edges of the flow (store
-     reads, pair evaluations, socket loops): a bounded number of
-     attempts with *unjittered* exponential backoff, so two runs that
-     hit the same transient sequence retry on the same schedule and the
-     flow's determinism contract survives the retries.  Every retry is
-     counted under guard.retries.<label>; an exhausted policy re-raises
-     the last error and counts guard.retries_exhausted.<label>, so a
-     report can never pass persistent trouble off as transient. *)
+  (* Transient-failure policy for the one edge that meets transient
+     failures, the client's connect to a daemon still binding its
+     socket: a bounded number of attempts with *unjittered* exponential
+     backoff, so two runs that hit the same transient sequence retry on
+     the same schedule.  Every retry is counted under
+     guard.retries.<label>; an exhausted policy re-raises the last error
+     and counts guard.retries_exhausted.<label>, so a report can never
+     pass persistent trouble off as transient. *)
 
   type t = { attempts : int; base_delay_s : float; max_delay_s : float }
 
@@ -214,14 +214,7 @@ module Fault = struct
     [ ("smt-exhaust", "SAT search reports Unknown: proved rule degrades to tested-only");
       ("cache-corrupt", "cache entry read as corrupt: evicted and recomputed");
       ("store-crash", "crash mid cache write: torn temp file, entry never published");
-      ("pool-worker", "pool task raises: re-executed inline by the submitting domain");
       ("pair-eval", "one (variant, app) evaluation fails: pair skipped, fleet continues");
-      ("pair-eval-transient",
-       "transient pair-evaluation failure: retried with deterministic \
-        backoff (guard.retries.pair_eval), results identical");
-      ("store-read-transient",
-       "transient store read failure: retried with deterministic backoff \
-        (guard.retries.store_read), then degraded to a cache miss");
       ("width-smt-exhaust",
        "width-narrowing SMT proofs unavailable: narrowings kept on \
         differential-interpreter evidence (tested-only, identical widths); \

@@ -89,8 +89,8 @@ module Budget : sig
   (** [None] = no fuel limit; [Some n] = remaining steps (may be <= 0). *)
 end
 
-(** Bounded deterministic retry for transient failures (store reads,
-    pair evaluations, socket loops). *)
+(** Bounded deterministic retry for transient failures (the serve
+    client's connect), and the [EINTR] wrapper of the serve loops. *)
 module Retry : sig
   type t = {
     attempts : int;  (** total tries including the first (>= 1) *)

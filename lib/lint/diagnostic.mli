@@ -40,8 +40,6 @@ val severity_string : severity -> string
 val compare : t -> t -> int
 (** Most severe first, then by code, then by location. *)
 
-val pp_loc : Format.formatter -> loc -> unit
-
 val pp : Format.formatter -> t -> unit
 (** One line: [error[APX023] config add$c0: routes a missing edge ...]. *)
 

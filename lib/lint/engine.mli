@@ -40,8 +40,6 @@ type artifact =
       plan : Apex_pipelining.App_pipeline.plan;
     }
 
-val artifact_label : artifact -> string
-
 type finding = {
   artifact : string;  (** label of the artifact the diagnostic is about *)
   checker : string;
@@ -73,10 +71,6 @@ val report_to_json : report -> Apex_telemetry.Json.t
 
 val exit_code : werror:bool -> report -> int
 (** 0 when clean, 1 on any error — or any warning under [~werror]. *)
-
-val code_matches : pat:string -> string -> bool
-(** Exact match, or family wildcard with a trailing ['x']: ["APX11x"]
-    matches every same-length code starting ["APX11"]. *)
 
 val validate_code : string -> (unit, string) result
 (** [Ok ()] when the pattern matches at least one catalog entry. *)

@@ -235,8 +235,7 @@ module Span = Apex_telemetry.Span
 (* fan-in points that need a mux: (dst, port) pairs fed by >= 2 sources *)
 let mux_points (dp : D.t) = List.length (D.mux_points dp)
 
-let merge ?(strategy = Max_weight_clique) ?(clique_budget = 2_000_000)
-    (a : D.t) p =
+let merge ?(strategy = Max_weight_clique) (a : D.t) p =
   Span.with_ "merging" @@ fun () ->
   Apex_guard.with_phase "merging" @@ fun () ->
   let b = D.of_pattern p in
@@ -271,7 +270,7 @@ let merge ?(strategy = Max_weight_clique) ?(clique_budget = 2_000_000)
           weight = List.fold_left (fun acc v -> acc +. weight.(v)) 0.0 members;
           optimal = false;
           outcome = Apex_guard.Outcome.Exact }
-    | Max_weight_clique | No_sharing -> Clique.solve ~budget:clique_budget problem
+    | Max_weight_clique | No_sharing -> Clique.solve problem
   in
   (* acyclicity repair: drop lightest members until the merged graph is
      a static DAG *)

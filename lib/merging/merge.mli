@@ -29,7 +29,6 @@ type strategy =
 
 val merge :
   ?strategy:strategy ->
-  ?clique_budget:int ->
   Datapath.t ->
   Apex_mining.Pattern.t ->
   Datapath.t * report

@@ -34,11 +34,5 @@ val matches_at :
     Requires the pattern's internal nodes to be connected through
     internal edges, which holds for all mined patterns. *)
 
-val all_matches : Pattern.t -> Apex_dfg.Graph.t -> binding list
-(** All bindings, by trying every application node as root (one
-    successor table per call, shared by every root).  Distinct
-    bindings may cover the same node set (automorphisms); callers that
-    need occurrences as sets should dedupe on the sorted node set. *)
-
 val occurrences : Pattern.t -> Apex_dfg.Graph.t -> int list list
 (** Distinct occurrence node sets (sorted ids), sorted. *)

@@ -139,7 +139,7 @@ let canonical_code g =
                are explored, unless they yield the same token.  The
                skipped order would name the two inputs the other way
                round, so swapping such arguments can change the code of
-               an isomorphic pattern (ROADMAP item 4); the rule is kept
+               an isomorphic pattern (ROADMAP item 9); the rule is kept
                because the mined results depend on it. *)
             let both =
               Array.length args = 2 && Op.is_commutative nd.op

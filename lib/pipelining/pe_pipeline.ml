@@ -131,18 +131,17 @@ let max_stages = 16
 
 module Store = Apex_exec.Store
 
-let plan ?(target_ps = Tech.clock_period_ps) ?(benefit_threshold = 0.10) dp =
+let plan ?(target_ps = Tech.clock_period_ps) dp =
   Apex_telemetry.Span.with_ "pe_retime" @@ fun () ->
   let cache_key =
     (* not the configs: the plan reads only the fabric *)
     Store.key ~version:"pipeline/1"
-      (dp.D.nodes, dp.D.edges, target_ps, benefit_threshold)
+      (dp.D.nodes, dp.D.edges, target_ps)
   in
   let stages, period_ps, regs_inserted =
     Store.memoize ~ns:"pipeline" ~key:cache_key @@ fun () ->
     (* meet the target if any stage count can; otherwise stop growing
-       when an extra stage no longer buys a significant period
-       reduction *)
+       when an extra stage no longer buys a 10% period reduction *)
     let rec meet s =
       if s > max_stages then None
       else
@@ -153,7 +152,7 @@ let plan ?(target_ps = Tech.clock_period_ps) ?(benefit_threshold = 0.10) dp =
       if stages >= max_stages then (stages, prev_period, prev_regs)
       else begin
         let period, regs = min_period dp ~stages:(stages + 1) in
-        if prev_period -. period < benefit_threshold *. prev_period then
+        if prev_period -. period < 0.10 *. prev_period then
           (stages, prev_period, prev_regs)
         else greedy (stages + 1) (period, regs)
       end

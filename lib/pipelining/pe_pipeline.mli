@@ -24,12 +24,10 @@ val min_period : Apex_merging.Datapath.t -> stages:int -> float * int
 (** Best achievable period with the given number of stages, and the
     number of pipeline registers the levelling inserts. *)
 
-val plan :
-  ?target_ps:float -> ?benefit_threshold:float -> Apex_merging.Datapath.t -> plan
+val plan : ?target_ps:float -> Apex_merging.Datapath.t -> plan
 (** Iteratively add stages until the target period
     (default {!Apex_models.Tech.clock_period_ps}) is met or an extra
-    stage improves the period by less than [benefit_threshold]
-    (default 0.10). *)
+    stage improves the period by less than 10%. *)
 
 val assign_stages :
   Apex_merging.Datapath.t -> period_ps:float -> stages:int -> int array option

@@ -346,11 +346,11 @@ let start config =
   t.accept_thread <- Some (Thread.create accept_loop t);
   t
 
-let request_stop ?(reason = "server shutdown") t =
+let request_stop t =
   (* async-signal-safe: one atomic store plus an atomic CAS; the accept
      loop and the guard ticks do the actual unwinding *)
   Atomic.set t.stop true;
-  Guard.Budget.cancel ~reason t.root
+  Guard.Budget.cancel ~reason:"server shutdown" t.root
 
 let join t =
   (match t.accept_thread with

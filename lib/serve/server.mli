@@ -58,7 +58,7 @@ val start : config -> t
     @raise Invalid_argument on a nonsensical config
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
-val request_stop : ?reason:string -> t -> unit
+val request_stop : t -> unit
 (** Begin shutdown: stop accepting, cancel the server root budget.
     Async-signal-safe and idempotent — this is the SIGTERM/SIGINT
     handler's body. *)

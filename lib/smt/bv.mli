@@ -45,13 +45,6 @@ val assert_not_equal : ctx -> bv list -> bv list -> unit
 val model_of : ctx -> bv -> int
 (** Integer value of a vector in the last SAT model. *)
 
-(* exposed for direct gate-level use in tests *)
-val lit_and : ctx -> int -> int -> int
-val lit_or : ctx -> int -> int -> int
-val lit_xor : ctx -> int -> int -> int
-val lit_mux : ctx -> int -> int -> int -> int
-(** [lit_mux c s a b] is [if s then a else b]. *)
-
 val add : ctx -> bv -> bv -> bv
 val sub : ctx -> bv -> bv -> bv
 val mul : ctx -> bv -> bv -> bv

@@ -63,8 +63,6 @@ let create () =
     conflicts = 0;
     propagations = 0 }
 
-let n_vars s = s.n_vars
-
 (* --- growable arrays --- *)
 
 let grow_int a n fill =

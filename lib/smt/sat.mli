@@ -18,8 +18,6 @@ val create : unit -> t
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
-val n_vars : t -> int
-
 val pos : int -> int
 (** Positive literal of a variable. *)
 

@@ -18,9 +18,6 @@ type cls =
   | Encodable   (** reachable by some word outside the registered set:
                     config-bit over-encoding *)
 
-val compare_resource : resource -> resource -> int
-val pp_resource : Format.formatter -> resource -> unit
-
 type survey = {
   realizable : string list;    (** registered config labels proven SAT *)
   unrealizable : string list;  (** registered configs with no legal word: merge bugs *)
@@ -67,9 +64,6 @@ val config_realizable :
   Apex_merging.Datapath.t -> Apex_merging.Datapath.config -> bool option
 (** Does any legal configuration word decode to this config's select
     decisions?  [None] when the SAT budget is exhausted. *)
-
-val fu_activatable : Apex_merging.Datapath.t -> int -> bool option
-(** Can any legal configuration word activate this FU? *)
 
 val gated_fus : Apex_merging.Datapath.t -> int list
 (** FUs that share a mutual-exclusion clique of size >= 2 — a cheap,

@@ -37,7 +37,7 @@ let has_edge (dp : D.t) ~src ~dst ~port =
 
 exception Found of D.config
 
-let structural_candidates dp p ~on_candidate ~max_candidates =
+let structural_candidates dp p ~on_candidate =
   let pg = Pattern.graph p in
   let emitted = ref 0 in
   let internal =
@@ -169,7 +169,7 @@ let structural_candidates dp p ~on_candidate ~max_candidates =
     assign_outputs [] [] sinks
   and emit outs =
     incr emitted;
-    if !emitted > max_candidates then raise Exit;
+    if !emitted > 2000 then raise Exit;
     (* reconstruct the configuration; recompute port routing *)
     let fu_ops = ref [] and routes = ref [] in
     List.iter
@@ -240,7 +240,7 @@ let structural_candidates dp p ~on_candidate ~max_candidates =
   in
   try place internal with Exit -> ()
 
-let structural ?(width = 8) ?(max_candidates = 2000) dp p =
+let structural ?(width = 8) dp p =
   Apex_telemetry.Span.with_ "synth" @@ fun () ->
   Apex_guard.with_phase "synthesis" @@ fun () ->
   Apex_telemetry.Counter.incr "rules.attempted";
@@ -260,7 +260,7 @@ let structural ?(width = 8) ?(max_candidates = 2000) dp p =
   (try
      List.iter (fun (cfg : D.config) -> if cfg.D.inputs <> [] then try_cfg cfg)
        provenance;
-     structural_candidates dp p ~max_candidates ~on_candidate:try_cfg
+     structural_candidates dp p ~on_candidate:try_cfg
    with
   | Found _ -> ()
   | Apex_guard.Cancelled msg ->

@@ -14,7 +14,6 @@ type rule = {
 
 val structural :
   ?width:int ->
-  ?max_candidates:int ->
   Apex_merging.Datapath.t ->
   Apex_mining.Pattern.t ->
   rule option

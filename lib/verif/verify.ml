@@ -111,8 +111,8 @@ let count_verdict = function
   | Tested -> Apex_telemetry.Counter.incr "smt.tested"
   | Refuted _ -> Apex_telemetry.Counter.incr "smt.refuted"
 
-let verify_config_uncounted ?(width = 8) ?(conflict_budget = 200_000)
-    ?(random_tests = 200) dp (cfg : D.config) p =
+let verify_config_uncounted ?(width = 8) ?(conflict_budget = 200_000) dp
+    (cfg : D.config) p =
   let pg = Pattern.graph p in
   let n_pattern_inputs = List.length (G.io_inputs pg) in
   if List.length cfg.D.inputs <> n_pattern_inputs then
@@ -121,7 +121,7 @@ let verify_config_uncounted ?(width = 8) ?(conflict_budget = 200_000)
   let st = Random.State.make [| 0x5eed |] in
   let refuted = ref None in
   (try
-     for _ = 1 to random_tests do
+     for _ = 1 to 200 do
        Apex_guard.tick ();
        let assignment = random_assignment st pg cfg in
        let golden, actual = eval_16 dp cfg pg assignment in
@@ -191,11 +191,11 @@ let verify_config_uncounted ?(width = 8) ?(conflict_budget = 200_000)
             refine conflict_budget
           end)
 
-let verify_config ?width ?conflict_budget ?random_tests dp cfg p =
+let verify_config ?width ?conflict_budget dp cfg p =
   Apex_telemetry.Span.with_ "verify" @@ fun () ->
   Apex_telemetry.Counter.incr "smt.verifications";
   let verdict =
-    verify_config_uncounted ?width ?conflict_budget ?random_tests dp cfg p
+    verify_config_uncounted ?width ?conflict_budget dp cfg p
   in
   count_verdict verdict;
   verdict

@@ -21,7 +21,6 @@ type verdict =
 val verify_config :
   ?width:int ->
   ?conflict_budget:int ->
-  ?random_tests:int ->
   Apex_merging.Datapath.t ->
   Apex_merging.Datapath.config ->
   Apex_mining.Pattern.t ->
@@ -29,8 +28,8 @@ val verify_config :
 (** [verify_config dp cfg p] checks that [dp] configured with [cfg]
     implements pattern [p].  [cfg.inputs] must map every pattern input
     node to a datapath input port; pattern outputs are paired with
-    [cfg.outputs] in position order.  Defaults: [width = 8],
-    [conflict_budget = 200_000], [random_tests = 200]. *)
+    [cfg.outputs] in position order, after 200 random 16-bit tests.
+    Defaults: [width = 8], [conflict_budget = 200_000]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

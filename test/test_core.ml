@@ -108,9 +108,9 @@ let test_post_pnr_includes_interconnect () =
     (pnr.total_energy_per_output > pnr.pm.Metrics.pe_energy_per_output)
 
 (* camera on PE Base with the greedy placement stays 3 boundaries over
-   capacity after all 30 negotiation rounds: still priced, but reported
-   as a degraded pnr outcome *)
-let test_post_pnr_overuse_degraded () =
+   capacity after all 30 negotiation rounds: priced as is, and the
+   overuse is part of the result, not a degraded outcome *)
+let test_post_pnr_overuse_is_result () =
   let module Registry = Apex_telemetry.Registry in
   let module Counter = Apex_telemetry.Counter in
   Registry.reset ();
@@ -120,14 +120,13 @@ let test_post_pnr_overuse_degraded () =
     Metrics.post_pnr ~effort:0 (Dse.variant_for "base") (Apps.by_name "camera")
   in
   Alcotest.(check bool) "priced" true (pnr.Metrics.total_area > 0.0);
+  check int "overuse" 3 pnr.Metrics.overuse;
   check int "cgra.route_overuse" 3 (Counter.get "cgra.route_overuse");
-  check int "guard.outcome.degraded" 1 (Counter.get "guard.outcome.degraded");
-  check int "guard.degraded.pnr.fuel" 1 (Counter.get "guard.degraded.pnr.fuel");
+  check int "not degraded" 0 (Counter.get "guard.outcome.degraded");
   Registry.reset ();
-  ignore (Metrics.post_pnr ~effort:0 (Dse.variant_for "base") gaussian);
-  check int "legal routing: no overuse" 0 (Counter.get "cgra.route_overuse");
-  check int "legal routing: not degraded" 0
-    (Counter.get "guard.outcome.degraded")
+  let legal, _ = Metrics.post_pnr ~effort:0 (Dse.variant_for "base") gaussian in
+  check int "legal routing: no overuse" 0 legal.Metrics.overuse;
+  check int "legal routing: no counter" 0 (Counter.get "cgra.route_overuse")
 
 let test_post_pipelining_performance () =
   let v = Dse.variant_for "base" in
@@ -494,6 +493,39 @@ let test_pair_key_follows_kernel () =
   check int "without a miss" 0 misses;
   Alcotest.(check bool) "with the stored result" true (got = raw)
 
+let test_congested_pair_stored () =
+  (* (PE Base, raw camera) at effort 0 routes 3 boundaries over
+     capacity: the pair is stored like any other, and a second run
+     reads it without placing or routing again *)
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  with_counters @@ fun () ->
+  with_scratch_store @@ fun () ->
+  let camera = Apps.by_name "camera" in
+  let eval () =
+    Dse.with_local_memo @@ fun () ->
+    match Dse.evaluate_pairs ~effort:0 [ (Dse.baseline (), camera) ] with
+    | [ Dse.Mapped pp ] -> pp
+    | _ -> Alcotest.fail "the pair did not map"
+  in
+  let rec ran name (sp : Registry.span) =
+    sp.name = name || List.exists (ran name) (Registry.children_in_order sp)
+  in
+  let cold = eval () in
+  check int "congested" 3 cold.Metrics.pnr.Metrics.overuse;
+  check int "not degraded" 0 (Counter.get "guard.outcome.degraded");
+  check int "the pair is stored" 1 (stored "pairs");
+  let cold_iterations = Counter.get "cgra.route_iterations" in
+  Registry.reset ();
+  let warm = eval () in
+  Alcotest.(check bool) "the stored result" true (warm = cold);
+  Alcotest.(check bool) "a hit" true (Counter.get "exec.cache_hits" >= 1);
+  check int "no miss" 0 (Counter.get "exec.cache_misses");
+  Alcotest.(check bool) "no place and route of its own" false
+    (ran "pnr" (Registry.snapshot ()).spans);
+  check int "route iterations only replayed" cold_iterations
+    (Counter.get "cgra.route_iterations")
+
 let test_mapping_memo () =
   (* [Dse.mapping] is what map and lint requests read: cold and warm
      give the same results, a warm request hits without a miss and
@@ -723,6 +755,8 @@ let () =
             test_kernels_unchanged_by_jobs;
           Alcotest.test_case "pair key follows the kernel" `Quick
             test_pair_key_follows_kernel;
+          Alcotest.test_case "congested pair stored" `Quick
+            test_congested_pair_stored;
           Alcotest.test_case "post-mapping cover memoized" `Quick
             test_mapping_memo;
           Alcotest.test_case "optimized kernel memoized" `Quick
@@ -741,8 +775,8 @@ let () =
             test_specialization_monotone_area;
           Alcotest.test_case "PE Spec beats baseline" `Quick test_pe_spec_beats_baseline;
           Alcotest.test_case "post-PnR interconnect" `Quick test_post_pnr_includes_interconnect;
-          Alcotest.test_case "post-PnR overuse degrades" `Quick
-            test_post_pnr_overuse_degraded;
+          Alcotest.test_case "post-PnR overuse is a result" `Quick
+            test_post_pnr_overuse_is_result;
           Alcotest.test_case "post-pipelining performance" `Quick
             test_post_pipelining_performance ] );
       ( "domains",

@@ -287,6 +287,39 @@ let test_garbage_entry_recovers () =
   check Alcotest.int "recomputed" 2 !computes;
   check Alcotest.int "corruption counted" 1 (Counter.get "exec.cache_corrupt")
 
+let test_unreadable_entries_recompute () =
+  (* the read path maps every I/O error to a miss or a corrupt entry:
+     a directory where an entry should be, and an entry torn inside its
+     header, both recompute and raise nothing *)
+  let key_dir = Store.key ~version:"t/1" [ "dir" ] in
+  let key_torn = Store.key ~version:"t/1" [ "torn" ] in
+  ignore (Store.memoize ~ns:"t" ~key:key_dir (fun () -> 0));
+  let path_dir = entry_file "t" in
+  Sys.remove path_dir;
+  Unix.mkdir path_dir 0o755;
+  ignore (Store.memoize ~ns:"t" ~key:key_torn (fun () -> 0));
+  let path_torn =
+    List.find
+      (fun p -> not (Sys.is_directory p))
+      (List.map
+         (Filename.concat (Filename.dirname path_dir))
+         (Array.to_list (Sys.readdir (Filename.dirname path_dir))))
+  in
+  (* keep the magic and version lines and half the digest line *)
+  corrupt_with path_torn (fun s ->
+      let nl i = String.index_from s i '\n' + 1 in
+      String.sub s 0 (nl (nl 0) + 16));
+  let computes = ref 0 in
+  let misses_before = Counter.get "exec.cache_misses" in
+  let f v () = incr computes; v in
+  check Alcotest.int "directory recomputed" 1
+    (Store.memoize ~ns:"t" ~key:key_dir (f 1));
+  check Alcotest.int "torn header recomputed" 2
+    (Store.memoize ~ns:"t" ~key:key_torn (f 2));
+  check Alcotest.int "both computed" 2 !computes;
+  check Alcotest.int "both missed" 2
+    (Counter.get "exec.cache_misses" - misses_before)
+
 let test_stale_version_recovers () =
   let key = Store.key ~version:"t/1" [ "stale" ] in
   ignore (Store.memoize ~ns:"t" ~key (fun () -> 1));
@@ -809,6 +842,8 @@ let () =
             (with_scratch_store test_truncated_entry_recovers);
           Alcotest.test_case "garbage entry" `Quick
             (with_scratch_store test_garbage_entry_recovers);
+          Alcotest.test_case "unreadable entries recompute" `Quick
+            (with_scratch_store test_unreadable_entries_recompute);
           Alcotest.test_case "stale version" `Quick
             (with_scratch_store test_stale_version_recovers);
           Alcotest.test_case "another build's entry is stale" `Quick

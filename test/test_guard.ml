@@ -119,8 +119,8 @@ let test_outcome_algebra () =
     (Outcome.to_string (Outcome.worst Outcome.Exact d));
   check Alcotest.string "worst(degraded, skipped)" "skipped:deadline"
     (Outcome.to_string (Outcome.worst d s));
-  check Alcotest.string "fault reason" "degraded:fault:pool-worker"
-    (Outcome.to_string (Outcome.Degraded (Outcome.Fault "pool-worker")))
+  check Alcotest.string "fault reason" "degraded:fault:store-crash"
+    (Outcome.to_string (Outcome.Degraded (Outcome.Fault "store-crash")))
 
 let test_outcome_counters () =
   Outcome.record ~phase:"t" Outcome.Exact;
@@ -148,14 +148,14 @@ let test_arm_validation () =
     (Fault.armed_site () = None)
 
 let test_fire_nth_once () =
-  Fault.arm "pool-worker:3";
-  check Alcotest.bool "1st occurrence" false (Fault.fire "pool-worker");
+  Fault.arm "pair-eval:3";
+  check Alcotest.bool "1st occurrence" false (Fault.fire "pair-eval");
   check Alcotest.bool "other sites never fire" false (Fault.fire "smt-exhaust");
-  check Alcotest.bool "2nd occurrence" false (Fault.fire "pool-worker");
-  check Alcotest.bool "3rd occurrence fires" true (Fault.fire "pool-worker");
+  check Alcotest.bool "2nd occurrence" false (Fault.fire "pair-eval");
+  check Alcotest.bool "3rd occurrence fires" true (Fault.fire "pair-eval");
   (* one-shot: the harness disarms itself so the run can recover *)
   check Alcotest.bool "disarmed after firing" true (Fault.armed_site () = None);
-  check Alcotest.bool "4th occurrence" false (Fault.fire "pool-worker");
+  check Alcotest.bool "4th occurrence" false (Fault.fire "pair-eval");
   check Alcotest.int "counted" 1 (Counter.get "guard.faults_injected")
 
 let test_arm_from_env () =
@@ -478,33 +478,6 @@ let with_jobs n f () =
   Pool.set_jobs n;
   Fun.protect f ~finally:(fun () -> Pool.set_jobs 1)
 
-let test_fault_pool_worker_serial () =
-  let xs = List.init 20 Fun.id in
-  Fault.arm "pool-worker:5";
-  let ys = Pool.map (fun x -> x * x) xs in
-  check
-    Alcotest.(list int)
-    "results identical despite the fault"
-    (List.map (fun x -> x * x) xs)
-    ys;
-  check Alcotest.int "retried inline once" 1
-    (Counter.get "exec.pool_task_retries");
-  check Alcotest.bool "degraded outcome recorded" true
-    (Counter.get "guard.outcome.degraded" >= 1)
-
-let test_fault_pool_worker_parallel =
-  with_jobs 4 (fun () ->
-      let xs = List.init 40 Fun.id in
-      Fault.arm "pool-worker:7";
-      let ys = Pool.map (fun x -> x + 1) xs in
-      check
-        Alcotest.(list int)
-        "results identical despite the fault"
-        (List.map (fun x -> x + 1) xs)
-        ys;
-      check Alcotest.int "retried inline once" 1
-        (Counter.get "exec.pool_task_retries"))
-
 let test_budget_crosses_pool_domains =
   with_jobs 4 (fun () ->
       (* a cancelled ambient budget must be visible from pool workers:
@@ -623,10 +596,6 @@ let () =
             (guarded test_fault_cache_corrupt);
           Alcotest.test_case "store-crash" `Quick
             (guarded test_fault_store_crash);
-          Alcotest.test_case "pool-worker (serial)" `Quick
-            (guarded test_fault_pool_worker_serial);
-          Alcotest.test_case "pool-worker (parallel)" `Quick
-            (guarded test_fault_pool_worker_parallel);
           Alcotest.test_case "budget crosses pool domains" `Quick
             (guarded test_budget_crosses_pool_domains);
           Alcotest.test_case "two ambient budgets on two domains" `Quick
