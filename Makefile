@@ -12,6 +12,7 @@ CI_PE1_J1 := /tmp/apex-ci-pe1-jobs1.json
 CI_PE1_J2 := /tmp/apex-ci-pe1-jobs2.json
 CI_COLD := /tmp/apex-ci-cold.json
 CI_WARM := /tmp/apex-ci-warm.json
+CI_WARM_J1 := /tmp/apex-ci-warm-jobs1.json
 CI_CACHE := /tmp/apex-ci-cache
 CI_DSE_BASE := /tmp/apex-ci-dse-base.json
 CI_DSE_FAULT := /tmp/apex-ci-dse-fault.json
@@ -124,7 +125,10 @@ bench-snapshot:
 #                  a key that depended on how a value was built would
 #                  miss here) without a solver call, replay the
 #                  configuration-space counters its store hits skip the
-#                  proofs of, and compute identical results;
+#                  proofs of, and compute identical results; at --jobs 2
+#                  it spawns no domain (every pair is stored, so the
+#                  producer reads each inline), and it reports what a
+#                  warm --jobs 1 rerun reports, timing aside;
 #                  between the two runs, a negative `cache gc` budget is
 #                  rejected (exit exactly 2) and deletes nothing.
 # First, flag checks: --jobs 0 is an invalid argument (exit exactly 2)
@@ -195,12 +199,15 @@ ci: build test
 	rm -rf $(CI_CACHE)
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_COLD) > /dev/null
 	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- cache gc --budget-mb=-1 2> /dev/null; test $$? -eq 2
-	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --trace=$(CI_WARM) > /dev/null
+	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --jobs 2 --trace=$(CI_WARM) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_WARM) --require exec.cache_hits \
 	  --forbid exec.cache_misses --forbid smt.solver_calls \
 	  --require analysis.configspace.checks_run \
-	  --require analysis.configspace.proofs_proved
+	  --require analysis.configspace.proofs_proved \
+	  --forbid exec.pool_domains_spawned
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_COLD) $(CI_WARM)
+	APEX_CACHE_DIR=$(CI_CACHE) dune exec bin/apex_cli.exe -- profile --all --jobs 1 --trace=$(CI_WARM_J1) > /dev/null
+	dune exec bin/apex_cli.exe -- report-diff $(CI_WARM_J1) $(CI_WARM)
 	$(MAKE) ci-faults
 	$(MAKE) ci-serve
 	$(MAKE) ci-crash
@@ -468,6 +475,7 @@ ci-bench:
 clean:
 	dune clean
 	rm -f $(CI_TRACE) $(CI_ANALYZE) $(CI_CONFIGS) $(CI_J1) $(CI_J4) $(CI_COLD) $(CI_WARM)
+	rm -f $(CI_WARM_J1)
 	rm -f $(CI_ANALYZE_COLD) $(CI_ANALYZE_WARM)
 	rm -f $(CI_DSE_J1) $(CI_DSE_J2) $(CI_PE1_J1) $(CI_PE1_J2)
 	rm -f $(CI_DSE_BASE) $(CI_DSE_FAULT) $(CI_HARRIS_BASE) $(CI_HARRIS_PLAIN)

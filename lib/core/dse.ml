@@ -63,7 +63,7 @@ let analysis_of ?(config = default_mining) (app : Apps.t) =
            structurally identical kernel reuses the mined artifact *)
         Apex_exec.Store.memoize ~ns:"analysis"
           ~key:
-            (Apex_exec.Store.key ~version:"analysis/1" (app.graph, config))
+            (Apex_exec.Store.key ~version:"analysis/2" (app.graph, config))
           (fun () -> fst (Analysis.analyze ~config app.graph))
       in
       (* lint verification runs warm or cold — it checks invariants of
@@ -254,9 +254,10 @@ type pair_result =
 (* A pair's structural verdict, the metrics or the [Unmappable]
    message, is store-memoized like any other phase product: a stored
    pair is the checkpoint a killed run resumes from. *)
+let pair_key ?effort v app = eval_key ~version:"pair-eval/5" ?effort v app
+
 let eval_pair ?effort ?mapping (v : Variants.t) (app : Apps.t) =
-  memo_verdict ~ns:"pairs"
-    ~key:(eval_key ~version:"pair-eval/5" ?effort v app)
+  memo_verdict ~ns:"pairs" ~key:(pair_key ?effort v app)
     (fun () ->
       if Option.is_some mapping then Counter.incr "dse.covers_reused";
       let pp, _, _ = Metrics.post_pipelining ?effort ?mapping v app in
@@ -313,15 +314,21 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
    up the pair's cover, right after building it, and hands it to the
    task: a pair reuses the cover of a variant built before it, never
    one a later build scores while it runs, so what it reuses is the
-   same at every pool width.  Results come back in submission order. *)
+   same at every pool width.  A pair the store holds is a read of about
+   0.1 ms, less than a runner's spawn and join: the producer probes for
+   its entry and runs it inline.  Results come back in submission
+   order. *)
 let evaluate ?effort ~build items =
   let produce x =
     let ((v, app) as pair) = build x in
-    (* the key builds the optimized kernel here rather than on a runner *)
-    (pair, Hashtbl.find_opt (current_scope ()).covers (mapping_key v app))
+    (* the keys build the optimized kernel here rather than on a runner *)
+    ( pair,
+      Hashtbl.find_opt (current_scope ()).covers (mapping_key v app),
+      Apex_exec.Store.exists ~ns:"pairs" ~key:(pair_key ?effort v app) )
   in
   Apex_exec.Pool.pipeline ~produce
-    (fun (pair, mapping) -> (pair, evaluate_pair ?effort ?mapping pair))
+    ~inline:(fun (_, _, stored) -> stored)
+    (fun (pair, mapping, _) -> (pair, evaluate_pair ?effort ?mapping pair))
     items
 
 let evaluate_built ~build items = evaluate ~build items

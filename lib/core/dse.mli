@@ -131,8 +131,10 @@ val evaluate_built :
     domain right after [build]), never one a later build scores: the
     counters are the same at every pool width, so a [pe1:<app>;
     spec:<app>] job maps PE 1 for its first pair although the climb
-    scores it next.  [build]'s first exception is raised after the
-    pairs built before it finished. *)
+    scores it next.  A pair whose [pairs] entry exists is read on the
+    calling domain right after it is built, without a runner
+    ([Exec.Pool.pipeline ~inline]).  [build]'s first exception is
+    raised after the pairs built before it finished. *)
 
 val variant_for : string -> Variants.t
 (** Lookup by the names used in the benches: "base", "spec:<app>",

@@ -16,10 +16,14 @@
      with it.  Runners blocked on a condition variable through the
      PE Spec climbs made warm DSE jobs slower than building every
      variant before evaluating any (DESIGN.md has the numbers).
-     Domain spawn costs tens of microseconds, far below one task of
-     the flow ((variant, app) pair evaluations, serve requests), and
-     per-batch domains keep the scheduler stateless: no idle workers,
+     Per-batch domains keep the scheduler stateless: no idle workers,
      no shutdown protocol, no cross-batch queue to corrupt.
+   - A domain's spawn and join took 100-200 us on a 2-vCPU host: far
+     below a computed pair evaluation, above a stored pair's read
+     (about 0.1 ms).  So a task the producer marks [inline] runs on
+     the producer, right after it is produced, under its own detached
+     span part, and no runner is spawned for it.  Width 1 has no
+     inline tasks: it already runs everything on the caller.
    - Production stays on the caller: a producer may feed domain-local
      memo tables, which a runner must not touch.
    - With one runner (width 1 or a nested call) everything is
@@ -60,7 +64,7 @@ let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
    (Registry.detach), merged in submission order at the end, so a trace
    does not depend on which runner finished first nor on how the tasks
    interleaved with production. *)
-let pipeline ~produce f xs =
+let pipeline ?(inline = fun _ -> false) ~produce f xs =
   let xs = Array.of_list xs in
   let n = Array.length xs in
   let runners = if !(Domain.DLS.get in_task) then 1 else min (jobs ()) n in
@@ -72,34 +76,33 @@ let pipeline ~produce f xs =
     Counter.incr "exec.pool_parallel_batches";
     Counter.set_gauge "exec.jobs" (float_of_int (jobs ()))
   end;
-  let inputs = Array.make n None in
   let results = Array.make n None in
   let failures = Array.make n None in
   let ctx = Registry.context () in
   let parts = Array.init n (fun _ -> Registry.detach ctx) in
-  (* [produced] only grows; [live] counts the spawned runners that have
-     not retired *)
+  (* [queue] holds the produced tasks no runner has claimed yet, in
+     submission order; [live] counts the spawned runners that have not
+     retired *)
   let lock = Mutex.create () in
-  let produced = ref 0 and next = ref 0 and live = ref 0 in
+  let queue = Queue.create () and live = ref 0 in
   let claim ~retire =
     Mutex.protect lock (fun () ->
-        if !next < !produced then begin
-          let i = !next in
-          incr next;
-          Some (i, Option.get inputs.(i))
-        end
-        else begin
-          if retire then decr live;
-          None
-        end)
+        match Queue.take_opt queue with
+        | Some _ as task -> task
+        | None ->
+            if retire then decr live;
+            None)
+  in
+  let run (i, x) =
+    match Registry.with_context parts.(i) (fun () -> f x) with
+    | r -> results.(i) <- Some r
+    | exception e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
   in
   let rec run_tasks ~retire =
     match claim ~retire with
     | None -> ()
-    | Some (i, x) ->
-        (match Registry.with_context parts.(i) (fun () -> f x) with
-        | r -> results.(i) <- Some r
-        | exception e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
+    | Some task ->
+        run task;
         run_tasks ~retire
   in
   (* spawned domains inherit the submitter's ambient budget and store
@@ -117,11 +120,13 @@ let pipeline ~produce f xs =
   let rec produce_from i =
     if i < n then
       match produce xs.(i) with
+      | x when runners > 1 && inline x ->
+          run (i, x);
+          produce_from (i + 1)
       | x ->
           let spawn =
             Mutex.protect lock (fun () ->
-                inputs.(i) <- Some x;
-                produced := i + 1;
+                Queue.add (i, x) queue;
                 (* the last task is the caller's own *)
                 i < n - 1 && !live < runners - 1
                 && (incr live; true))

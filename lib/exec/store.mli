@@ -72,6 +72,12 @@ val lookup : ns:string -> key:string -> 'a option
 (** Cache probe without compute; [None] on miss/corrupt/disabled.  A
     hit replays the counters stored with the entry. *)
 
+val exists : ns:string -> key:string -> bool
+(** Whether a regular file stands at [key]'s entry path ([false] when
+    disabled): one [stat], no read, no counter.  A directory is not an
+    entry.  The file may still read as corrupt or stale, so [true] only
+    says that [memoize] will most likely hit. *)
+
 val store : ns:string -> key:string -> 'a -> unit
 (** Unconditional write (no-op when disabled), with no counters to
     replay; errors are swallowed — a failed cache write must never

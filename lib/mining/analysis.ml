@@ -1,6 +1,5 @@
 type ranked = {
   pattern : Pattern.t;
-  embeddings : int list list;
   support : int;
   mis_size : int;
 }
@@ -57,8 +56,7 @@ let analyze ?(config = Miner.default_config) g =
         let usable = usable_embeddings g f.embeddings in
         let mis_size = Mis.mis_size (strip_consts g usable) in
         if mis_size >= config.min_support then
-          Some { pattern = f.pattern; embeddings = usable;
-                 support = List.length usable; mis_size }
+          Some { pattern = f.pattern; support = List.length usable; mis_size }
         else None)
       found
   in

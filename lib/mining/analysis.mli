@@ -4,8 +4,9 @@
 
 type ranked = {
   pattern : Pattern.t;
-  embeddings : int list list;
-  support : int;     (** raw occurrence count *)
+  support : int;
+      (** occurrences a PE could accelerate: those no external constant
+          feeds *)
   mis_size : int;    (** non-overlapping occurrences (Section 3.2) *)
 }
 

@@ -738,6 +738,67 @@ let test_dse_job_deterministic_and_maps_once () =
         (Counter.get "mapper.map_app_calls");
       check int "and reuses nothing" 0 (Counter.get "dse.covers_reused"))
 
+(* A warm DSE job reads every pair from the store: at width 2 the
+   producer resolves each stored pair itself and spawns no runner, and
+   the job reports what it reports at width 1 and what the cold run
+   computed.  A mining job reads back what it computed, from an
+   analysis entry that holds no embeddings. *)
+let test_warm_jobs_read_only () =
+  let module Pool = Apex_exec.Pool in
+  let module Registry = Apex_telemetry.Registry in
+  let module Counter = Apex_telemetry.Counter in
+  let jobs_was = Pool.jobs () in
+  Registry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_jobs jobs_was;
+      Registry.disable ();
+      Registry.reset ())
+  @@ fun () ->
+  with_scratch_store @@ fun () ->
+  let rec shape (sp : Registry.span) =
+    Printf.sprintf "%s x%d [%s]" sp.name sp.count
+      (String.concat "; " (List.map shape (Registry.children_in_order sp)))
+  in
+  let run job jobs =
+    Pool.set_jobs jobs;
+    Registry.reset ();
+    Dse.with_local_memo @@ fun () ->
+    let results = Apex_telemetry.Json.to_string (Apex.Jobs.run job) in
+    let snap = Registry.snapshot () in
+    ( results,
+      List.filter
+        (fun (k, _) -> not (String.starts_with ~prefix:"exec." k))
+        snap.counters,
+      shape snap.spans,
+      Counter.get "exec.pool_domains_spawned" )
+  in
+  let mine = Apex.Jobs.mine ~app:"camera" ~top:5 in
+  let cold, _, _, _ = run mine 1 in
+  let warm, _, _, _ = run mine 1 in
+  Alcotest.(check string) "mine: warm results equal cold" cold warm;
+  (match
+     List.find_opt
+       (fun (s : Apex_exec.Store.ns_stats) -> s.ns = "analysis")
+       (Apex_exec.Store.stats ())
+   with
+  | Some { entries = 1; bytes; _ } ->
+      Alcotest.(check bool)
+        (Printf.sprintf "camera's analysis entry (%d bytes) under 16 KB" bytes)
+        true (bytes < 16 * 1024)
+  | _ -> Alcotest.fail "expected one stored analysis");
+  let dse = Apex.Jobs.Dse { apps = [ "camera" ]; variants = [] } in
+  let cold, _, _, cold_spawned = run dse 2 in
+  let warm2, counters2, spans2, warm_spawned = run dse 2 in
+  let warm1, counters1, spans1, _ = run dse 1 in
+  Alcotest.(check bool) "a cold job spawns a runner" true (cold_spawned >= 1);
+  check int "a warm job spawns none" 0 warm_spawned;
+  Alcotest.(check string) "warm results equal cold" cold warm2;
+  Alcotest.(check string) "warm results at --jobs 1 and 2" warm1 warm2;
+  Alcotest.(check (list (pair string int))) "warm counters at --jobs 1 and 2"
+    counters1 counters2;
+  Alcotest.(check string) "warm span tree at --jobs 1 and 2" spans1 spans2
+
 let () =
   Alcotest.run "core"
     [ ( "variants",
@@ -757,6 +818,8 @@ let () =
             test_pair_key_follows_kernel;
           Alcotest.test_case "congested pair stored" `Quick
             test_congested_pair_stored;
+          Alcotest.test_case "warm jobs read, spawn nothing" `Quick
+            test_warm_jobs_read_only;
           Alcotest.test_case "post-mapping cover memoized" `Quick
             test_mapping_memo;
           Alcotest.test_case "optimized kernel memoized" `Quick

@@ -152,19 +152,26 @@ let test_tasks_start_during_production () =
   check Alcotest.bool "task 0 ran before the last item was produced" true !seen
 
 let test_width_one_produces_first () =
-  let log = ref [] in
-  let produce x =
-    log := `Produced x :: !log;
-    x
-  in
-  let task x =
-    log := `Ran x :: !log;
-    x
-  in
-  ignore (with_jobs 1 (fun () -> Pool.pipeline ~produce task [ 0; 1; 2 ]) ());
-  check Alcotest.bool "every item produced before any task ran" true
-    (List.rev !log
-    = [ `Produced 0; `Produced 1; `Produced 2; `Ran 0; `Ran 1; `Ran 2 ])
+  (* inline tasks too: at width 1 the caller already runs everything *)
+  List.iter
+    (fun inline ->
+      let log = ref [] in
+      let produce x =
+        log := `Produced x :: !log;
+        x
+      in
+      let task x =
+        log := `Ran x :: !log;
+        x
+      in
+      ignore
+        (with_jobs 1
+           (fun () -> Pool.pipeline ~inline ~produce task [ 0; 1; 2 ])
+           ());
+      check Alcotest.bool "every item produced before any task ran" true
+        (List.rev !log
+        = [ `Produced 0; `Produced 1; `Produced 2; `Ran 0; `Ran 1; `Ran 2 ]))
+    [ (fun _ -> false); (fun _ -> true) ]
 
 let test_lowest_failure_wins () =
   (* tasks sleep so a spawned runner is still busy when the failure is
@@ -197,6 +204,89 @@ let test_lowest_failure_wins () =
     (outcome ~fail_produce:0 ~fail_task:(-1));
   check Alcotest.string "the lower of two task failures" "task 1"
     (outcome ~fail_produce:(-1) ~fail_task:1)
+
+(* [f ()] with telemetry on, and the number of domains it spawned *)
+let spawns_of f =
+  Registry.enable ();
+  Registry.reset ();
+  Fun.protect ~finally:(fun () ->
+      Registry.disable ();
+      Registry.reset ())
+  @@ fun () ->
+  let r = f () in
+  (r, Counter.get "exec.pool_domains_spawned")
+
+let test_inline_tasks_spawn_nothing () =
+  (* every task inline: the producer runs each right after producing
+     it, on the calling domain, and no runner is spawned *)
+  let caller = Domain.self () in
+  let got, spawned =
+    spawns_of
+      (with_jobs 2 (fun () ->
+           Pool.pipeline ~inline:(fun _ -> true) ~produce:(fun x -> x * 10)
+             (fun y -> (y + 1, Domain.self () = caller))
+             (List.init 8 Fun.id)))
+  in
+  check Alcotest.(list (pair int bool)) "submission order, on the caller"
+    (List.init 8 (fun x -> ((x * 10) + 1, true))) got;
+  check Alcotest.int "no domain spawned" 0 spawned
+
+let test_inline_failure_at_its_index () =
+  (* an inline task's exception waits for the joins and loses to a
+     lower index's, like any task's *)
+  let active = Atomic.make 0 in
+  let outcome ~fail_inline ~fail_task =
+    let task (x, _) =
+      Atomic.incr active;
+      Fun.protect ~finally:(fun () -> Atomic.decr active) @@ fun () ->
+      Unix.sleepf 0.005;
+      if x = fail_inline || x = fail_task then
+        failwith ("task " ^ string_of_int x)
+      else x
+    in
+    let got =
+      with_jobs 2
+        (fun () ->
+          match
+            Pool.pipeline ~inline:snd
+              ~produce:(fun x -> (x, x mod 2 = 1))
+              task (List.init 8 Fun.id)
+          with
+          | _ -> "no exception"
+          | exception Failure m -> m)
+        ()
+    in
+    check Alcotest.int "no task still running after delivery" 0
+      (Atomic.get active);
+    got
+  in
+  check Alcotest.string "an inline task's failure alone" "task 3"
+    (outcome ~fail_inline:3 ~fail_task:(-1));
+  check Alcotest.string "a runner's task below an inline failure" "task 2"
+    (outcome ~fail_inline:5 ~fail_task:2);
+  check Alcotest.string "an inline failure below a runner's task" "task 1"
+    (outcome ~fail_inline:1 ~fail_task:6)
+
+let test_mixed_batch_spawns () =
+  (* only the tasks not resolved inline go to runners *)
+  let got, spawned =
+    spawns_of
+      (with_jobs 2 (fun () ->
+           Pool.pipeline ~inline:(fun x -> x <> 0) ~produce:Fun.id
+             (fun x -> x * 2)
+             (List.init 4 Fun.id)))
+  in
+  check Alcotest.(list int) "results" [ 0; 2; 4; 6 ] got;
+  check Alcotest.int "one runner for the one queued task" 1 spawned;
+  let got, spawned =
+    spawns_of
+      (with_jobs 1 (fun () ->
+           Pool.pipeline ~inline:(fun _ -> true) ~produce:Fun.id
+             (fun x -> x * 2)
+             (List.init 4 Fun.id)))
+  in
+  check Alcotest.(list int) "width 1 results" [ 0; 2; 4; 6 ] got;
+  check Alcotest.int "width 1 spawns nothing" 0 spawned
 
 (* --- store --- *)
 
@@ -297,6 +387,9 @@ let test_unreadable_entries_recompute () =
   let path_dir = entry_file "t" in
   Sys.remove path_dir;
   Unix.mkdir path_dir 0o755;
+  Unix.mkdir (Filename.concat path_dir "nested") 0o755;
+  check Alcotest.bool "a directory is not a stored entry" false
+    (Store.exists ~ns:"t" ~key:key_dir);
   ignore (Store.memoize ~ns:"t" ~key:key_torn (fun () -> 0));
   let path_torn =
     List.find
@@ -318,7 +411,31 @@ let test_unreadable_entries_recompute () =
     (Store.memoize ~ns:"t" ~key:key_torn (f 2));
   check Alcotest.int "both computed" 2 !computes;
   check Alcotest.int "both missed" 2
-    (Counter.get "exec.cache_misses" - misses_before)
+    (Counter.get "exec.cache_misses" - misses_before);
+  (* the first rerun cleared the directory and published its entry, so
+     the second hits, and no failed publish left a temp file behind *)
+  check Alcotest.int "directory entry republished" 1
+    (Store.memoize ~ns:"t" ~key:key_dir (f 3));
+  check Alcotest.int "second rerun hit" 2 !computes;
+  check Alcotest.bool "the republished entry exists" true
+    (Store.exists ~ns:"t" ~key:key_dir);
+  check Alcotest.(list string) "no temp file left" []
+    (List.filter
+       (fun name -> Str.string_match (Str.regexp ".*\\.tmp\\.") name 0)
+       (Array.to_list (Sys.readdir (Filename.dirname path_dir))))
+
+(* A publish whose rename fails (here: a non-empty directory stands at
+   the entry path, which no rename can replace) evicts its temp file. *)
+let test_failed_publish_leaves_no_temp () =
+  let key = Store.key ~version:"t/1" [ "blocked" ] in
+  Store.store ~ns:"t" ~key 0;
+  let path = entry_file "t" in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  Unix.mkdir (Filename.concat path "nested") 0o755;
+  Store.store ~ns:"t" ~key 1;
+  check Alcotest.(list string) "only the directory" [ Filename.basename path ]
+    (Array.to_list (Sys.readdir (Filename.dirname path)))
 
 let test_stale_version_recovers () =
   let key = Store.key ~version:"t/1" [ "stale" ] in
@@ -830,7 +947,13 @@ let () =
           Alcotest.test_case "width 1 produces first" `Quick
             test_width_one_produces_first;
           Alcotest.test_case "lowest failure wins" `Quick
-            test_lowest_failure_wins ] );
+            test_lowest_failure_wins;
+          Alcotest.test_case "inline tasks spawn nothing" `Quick
+            test_inline_tasks_spawn_nothing;
+          Alcotest.test_case "inline failure at its index" `Quick
+            test_inline_failure_at_its_index;
+          Alcotest.test_case "mixed batch spawns for queued tasks" `Quick
+            test_mixed_batch_spawns ] );
       ( "store",
         [ Alcotest.test_case "hit on identical input" `Quick
             (with_scratch_store test_hit_on_identical_input);
@@ -844,6 +967,8 @@ let () =
             (with_scratch_store test_garbage_entry_recovers);
           Alcotest.test_case "unreadable entries recompute" `Quick
             (with_scratch_store test_unreadable_entries_recompute);
+          Alcotest.test_case "failed publish leaves no temp file" `Quick
+            (with_scratch_store test_failed_publish_leaves_no_temp);
           Alcotest.test_case "stale version" `Quick
             (with_scratch_store test_stale_version_recovers);
           Alcotest.test_case "another build's entry is stale" `Quick
