@@ -356,7 +356,9 @@ ci-chaos:
 # Fault-injection smoke matrix: each registered fault class, injected
 # into a real `apex dse camera` run, must (a) exit 0 — the degradation
 # ladder recovered — and (b) leave a typed outcome in the report
-# (guard.faults_injected plus the class's own marker).  Where the
+# (guard.faults_injected plus the class's own marker; pair-eval and
+# deadline also require their per-site guard.fault.<site> count, which
+# a one-shot fault records as a seeded shot does).  Where the
 # ladder guarantees *identical results* (a fault that only costs work:
 # SMT exhaustion degrades a proved rule to tested-only, width-SMT
 # exhaustion keeps the same narrowings on differential evidence, a
@@ -392,7 +394,7 @@ ci-faults:
 	dune exec bin/apex_cli.exe -- dse camera --no-cache --jobs 4 --inject-fault pair-eval --trace=$(CI_DSE_FAULT) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) \
 	  --require guard.faults_injected --require guard.outcome.skipped \
-	  --require exec.pool_parallel_batches
+	  --require guard.fault.pair-eval --require exec.pool_parallel_batches
 	rm -rf $(CI_FAULT_CACHE)
 	APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse camera --inject-fault store-crash --trace=$(CI_DSE_FAULT) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) \
@@ -404,10 +406,12 @@ ci-faults:
 	dune exec bin/apex_cli.exe -- report-diff --results-only $(CI_DSE_BASE) $(CI_DSE_FAULT)
 	APEX_CACHE_DIR=$(CI_FAULT_CACHE) dune exec bin/apex_cli.exe -- dse camera --inject-fault pair-eval --trace=$(CI_DSE_FAULT) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) \
-	  --require guard.faults_injected --require guard.outcome.skipped
+	  --require guard.faults_injected --require guard.outcome.skipped \
+	  --require guard.fault.pair-eval
 	dune exec bin/apex_cli.exe -- dse camera --no-cache --inject-fault deadline:2000 --trace=$(CI_DSE_FAULT) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) \
-	  --require guard.faults_injected --require guard.outcome.degraded
+	  --require guard.faults_injected --require guard.outcome.degraded \
+	  --require guard.fault.deadline
 	dune exec bin/apex_cli.exe -- dse camera --no-cache --inject-fault width-smt-exhaust --trace=$(CI_DSE_FAULT) > /dev/null
 	dune exec bin/apex_cli.exe -- trace-check $(CI_DSE_FAULT) \
 	  --require guard.faults_injected --require guard.outcome.degraded \

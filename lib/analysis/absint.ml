@@ -3,10 +3,9 @@
    Three cooperating domains run as a reduced product per node:
    wrap-around intervals ([Itv]), known bits ([Kbits]) and constancy.
    Node ids are topologically ordered, so a forward sweep visits every
-   argument before its user; [Reg]/[Reg_file] nodes are the only
-   back-edges in the modelled hardware (values crossing a cycle
-   boundary) and their transfer is ⊤, which makes the sweep a fixpoint —
-   we still iterate until facts stabilise as a self-check. *)
+   argument before its user; [Reg]/[Reg_file] nodes hold values across
+   a cycle boundary and their transfer is ⊤, so the one sweep is the
+   fixpoint. *)
 
 module Op = Apex_dfg.Op
 module G = Apex_dfg.Graph
@@ -163,11 +162,7 @@ let transfer (op : Op.t) (f : int -> fact) =
 module Problem = struct
   type nonrec fact = fact
 
-  let name = "absint"
-
   let direction = Dataflow.Forward
-
-  let equal = fact_equal
 
   let init _g (nd : G.node) =
     match Op.result_width nd.op with Op.Word -> top_word | Op.Bit -> top_bit

@@ -1,13 +1,13 @@
 (* A generic monotone-dataflow engine over [Dfg.Graph].
 
-   Node ids are topologically ordered and the only back-edges in the
-   modelled hardware are [Reg]/[Reg_file] (whose transfers are constant),
-   so a single sweep in direction order reaches the fixpoint; the
-   worklist exists to make that true for *any* monotone problem, to
-   re-converge cheaply when a transfer is sharpened mid-iteration, and
-   to keep the engine honest about non-monotone transfer bugs (the
-   visit cap below turns an oscillation into a loud failure instead of
-   a hang).
+   Node ids are topologically ordered: every argument id is smaller
+   than the id of the node using it, so a [Graph.t] has no back-edges
+   ([Reg]/[Reg_file] cross a cycle boundary in the hardware, not in the
+   graph, and their transfers are constant).  One sweep in direction
+   order therefore visits each node after every fact its transfer
+   reads: ids ascending for a forward problem (arguments first),
+   descending for a backward one (users first).  Each fact is final
+   when computed, so the sweep is the fixpoint.
 
    Facts live in a dense [fact array] indexed by node id — the graphs
    are small (tens to a few hundred nodes) and every client wants
@@ -20,11 +20,7 @@ type direction = Forward | Backward
 module type PROBLEM = sig
   type fact
 
-  val name : string
-
   val direction : direction
-
-  val equal : fact -> fact -> bool
 
   val init : G.t -> G.node -> fact
 
@@ -38,52 +34,13 @@ module Make (P : PROBLEM) = struct
     let nodes = G.nodes g in
     let succs = G.succs g in
     let facts = Array.init n (fun i -> P.init g nodes.(i)) in
-    (* dependents: who must be re-examined when node [i]'s fact moves.
-       Forward transfers read argument facts, so users depend on [i];
-       backward transfers read user facts, so arguments depend on [i]. *)
-    let dependents =
-      match P.direction with
-      | Forward -> fun i -> succs.(i)
-      | Backward ->
-          fun i ->
-            Array.fold_left
-              (fun acc a -> if List.mem a acc then acc else a :: acc)
-              [] nodes.(i).G.args
-            |> List.rev
-    in
-    let queue = Queue.create () in
-    let queued = Array.make n false in
-    let enqueue i =
-      if not queued.(i) then begin
-        queued.(i) <- true;
-        Queue.add i queue
-      end
-    in
-    (* seed every node in direction order: for a topologically ordered
-       DAG the first drain is then exactly one optimal-order sweep *)
-    (match P.direction with
-    | Forward -> for i = 0 to n - 1 do enqueue i done
-    | Backward -> for i = n - 1 downto 0 do enqueue i done);
-    let visits = ref 0 in
-    (* any monotone problem on a bounded lattice converges well below
-       this; blowing through it means a transfer is oscillating *)
-    let cap = 64 * (n + 1) in
-    while not (Queue.is_empty queue) do
+    let visit i =
       Apex_guard.tick ();
-      let i = Queue.pop queue in
-      queued.(i) <- false;
-      incr visits;
-      if !visits > cap then
-        invalid_arg
-          (Printf.sprintf
-             "Dataflow.%s: no fixpoint after %d visits (non-monotone transfer?)"
-             P.name cap);
-      let f' = P.transfer g ~succs nodes.(i) (fun j -> facts.(j)) in
-      if not (P.equal facts.(i) f') then begin
-        facts.(i) <- f';
-        List.iter enqueue (dependents i)
-      end
-    done;
-    Apex_telemetry.Counter.add "analysis.dataflow.visits" !visits;
+      facts.(i) <- P.transfer g ~succs nodes.(i) (fun j -> facts.(j))
+    in
+    (match P.direction with
+    | Forward -> for i = 0 to n - 1 do visit i done
+    | Backward -> for i = n - 1 downto 0 do visit i done);
+    Apex_telemetry.Counter.add "analysis.dataflow.visits" n;
     facts
 end

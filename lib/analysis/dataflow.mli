@@ -1,15 +1,17 @@
 (** Generic monotone-dataflow engine over {!Apex_dfg.Graph}.
 
-    A problem supplies a bounded (semi)lattice of facts, a direction and
-    a transfer function; {!Make} supplies deterministic worklist
-    iteration to the least fixpoint.  {!Absint} (forward reduced
-    product) and {!Demand} (backward demanded bits) are the two
-    instances.
+    A problem supplies a fact per node, a direction and a transfer
+    function; {!Make} supplies one sweep in direction order.  Node ids
+    are topologically ordered (every argument id is smaller than its
+    user's), so ids ascending for [Forward] and descending for
+    [Backward] visit each node after every fact its transfer reads:
+    each fact is final when computed and the sweep is the fixpoint.
+    {!Absint} (forward reduced product) and {!Demand} (backward
+    demanded bits) are the two instances.
 
-    Determinism contract: for a fixed graph the visit order, the visit
-    count and the resulting fact array are identical on every run — the
-    worklist is a FIFO seeded in direction order, with no hashing or
-    timing in the loop.  Each [solve] adds the visit count to the
+    Determinism contract: for a fixed graph the visit order and the
+    resulting fact array are identical on every run.  Each [solve]
+    visits every node once and adds the node count to the
     [analysis.dataflow.visits] counter. *)
 
 type direction = Forward | Backward
@@ -17,18 +19,12 @@ type direction = Forward | Backward
 module type PROBLEM = sig
   type fact
 
-  val name : string
-  (** Used in diagnostics when convergence fails. *)
-
   val direction : direction
 
-  val equal : fact -> fact -> bool
-
   val init : Apex_dfg.Graph.t -> Apex_dfg.Graph.node -> fact
-  (** Starting fact per node — the lattice bottom for the node's shape.
-      For monotone transfers the result is the least fixpoint above
-      these seeds; nodes whose transfer ignores its inputs (sources in
-      the chosen direction) overwrite their seed on the first visit. *)
+  (** Starting fact per node.  The sweep overwrites it with the node's
+      transfer before any transfer reads it, unless the graph's ids
+      break the topological order. *)
 
   val transfer :
     Apex_dfg.Graph.t ->
@@ -36,18 +32,15 @@ module type PROBLEM = sig
     Apex_dfg.Graph.node ->
     (int -> fact) ->
     fact
-  (** [transfer g ~succs nd get] recomputes [nd]'s fact; [get j] is the
-      current fact of node id [j].  Forward problems read argument
-      facts, backward problems read user facts (via [succs]); [g] is
-      available for structural peeking (constant siblings, op shapes).
-      Must be monotone in the facts it reads. *)
+  (** [transfer g ~succs nd get] computes [nd]'s fact; [get j] is the
+      fact of node id [j].  Forward problems read argument facts,
+      backward problems read user facts (via [succs]); [g] is
+      available for structural peeking (constant siblings, op shapes). *)
 end
 
 module Make (P : PROBLEM) : sig
   val solve : Apex_dfg.Graph.t -> P.fact array
-  (** Fact per node id at the fixpoint.
-      @raise Invalid_argument if the iteration fails to converge within
-      the safety cap (a non-monotone transfer).
+  (** Fact per node id.
       @raise Apex_guard.Cancelled cooperatively under an expired
       budget. *)
 end

@@ -112,11 +112,7 @@ let width_mask (nd : G.node) =
 module Problem = struct
   type fact = int
 
-  let name = "demand"
-
   let direction = Dataflow.Backward
-
-  let equal = Int.equal
 
   (* bottom (nothing demanded) everywhere except the externally
      observable output markers *)

@@ -339,9 +339,8 @@ let run ?(vectors = 64) (g : G.t) =
        cur := g';
        continue_ := changed
      done
-   with Apex_guard.Cancelled msg ->
-     outcome :=
-       Apex_guard.Outcome.Degraded (Apex_guard.reason_of_message msg));
+   with Apex_guard.Cancelled _ ->
+     outcome := Apex_guard.Outcome.Degraded Apex_guard.Outcome.Deadline);
   let g', dce_removed = dce !cur in
   let validated = equiv_check ~vectors g g' in
   let graph = if validated then g' else g in

@@ -13,7 +13,7 @@ module Lint = Apex_lint.Engine
    the pool's producer looks a pair's cover up and hands it to the
    task ([evaluate_built]), and runners never read the scope. *)
 type scope = {
-  analyses : (string * Miner.config * string, Analysis.ranked list) Hashtbl.t;
+  analyses : (string * string, Analysis.ranked list) Hashtbl.t;
   variants : (string, Variants.t) Hashtbl.t;
   covers : (string, Metrics.post_mapping * Apex_mapper.Cover.t) Hashtbl.t;
 }
@@ -46,11 +46,11 @@ let with_local_memo f =
   r := Some (new_scope ());
   Fun.protect f ~finally:(fun () -> r := saved)
 
-let default_mining = { Miner.default_config with max_size = 4 }
+let mining_config = { Miner.default_config with max_size = 4 }
 
-let analysis_of ?(config = default_mining) (app : Apps.t) =
+let analysis_of (app : Apps.t) =
   let app = Optimize.app app in
-  let key = (app.name, config, Optimize.key_suffix ()) in
+  let key = (app.name, Optimize.key_suffix ()) in
   let analyses = (current_scope ()).analyses in
   match Hashtbl.find_opt analyses key with
   | Some r ->
@@ -63,8 +63,9 @@ let analysis_of ?(config = default_mining) (app : Apps.t) =
            structurally identical kernel reuses the mined artifact *)
         Apex_exec.Store.memoize ~ns:"analysis"
           ~key:
-            (Apex_exec.Store.key ~version:"analysis/2" (app.graph, config))
-          (fun () -> fst (Analysis.analyze ~config app.graph))
+            (Apex_exec.Store.key ~version:"analysis/2"
+               (app.graph, mining_config))
+          (fun () -> fst (Analysis.analyze ~config:mining_config app.graph))
       in
       (* lint verification runs warm or cold — it checks invariants of
          this build's IR, which a cached artifact may violate *)
@@ -294,7 +295,7 @@ let evaluate_pair ?effort ?mapping ((v : Variants.t), (app : Apps.t)) =
   | exception Apex_guard.Cancelled msg ->
       Counter.incr "dse.skipped_pairs";
       Apex_guard.Outcome.record ~phase:"evaluate"
-        (Apex_guard.Outcome.Skipped (Apex_guard.reason_of_message msg));
+        (Apex_guard.Outcome.Skipped Apex_guard.Outcome.Deadline);
       Skipped msg
   | exception Apex_guard.Fault.Injected site ->
       Counter.incr "dse.failed_pairs";

@@ -22,11 +22,9 @@ val with_local_memo : (unit -> 'a) -> 'a
     the job's variants are built. *)
 
 val analysis_of :
-  ?config:Apex_mining.Miner.config ->
-  Apex_halide.Apps.t ->
-  Apex_mining.Analysis.ranked list
+  Apex_halide.Apps.t -> Apex_mining.Analysis.ranked list
 (** Per-application mining + MIS ranking of the optimized kernel
-    ([config] defaults to subgraphs of at most 4 nodes): memoized in
+    (subgraphs of at most 4 nodes): memoized in
     the scope ([dse.analysis_cache_hits] / [_misses]) and in the store
     (ns [analysis], keyed on the graph content), and lint-verified at
     the mining phase boundary on every scope miss.  Mining is the

@@ -28,7 +28,7 @@
      memo tables, which a runner must not touch.
    - With one runner (width 1 or a nested call) everything is
      produced before any task runs: the serial order of a plain
-     build-then-map, so fault schedules and fuel budgets replay.
+     build-then-map, so fault schedules replay.
    - Nested calls (a task or the producer itself calling [map]) run
      serially inline: the pool never over-subscribes beyond the
      configured domain count, and cannot deadlock on itself. *)
@@ -109,11 +109,11 @@ let pipeline ?(inline = fun _ -> false) ~produce f xs =
      namespace (and, per task, its span context through [parts]), so a
      deadline set at the CLI reaches every worker's Guard.tick and a
      tenant-scoped request never leaks artifacts out of its namespace *)
-  let budget = Guard.context () in
+  let budget = Guard.current () in
   let store_ns = Store.namespace () in
   let worker () =
     (Domain.DLS.get in_task) := true;
-    Guard.with_context budget (fun () ->
+    Guard.with_budget budget (fun () ->
         Store.with_namespace store_ns (fun () -> run_tasks ~retire:true))
   in
   let spawned = ref [] in

@@ -1,5 +1,5 @@
 (* Resource governance for the DSE flow: one budget value bundling a
-   wall-clock deadline, step fuel and a cooperative cancellation token,
+   wall-clock deadline and a cooperative cancellation token,
    checked by a cheap [tick] in every worst-case-exponential hot loop
    (mining enumeration, clique branch-and-bound, CDCL search,
    optimizer passes), plus a deterministic fault-injection harness that
@@ -7,7 +7,7 @@
 
    Design constraints, in priority order:
 
-   - With no deadline, no fuel and no armed fault, [tick] must cost a
+   - With no deadline and no unfired deadline shot, [tick] must cost a
      couple of loads and one predictable branch — the hot loops call it
      millions of times and the flow's no-budget results must be
      bit-identical to a run without the guard layer at all.
@@ -87,7 +87,6 @@ end
 module Budget = struct
   type t = {
     deadline : float;  (* absolute Unix time; infinity = no deadline *)
-    fuel : int Atomic.t option;  (* shared step allowance *)
     token : string option Atomic.t;
     parent : t option;
   }
@@ -95,37 +94,26 @@ module Budget = struct
   (* the one unlimited value: [tick] recognizes it physically, so the
      default path through the guard never reads the clock *)
   let unlimited =
-    { deadline = infinity; fuel = None; token = Atomic.make None;
-      parent = None }
+    { deadline = infinity; token = Atomic.make None; parent = None }
 
-  let v ?deadline_s ?fuel () =
-    let deadline =
-      match deadline_s with
-      | Some s when s >= 0.0 -> Unix.gettimeofday () +. s
-      | _ -> infinity
-    in
-    { deadline;
-      fuel = Option.map (fun f -> Atomic.make (max 0 f)) fuel;
-      token = Atomic.make None;
+  let deadline_of = function
+    | Some s when s >= 0.0 -> Unix.gettimeofday () +. s
+    | _ -> infinity
+
+  let v ?deadline_s () =
+    { deadline = deadline_of deadline_s; token = Atomic.make None;
       parent = None }
 
   (* physical, not structural: a budget built with [v ()] carries no
-     deadline or fuel but its token is still a live cancellation point *)
+     deadline but its token is still a live cancellation point *)
   let is_unlimited b = b == unlimited
 
   (* Child derivation: the deadline is the min of the parent's and the
      child's own (a phase deadline can only tighten the run deadline),
-     fuel is the child's own allowance, and the fresh token hangs off
-     the parent so a parent-level cancel reaches every descendant while
-     a child-level cancel stays local. *)
-  let child ?deadline_s ?fuel parent =
-    let own =
-      match deadline_s with
-      | Some s when s >= 0.0 -> Unix.gettimeofday () +. s
-      | _ -> infinity
-    in
-    { deadline = Float.min parent.deadline own;
-      fuel = Option.map (fun f -> Atomic.make (max 0 f)) fuel;
+     and the fresh token hangs off the parent so a parent-level cancel
+     reaches every descendant while a child-level cancel stays local. *)
+  let child ?deadline_s parent =
+    { deadline = Float.min parent.deadline (deadline_of deadline_s);
       token = Atomic.make None;
       parent = Some parent }
 
@@ -140,9 +128,6 @@ module Budget = struct
   let remaining_s b =
     if b.deadline = infinity then None
     else Some (Float.max 0.0 (b.deadline -. Unix.gettimeofday ()))
-
-  (* fuel probe without consuming *)
-  let fuel_left b = Option.map Atomic.get b.fuel
 end
 
 (* --- bounded deterministic retry --- *)
@@ -159,8 +144,6 @@ module Retry = struct
 
   type t = { attempts : int; base_delay_s : float; max_delay_s : float }
 
-  let default = { attempts = 3; base_delay_s = 0.01; max_delay_s = 0.5 }
-
   let v ?(attempts = 3) ?(base_delay_s = 0.01) ?(max_delay_s = 0.5) () =
     if attempts < 1 then
       invalid_arg (Printf.sprintf "Retry.v: attempts %d < 1" attempts);
@@ -174,7 +157,7 @@ module Retry = struct
     Float.min t.max_delay_s
       (t.base_delay_s *. Float.of_int (1 lsl min 30 (max 0 (k - 1))))
 
-  let run ?(policy = default) ?(sleep = Unix.sleepf) ~label ~retryable f =
+  let run ~policy ?(sleep = Unix.sleepf) ~label ~retryable f =
     let rec go attempt =
       match f () with
       | v -> v
@@ -227,38 +210,47 @@ module Fault = struct
 
   let site_names = List.map fst sites
 
-  type armed = { site : string; countdown : int Atomic.t }
-
-  let armed : armed option ref = ref None
-
-  (* Seeded multi-shot schedules: [arm_seeded] draws a deterministic
-     sequence of (site, nth-occurrence) shots over *all* registered
-     sites from a fixed-seed PRNG.  One chaos run then exercises
-     several recovery ladders at once, and the same seed always yields
-     the same schedule — `apex chaos --seed S` runs are reproducible
-     down to the report bytes (on a serial, cold-cache run, where each
-     site's occurrence order is deterministic). *)
+  (* A schedule is a set of (site, nth-occurrence) shots, each firing
+     once when its site reaches its nth occurrence; the run must
+     recover from every one.  [arm "site:nth"] arms a one-shot
+     schedule.  [arm_seeded] draws a multi-shot schedule over *all*
+     registered sites from a fixed-seed PRNG, so one chaos run
+     exercises several recovery ladders at once, and the same seed
+     always yields the same schedule — `apex chaos --seed S` runs are
+     reproducible down to the report bytes (on a serial, cold-cache
+     run, where each site's occurrence order is deterministic). *)
   type shot = { shot_site : string; shot_nth : int; mutable fired : bool }
 
-  type seeded_schedule = {
-    seed : int;
+  type schedule = {
     shots : shot list;
     (* per-site occurrence counters; a shot fires when its site's
        counter reaches the shot's nth occurrence *)
     occurrences : (string, int ref) Hashtbl.t;
-    slock : Mutex.t;
+    lock : Mutex.t;
   }
 
-  let seeded : seeded_schedule option ref = ref None
+  let armed : schedule option ref = ref None
 
-  (* cached per-site flag so Guard.tick only pays for the deadline site
-     when that site is actually armed *)
+  (* cached flag so Guard.tick only pays for the deadline site while an
+     unfired deadline shot remains *)
   let deadline_armed = ref false
 
   let disarm () =
     armed := None;
-    seeded := None;
     deadline_armed := false
+
+  let unfired_deadline shots =
+    List.exists (fun s -> (not s.fired) && s.shot_site = "deadline") shots
+
+  let arm_shots picks =
+    let shots =
+      List.map
+        (fun (site, nth) -> { shot_site = site; shot_nth = nth; fired = false })
+        picks
+    in
+    armed :=
+      Some { shots; occurrences = Hashtbl.create 8; lock = Mutex.create () };
+    deadline_armed := unfired_deadline shots
 
   (* 46-bit LCG; the high bits feed the draws, so the weak low bits of
      the recurrence never reach a schedule.  Fixed-width masking keeps
@@ -288,26 +280,13 @@ module Fault = struct
     in
     draw [] faults (faults * 32)
 
-  let arm_seeded ~seed ~faults =
-    let picks = draw_schedule ~seed ~faults in
-    armed := None;
-    seeded :=
-      Some
-        { seed;
-          shots =
-            List.map
-              (fun (site, nth) ->
-                { shot_site = site; shot_nth = nth; fired = false })
-              picks;
-          occurrences = Hashtbl.create 8;
-          slock = Mutex.create () };
-    deadline_armed := List.exists (fun (s, _) -> s = "deadline") picks
+  let arm_seeded ~seed ~faults = arm_shots (draw_schedule ~seed ~faults)
 
   let schedule () =
-    match !seeded with
+    match !armed with
     | None -> []
     | Some sc ->
-        Mutex.protect sc.slock (fun () ->
+        Mutex.protect sc.lock (fun () ->
             List.map (fun s -> (s.shot_site, s.shot_nth, s.fired)) sc.shots)
 
   let arm spec =
@@ -352,61 +331,45 @@ module Fault = struct
       invalid_arg
         (Printf.sprintf "Fault.arm: unknown site %S (registered: %s)" site
            (String.concat ", " site_names));
-    seeded := None;
-    armed := Some { site; countdown = Atomic.make nth };
-    deadline_armed := String.equal site "deadline"
+    arm_shots [ (site, nth) ]
 
   let arm_from_env () =
     match Sys.getenv_opt "APEX_FAULT" with
     | Some spec when spec <> "" -> arm spec
     | _ -> ()
 
-  let armed_site () = Option.map (fun a -> a.site) !armed
-
-  let fire_seeded sc site =
-    Mutex.protect sc.slock (fun () ->
-        let c =
-          match Hashtbl.find_opt sc.occurrences site with
-          | Some r -> r
-          | None ->
-              let r = ref 0 in
-              Hashtbl.replace sc.occurrences site r;
-              r
-        in
-        incr c;
-        match
-          List.find_opt
-            (fun s -> (not s.fired) && s.shot_site = site && s.shot_nth = !c)
-            sc.shots
-        with
-        | Some s ->
-            s.fired <- true;
-            Counter.incr "guard.faults_injected";
-            Counter.incr ("guard.fault." ^ site);
-            true
-        | None -> false)
-
   (* [fire site] is the registered injection point: true exactly when
-     this call is the armed nth occurrence of [site].  One-shot — the
-     run must recover and finish — and deterministic for a fixed
-     (site, nth) on a serial run; under a pool the atomic countdown
-     still fires exactly once.  A seeded schedule is multi-shot: every
-     scheduled (site, nth) shot fires once, and the run must recover
-     from all of them. *)
+     this call is the nth occurrence of [site] for an unfired shot.
+     Each shot fires once, under a pool too (the schedule's lock orders
+     the occurrences), and deterministically for a fixed schedule on a
+     serial run. *)
   let fire site =
-    match !seeded with
-    | Some sc -> fire_seeded sc site
-    | None -> (
-        match !armed with
-        | Some a when String.equal a.site site ->
-            let prev = Atomic.fetch_and_add a.countdown (-1) in
-            if prev = 1 then begin
-              disarm ();
-              Counter.incr "guard.faults_injected";
-              true
-            end
-            else false
-        | _ -> false)
+    match !armed with
+    | None -> false
+    | Some sc ->
+        Mutex.protect sc.lock (fun () ->
+            let c =
+              match Hashtbl.find_opt sc.occurrences site with
+              | Some r -> r
+              | None ->
+                  let r = ref 0 in
+                  Hashtbl.replace sc.occurrences site r;
+                  r
+            in
+            incr c;
+            match
+              List.find_opt
+                (fun s ->
+                  (not s.fired) && s.shot_site = site && s.shot_nth = !c)
+                sc.shots
+            with
+            | Some s ->
+                s.fired <- true;
+                deadline_armed := unfired_deadline sc.shots;
+                Counter.incr "guard.faults_injected";
+                Counter.incr ("guard.fault." ^ site);
+                true
+            | None -> false)
 
   let inject site = if fire site then raise (Injected site)
 end
@@ -438,32 +401,23 @@ let with_budget b f =
   a.budget <- b;
   Fun.protect f ~finally:(fun () -> a.budget <- saved)
 
-(* fork-join hand-off (used by Exec.Pool) *)
-let context () = current ()
-
-let with_context b f = with_budget b f
-
 let state_of (b : Budget.t) =
   match Budget.cancelled b with
   | Some reason -> Some reason
-  | None -> (
-      match b.Budget.fuel with
-      | Some f when Atomic.fetch_and_add f (-1) <= 0 -> Some "fuel exhausted"
-      | _ ->
-          if
-            (* reaching the deadline counts as expiry: a strict
-               comparison makes a zero-second deadline race the clock's
-               resolution (two gettimeofday calls in the same
-               microsecond would never trip) *)
-            b.Budget.deadline <> infinity
-            && Unix.gettimeofday () >= b.Budget.deadline
-          then begin
-            (* latch the expiry on the token, so siblings sharing this
-               budget trip on the cheap token check from now on *)
-            Budget.cancel b ~reason:"deadline exceeded";
-            Some "deadline exceeded"
-          end
-          else None)
+  | None ->
+      if
+        (* reaching the deadline counts as expiry: a strict comparison
+           makes a zero-second deadline race the clock's resolution (two
+           gettimeofday calls in the same microsecond would never trip) *)
+        b.Budget.deadline <> infinity
+        && Unix.gettimeofday () >= b.Budget.deadline
+      then begin
+        (* latch the expiry on the token, so siblings sharing this
+           budget trip on the cheap token check from now on *)
+        Budget.cancel b ~reason:"deadline exceeded";
+        Some "deadline exceeded"
+      end
+      else None
 
 (* the injected-deadline site: never cancel the shared unlimited value
    (it would poison every later budget parented to it) *)
@@ -492,11 +446,6 @@ let expired () =
   if (not (Budget.is_unlimited a.budget)) || !Fault.deadline_armed then
     fire_deadline_fault a.budget || state_of a.budget <> None
   else false
-
-(* reason for the most useful Outcome: a budget that tripped on its
-   fuel is Fuel, anything else Deadline-shaped *)
-let reason_of_message m : Outcome.reason =
-  if m = "fuel exhausted" then Outcome.Fuel else Outcome.Deadline
 
 (* --- per-phase deadlines --- *)
 

@@ -1,6 +1,6 @@
 (** Resource governance for the DSE flow.
 
-    One {!Budget.t} value bundles a wall-clock deadline, step fuel and a
+    One {!Budget.t} value bundles a wall-clock deadline and a
     cooperative cancellation token.  Hot loops call the cheap {!tick};
     when the ambient budget trips, [tick] raises {!Cancelled} and the
     enclosing search returns its best-so-far answer with a typed
@@ -9,15 +9,17 @@
     ladders. *)
 
 (** Raised by {!tick} when the ambient budget has expired or been
-    cancelled.  The payload is a human-readable reason (feed it to
-    {!reason_of_message} for the typed form). *)
+    cancelled.  The payload is a human-readable reason; a phase that
+    catches it records [Outcome.Deadline]. *)
 exception Cancelled of string
 
 (** Typed per-phase outcomes: what quality of answer a phase produced. *)
 module Outcome : sig
   type reason =
-    | Deadline  (** wall-clock deadline expired *)
-    | Fuel  (** step fuel exhausted *)
+    | Deadline  (** the ambient budget expired or was cancelled *)
+    | Fuel
+        (** a search's own step cap ran out (the miner's subgraph cap,
+            [Clique.solve]'s node budget) *)
     | Fault of string  (** injected fault at the named site *)
     | Error of string  (** unexpected per-item failure, isolated *)
 
@@ -50,12 +52,11 @@ module Outcome : sig
       went (retries, faults, non-exact outcomes), not what it computed. *)
 end
 
-(** Budgets: deadline + fuel + cancellation token, with child
-    derivation for phases and pool workers. *)
+(** Budgets: deadline + cancellation token, with child derivation for
+    phases and pool workers. *)
 module Budget : sig
   type t = {
     deadline : float;  (** absolute Unix time; [infinity] = none *)
-    fuel : int Atomic.t option;  (** shared step allowance *)
     token : string option Atomic.t;  (** cancellation reason, once set *)
     parent : t option;  (** cancellation chains up; deadline pre-folded *)
   }
@@ -65,16 +66,16 @@ module Budget : sig
       costs two loads and a branch — required for bit-identical
       no-budget runs. *)
 
-  val v : ?deadline_s:float -> ?fuel:int -> unit -> t
+  val v : ?deadline_s:float -> unit -> t
   (** Fresh root budget. [deadline_s] is relative seconds from now. *)
 
   val is_unlimited : t -> bool
 
-  val child : ?deadline_s:float -> ?fuel:int -> t -> t
+  val child : ?deadline_s:float -> t -> t
   (** Derive a child: deadline is the min of the parent's and the
-      child's own, fuel is the child's own, and the fresh token hangs
-      off the parent so a parent-level cancel reaches descendants while
-      a child-level cancel stays local. *)
+      child's own, and the fresh token hangs off the parent so a
+      parent-level cancel reaches descendants while a child-level
+      cancel stays local. *)
 
   val cancel : ?reason:string -> t -> unit
   (** Cooperatively cancel (first reason wins, latched). *)
@@ -84,9 +85,6 @@ module Budget : sig
 
   val remaining_s : t -> float option
   (** Seconds until the deadline, or [None] if unlimited. *)
-
-  val fuel_left : t -> int option
-  (** [None] = no fuel limit; [Some n] = remaining steps (may be <= 0). *)
 end
 
 (** Bounded deterministic retry for transient failures (the serve
@@ -98,9 +96,6 @@ module Retry : sig
     max_delay_s : float;  (** backoff cap *)
   }
 
-  val default : t
-  (** 3 attempts, 10 ms base, 500 ms cap. *)
-
   val v : ?attempts:int -> ?base_delay_s:float -> ?max_delay_s:float ->
     unit -> t
   (** @raise Invalid_argument on [attempts < 1] or a negative delay. *)
@@ -111,13 +106,13 @@ module Retry : sig
       unjittered. *)
 
   val run :
-    ?policy:t ->
+    policy:t ->
     ?sleep:(float -> unit) ->
     label:string ->
     retryable:(exn -> bool) ->
     (unit -> 'a) ->
     'a
-  (** [run ~label ~retryable f] calls [f], retrying on exceptions that
+  (** [run ~policy ~label ~retryable f] calls [f], retrying on exceptions that
       [retryable] accepts, with the policy's backoff between attempts.
       Each retry counts [guard.retries.<label>]; when the attempts are
       exhausted the last error re-raises and counts
@@ -129,12 +124,14 @@ module Retry : sig
       every blocking Unix call in the serve loops. *)
 end
 
-(** Deterministic fault injection at registered sites: one-shot
-    ([arm]), or seeded multi-shot schedules ([arm_seeded] /
-    [APEX_FAULT=seed:S[:N]]) for the chaos harness. *)
+(** Deterministic fault injection at registered sites.  Every armed
+    fault is a schedule of (site, nth) shots: [--inject-fault site[:nth]]
+    / [APEX_FAULT=site[:nth]] arm a one-shot schedule, and
+    [seed:S[:N]] ({!arm_seeded}) draws a multi-shot one for the chaos
+    harness. *)
 module Fault : sig
   exception Injected of string
-  (** Raised by {!inject} at the armed site; payload is the site name. *)
+  (** Raised by {!inject} when a shot fires; payload is the site name. *)
 
   val sites : (string * string) list
   (** Every registered site with a one-line description of the recovery
@@ -143,8 +140,8 @@ module Fault : sig
   val site_names : string list
 
   val arm : string -> unit
-  (** [arm "site"] or [arm "site:nth"]: fire at the [nth] occurrence
-      (default 1).  [arm "seed:S"] / [arm "seed:S:N"]: draw a
+  (** [arm "site"] or [arm "site:nth"]: a one-shot schedule firing at
+      the [nth] occurrence of [site] (default 1).  [arm "seed:S"] / [arm "seed:S:N"]: draw a
       deterministic [N]-shot schedule (default 3) over all registered
       sites from seed [S] (see {!arm_seeded}).  @raise Invalid_argument
       on an unknown site or a malformed count/seed. *)
@@ -158,20 +155,18 @@ module Fault : sig
       check relies on. *)
 
   val schedule : unit -> (string * int * bool) list
-  (** The armed seeded schedule as [(site, nth, fired)] triples in draw
-      order; [[]] when no seeded schedule is armed. *)
+  (** The armed schedule as [(site, nth, fired)] triples in draw order;
+      [[]] when nothing is armed. *)
 
   val arm_from_env : unit -> unit
   (** Arm from [APEX_FAULT] when set and nonempty. *)
 
   val disarm : unit -> unit
 
-  val armed_site : unit -> string option
-
   val fire : string -> bool
-  (** [fire site] is [true] exactly when this call is the armed nth
-      occurrence of [site]; one-shot (disarms itself) and counted as
-      [guard.faults_injected]. *)
+  (** [fire site] is [true] exactly when this call is the [nth]
+      occurrence of [site] for an unfired shot; each shot fires once and
+      counts [guard.faults_injected] and [guard.fault.<site>]. *)
 
   val inject : string -> unit
   (** [fire] and raise {!Injected} when it fires. *)
@@ -185,27 +180,19 @@ val set_root : Budget.t -> unit
 val current : unit -> Budget.t
 
 val with_budget : Budget.t -> (unit -> 'a) -> 'a
-(** Run with the given ambient budget, restoring the previous one. *)
-
-val context : unit -> Budget.t
-(** Capture the ambient budget for hand-off to another domain
-    (mirrors [Telemetry.Registry.context]). *)
-
-val with_context : Budget.t -> (unit -> 'a) -> 'a
+(** Run with the given ambient budget, restoring the previous one.
+    [Exec.Pool] hands a batch's [current ()] to its runners with this. *)
 
 val tick : unit -> unit
 (** The hot-loop check.  No-op (two loads, one branch) under the
-    unlimited budget with no armed deadline fault; otherwise checks
-    cancellation, consumes a unit of fuel, reads the clock, and raises
-    {!Cancelled} when the budget has tripped. *)
+    unlimited budget with no unfired deadline shot; otherwise checks
+    cancellation, reads the clock, and raises {!Cancelled} when the
+    budget has tripped. *)
 
 val expired : unit -> bool
 (** Non-raising {!tick} for code that prefers a status-code
     degradation (the CDCL loop returns [Unknown] rather than unwinding
     its trail). *)
-
-val reason_of_message : string -> Outcome.reason
-(** Map a {!Cancelled} payload back to the typed reason. *)
 
 val set_phase_deadline : string -> float -> unit
 (** Configure a per-phase deadline in seconds ([--phase-deadline]). *)

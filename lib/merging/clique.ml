@@ -76,9 +76,9 @@ let solve ?(budget = 2_000_000) (p : problem) =
       | Out_of_budget ->
           optimal := false;
           outcome := Guard.Outcome.Degraded Guard.Outcome.Fuel
-      | Guard.Cancelled msg ->
+      | Guard.Cancelled _ ->
           optimal := false;
-          outcome := Guard.Outcome.Degraded (Guard.reason_of_message msg));
+          outcome := Guard.Outcome.Degraded Guard.Outcome.Deadline);
   Apex_telemetry.Counter.add "merging.clique_nodes" !steps;
   Apex_telemetry.Counter.add "merging.clique_cutoffs" !cutoffs;
   if not !optimal then Apex_telemetry.Counter.incr "merging.clique_budget_exhausted";

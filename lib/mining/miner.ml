@@ -1,17 +1,13 @@
 module G = Apex_dfg.Graph
 module Op = Apex_dfg.Op
 
-type config = {
-  min_support : int;
-  max_size : int;
-  include_consts : bool;
-  generalize_consts : bool;
-  max_subgraphs : int;
-}
+type config = { min_support : int; max_size : int }
 
-let default_config =
-  { min_support = 2; max_size = 5; include_consts = true;
-    generalize_consts = true; max_subgraphs = 2_000_000 }
+let default_config = { min_support = 2; max_size = 5 }
+
+(* the enumeration cap: connected subgraphs visited before mining stops
+   with a [Fuel]-degraded census *)
+let subgraph_cap = 2_000_000
 
 (* constant values and LUT tables are configuration-register contents,
    not structure: patterns that differ only in them are one PE shape *)
@@ -35,9 +31,10 @@ type stats = {
   outcome : Apex_guard.Outcome.t;
 }
 
-(* Undirected adjacency restricted to minable nodes. *)
-let adjacency cfg g =
-  let minable op = Op.is_compute op || (cfg.include_consts && Op.is_const op) in
+(* Undirected adjacency restricted to minable nodes: compute nodes and
+   constants (kernel weights become constant registers, Fig. 2c). *)
+let adjacency g =
+  let minable op = Op.is_compute op || Op.is_const op in
   let n = G.length g in
   let adj = Array.make n [] in
   let ok = Array.make n false in
@@ -95,12 +92,9 @@ type group = {
   mutable count : int;
 }
 
-let canonicalize cfg g sub =
+let canonicalize g sub =
   let induced, _ = G.induced g sub in
-  let induced =
-    if cfg.generalize_consts then G.map_ops induced generalize_op else induced
-  in
-  Pattern.of_graph induced
+  Pattern.of_graph (G.map_ops induced generalize_op)
 
 (* ESU enumeration rooted at [root]: every connected node set of size in
    [2, max_size] containing [root] as its minimum-id member is visited
@@ -147,7 +141,7 @@ let enumerate cfg adj in_sub ~root ~emit =
 let mine cfg g =
   Span.with_ "mining" @@ fun () ->
   Guard.with_phase "mining" @@ fun () ->
-  let adj, ok = adjacency cfg g in
+  let adj, ok = adjacency g in
   let n = G.length g in
   let nodes = G.nodes g in
   (* per node: interned (generalized) op, result width bit, compute *)
@@ -155,7 +149,7 @@ let mine cfg g =
   let op_code =
     Array.map
       (fun (nd : G.node) ->
-        let op = if cfg.generalize_consts then generalize_op nd.op else nd.op in
+        let op = generalize_op nd.op in
         match Hashtbl.find_opt op_ids op with
         | Some c -> c
         | None ->
@@ -234,7 +228,7 @@ let mine cfg g =
   let emit sorted =
     Guard.tick ();
     incr enumerated;
-    if !enumerated > cfg.max_subgraphs then raise Budget;
+    if !enumerated > subgraph_cap then raise Budget;
     (* only patterns with >= 1 compute node are interesting *)
     if List.exists (fun i -> compute.(i)) sorted then begin
       encode sorted;
@@ -244,7 +238,7 @@ let mine cfg g =
             incr canon_hits;
             shape
         | None ->
-            let p = canonicalize cfg g sorted in
+            let p = canonicalize g sorted in
             let grp =
               match Hashtbl.find_opt groups (Pattern.code p) with
               | Some grp -> grp
@@ -270,15 +264,15 @@ let mine cfg g =
      done
    with
   | Budget ->
-      (* the pre-existing enumeration cap: a fuel-shaped truncation *)
+      (* the subgraph cap: a [Fuel] truncation *)
       truncated := true;
       outcome := Guard.Outcome.Degraded Guard.Outcome.Fuel
-  | Guard.Cancelled msg ->
+  | Guard.Cancelled _ ->
       (* deadline or cooperative cancel mid-enumeration: everything
          recorded so far is a valid (if partial) pattern census, the
          same best-so-far shape the subgraph cap produces *)
       truncated := true;
-      outcome := Guard.Outcome.Degraded (Guard.reason_of_message msg));
+      outcome := Guard.Outcome.Degraded Guard.Outcome.Deadline);
   let capped = ref 0 in
   let rejected = ref 0 in
   let found =

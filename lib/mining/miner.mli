@@ -15,18 +15,16 @@ type config = {
   min_support : int;   (** minimum number of occurrences (paper: the
                            GRAMI frequency threshold) *)
   max_size : int;      (** maximum internal nodes per pattern *)
-  include_consts : bool; (** mine constants into patterns (kernel weights
-                             become constant registers, Fig. 2c) *)
-  generalize_consts : bool;
-  (** treat constant values and LUT tables as wildcards, so e.g. all
-      multiply-by-weight subgraphs aggregate into one pattern whose
-      constant becomes a configurable register *)
-  max_subgraphs : int; (** enumeration budget; a warning count is
-                           reported when reached (no silent caps) *)
 }
+(** Constants are always mined into patterns (kernel weights become
+    constant registers, Fig. 2c), and constant values and LUT tables
+    are wildcards, so e.g. all multiply-by-weight subgraphs aggregate
+    into one pattern whose constant becomes a configurable register.
+    Enumeration stops after 2M connected subgraphs (see
+    [stats.truncated]). *)
 
 val default_config : config
-(** [min_support = 2], [max_size = 5], constants included and generalized, 2M budget. *)
+(** [min_support = 2], [max_size = 5]. *)
 
 type found = {
   pattern : Pattern.t;

@@ -5,10 +5,10 @@ type t = { fd : Unix.file_descr }
 (* 50ms, 100, 200, 400, 800, 1600, then 2s flat: ~19s of patience by
    the 12th attempt — generous for a daemon still binding its socket,
    while a down daemon is reported in well under a minute. *)
-let connect_policy ~attempts =
-  Apex_guard.Retry.v ~attempts ~base_delay_s:0.05 ~max_delay_s:2.0 ()
+let connect_policy =
+  Apex_guard.Retry.v ~attempts:12 ~base_delay_s:0.05 ~max_delay_s:2.0 ()
 
-let connect ?(attempts = 12) path =
+let connect path =
   let try_once () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -26,7 +26,7 @@ let connect ?(attempts = 12) path =
   in
   match
     Apex_guard.Retry.run
-      ~policy:(connect_policy ~attempts)
+      ~policy:connect_policy
       ~label:"client_connect" ~retryable try_once
   with
   | c -> c

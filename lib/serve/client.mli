@@ -4,10 +4,10 @@
 type t
 (** One connection; requests on it are synchronous (send, wait). *)
 
-val connect : ?attempts:int -> string -> t
+val connect : string -> t
 (** Connect to the daemon's socket with bounded deterministic
-    exponential backoff (50 ms doubling to a 2 s cap, [attempts] tries
-    total, default 12 — about 19 s of patience) while the socket is
+    exponential backoff (50 ms doubling to a 2 s cap, 12 tries in
+    total — about 19 s of patience) while the socket is
     missing or refusing, which covers a daemon still starting up.
     Anything other than [ENOENT]/[ECONNREFUSED] — permissions, a
     non-socket path — fails fast instead of retrying.

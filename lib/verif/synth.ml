@@ -263,13 +263,13 @@ let structural ?(width = 8) dp p =
      structural_candidates dp p ~on_candidate:try_cfg
    with
   | Found _ -> ()
-  | Apex_guard.Cancelled msg ->
+  | Apex_guard.Cancelled _ ->
       (* budget trip mid-search: no rule for this pattern this run — the
          mapper simply cannot use it, which costs coverage, not
          soundness.  (A Verify trip surfaces the same way: the verdict
          ladder already turned an Unknown proof into Tested.) *)
       Apex_guard.Outcome.record ~phase:"synthesis"
-        (Apex_guard.Outcome.Degraded (Apex_guard.reason_of_message msg)));
+        (Apex_guard.Outcome.Degraded Apex_guard.Outcome.Deadline));
   if !result <> None then Apex_telemetry.Counter.incr "rules.synthesized";
   !result
 

@@ -318,9 +318,7 @@ let test_dataflow_backward_liveness () =
   let module Live = struct
     type fact = bool
 
-    let name = "live"
     let direction = Apex_analysis.Dataflow.Backward
-    let equal = Bool.equal
 
     let init _ (nd : G.node) =
       match nd.G.op with Op.Output _ | Op.Bit_output _ -> true | _ -> false
@@ -344,43 +342,47 @@ let test_dataflow_backward_liveness () =
   Alcotest.(check bool) "sum live" true live.(s);
   Alcotest.(check bool) "dead cone dead" false (live.(dead) || live.(dead2))
 
-let test_dataflow_nonmonotone_raises () =
-  (* a transfer with no fixpoint must hit the visit cap, not hang *)
-  let module Diverge = Apex_analysis.Dataflow.Make (struct
-    type fact = int
-
-    let name = "diverge"
-    let direction = Apex_analysis.Dataflow.Backward
-    let equal = Int.equal
-    let init _ _ = 0
-
-    (* strictly increasing on every recomputation *)
-    let transfer _ ~succs (nd : G.node) get =
-      List.fold_left (fun acc s -> acc + get s) 1 succs.(nd.G.id)
-  end) in
-  (* a DAG always converges (dependents follow topo order), so the cap
-     is only reachable through a corrupt, structurally cyclic graph —
-     exactly the input the cap is there to survive *)
-  let g =
-    G.of_nodes_unchecked
-      [| { G.id = 0; op = Op.Not; args = [| 1 |] };
-         { G.id = 1; op = Op.Not; args = [| 0 |] } |]
-  in
-  match Diverge.solve g with
-  | _ -> Alcotest.fail "diverging transfer must trip the cap"
-  | exception Invalid_argument m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "message names the problem (got %S)" m)
-        true
-        (String.length m >= 17 && String.sub m 0 17 = "Dataflow.diverge:")
-
 let test_dataflow_counter () =
   Apex_telemetry.Registry.reset ();
   Apex_telemetry.Registry.enable ();
   Fun.protect ~finally:Apex_telemetry.Registry.disable @@ fun () ->
-  ignore (Absint.analyze (Apps.by_name "camera").Apps.graph);
-  Alcotest.(check bool) "analysis.dataflow.visits" true
-    (Apex_telemetry.Counter.get "analysis.dataflow.visits" > 0)
+  let g = (Apps.by_name "camera").Apps.graph in
+  ignore (Absint.analyze g);
+  (* one sweep: every node visited exactly once *)
+  check Alcotest.int "analysis.dataflow.visits" (G.length g)
+    (Apex_telemetry.Counter.get "analysis.dataflow.visits")
+
+(* the one-sweep engine against chaotic iteration: start every node at
+   ⊤ for its width and re-apply [Absint.transfer] to every node, in
+   descending id order (users before their arguments, the worst order
+   for a forward problem), until no fact changes *)
+let reference_facts g =
+  let nodes = G.nodes g in
+  let top (nd : G.node) =
+    match Op.result_width nd.op with
+    | Op.Word -> { Absint.itv = Itv.full; kb = Kbits.top; cst = None }
+    | Op.Bit -> { Absint.itv = Itv.bit_top; kb = Kbits.bit_top; cst = None }
+  in
+  let facts = Array.map top nodes in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = Array.length nodes - 1 downto 0 do
+      let nd = nodes.(i) in
+      let f = Absint.transfer nd.op (fun p -> facts.(nd.args.(p))) in
+      if f <> facts.(i) then begin
+        facts.(i) <- f;
+        changed := true
+      end
+    done
+  done;
+  facts
+
+let prop_absint_sweep_is_fixpoint =
+  QCheck.Test.make ~name:"random DAGs: one sweep = chaotic iteration"
+    ~count:300 QCheck.int (fun seed ->
+      let g = Dags.random ~size:40 (Random.State.make [| seed |]) in
+      Absint.analyze g = reference_facts g)
 
 (* --- backward demanded bits --- *)
 
@@ -686,9 +688,9 @@ let () =
       ( "dataflow",
         [ Alcotest.test_case "backward liveness" `Quick
             test_dataflow_backward_liveness;
-          Alcotest.test_case "visit cap" `Quick
-            test_dataflow_nonmonotone_raises;
-          Alcotest.test_case "visit counter" `Quick test_dataflow_counter ] );
+          Alcotest.test_case "visit counter" `Quick test_dataflow_counter;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 5 |])
+            prop_absint_sweep_is_fixpoint ] );
       ( "demand",
         [ Alcotest.test_case "shift masks" `Quick test_demand_masks;
           Alcotest.test_case "const sibling" `Quick

@@ -198,29 +198,6 @@ let with_scratch_store f =
       if Sys.file_exists dir then rm dir)
     f
 
-let test_analysis_key_covers_config () =
-  (* every mining config field is part of the memo and store keys:
-     with constants kept exact, gaussian mines more patterns than the
-     default (generalized) analysis already memoized and stored *)
-  let exact =
-    { Apex_mining.Miner.default_config with
-      max_size = 4; generalize_consts = false }
-  in
-  let direct, _ = Apex_mining.Analysis.analyze ~config:exact gaussian.graph in
-  with_scratch_store @@ fun () ->
-  let exact_count () = List.length (Dse.analysis_of ~config:exact gaussian) in
-  Dse.with_local_memo (fun () ->
-      let default = Dse.analysis_of gaussian in
-      Alcotest.(check bool)
-        "exact constants give more patterns" true
-        (List.length direct > List.length default);
-      check int "memo keeps the configs apart" (List.length direct)
-        (exact_count ()));
-  Dse.with_local_memo (fun () ->
-      ignore (Dse.analysis_of gaussian);
-      check int "store keeps the configs apart" (List.length direct)
-        (exact_count ()))
-
 let test_configspace_memo () =
   (* the configuration-space analysis is store-memoized in
      Variants.make: a warm build serves it without a solver, replays
@@ -806,8 +783,6 @@ let () =
           Alcotest.test_case "pe1 smaller" `Quick test_pe1_smaller_than_base;
           Alcotest.test_case "specialized patterns" `Quick test_specialized_variant_patterns;
           Alcotest.test_case "interesting filter" `Quick test_interesting_patterns_filter;
-          Alcotest.test_case "analysis key covers the config" `Quick
-            test_analysis_key_covers_config;
           Alcotest.test_case "configspace memo" `Quick test_configspace_memo;
           Alcotest.test_case "analyze memo" `Quick test_analyze_memo;
           Alcotest.test_case "degraded mining not stored" `Quick

@@ -41,28 +41,13 @@ let test_unlimited_is_physical () =
     Guard.tick ()
   done
 
-let test_fuel_exhaustion () =
-  let b = Budget.v ~fuel:3 () in
-  check (Alcotest.option Alcotest.int) "full tank" (Some 3) (Budget.fuel_left b);
-  Guard.with_budget b (fun () ->
-      (* 3 units of fuel buy exactly 3 ticks *)
-      Guard.tick ();
-      Guard.tick ();
-      Guard.tick ();
-      match Guard.tick () with
-      | () -> Alcotest.fail "4th tick should have tripped"
-      | exception Guard.Cancelled msg ->
-          check Alcotest.string "typed reason" "fuel"
-            (Outcome.reason_to_string (Guard.reason_of_message msg)))
-
 let test_deadline_expiry () =
   let b = Budget.v ~deadline_s:0.0 () in
   Guard.with_budget b (fun () ->
       match Guard.tick () with
       | () -> Alcotest.fail "expired deadline should trip the first tick"
       | exception Guard.Cancelled msg ->
-          check Alcotest.string "typed reason" "deadline"
-            (Outcome.reason_to_string (Guard.reason_of_message msg)));
+          check Alcotest.string "reason" "deadline exceeded" msg);
   (* the expiry latched on the token: visible without reading the clock *)
   check Alcotest.bool "latched" true (Budget.cancelled b <> None)
 
@@ -99,9 +84,7 @@ let test_child_derivation () =
   check (Alcotest.option Alcotest.string) "reaches children"
     (Some "fleet stop") (Budget.cancelled c2)
 
-let test_remaining_and_fuel_probes () =
-  check (Alcotest.option Alcotest.int) "no fuel limit" None
-    (Budget.fuel_left (Budget.v ()));
+let test_remaining_probe () =
   check Alcotest.bool "no deadline" true
     (Budget.remaining_s (Budget.v ()) = None);
   match Budget.remaining_s (Budget.v ~deadline_s:60.0 ()) with
@@ -145,7 +128,7 @@ let test_arm_validation () =
   | () -> Alcotest.fail "zero occurrence count must be rejected"
   | exception Invalid_argument _ -> ());
   check Alcotest.bool "nothing armed after failed arms" true
-    (Fault.armed_site () = None)
+    (Fault.schedule () = [])
 
 let test_fire_nth_once () =
   Fault.arm "pair-eval:3";
@@ -153,18 +136,40 @@ let test_fire_nth_once () =
   check Alcotest.bool "other sites never fire" false (Fault.fire "smt-exhaust");
   check Alcotest.bool "2nd occurrence" false (Fault.fire "pair-eval");
   check Alcotest.bool "3rd occurrence fires" true (Fault.fire "pair-eval");
-  (* one-shot: the harness disarms itself so the run can recover *)
-  check Alcotest.bool "disarmed after firing" true (Fault.armed_site () = None);
+  (* one-shot: the shot is spent so the run can recover *)
+  check Alcotest.bool "spent after firing" true
+    (Fault.schedule () = [ ("pair-eval", 3, true) ]);
   check Alcotest.bool "4th occurrence" false (Fault.fire "pair-eval");
-  check Alcotest.int "counted" 1 (Counter.get "guard.faults_injected")
+  check Alcotest.int "counted" 1 (Counter.get "guard.faults_injected");
+  check Alcotest.int "counted per site" 1 (Counter.get "guard.fault.pair-eval")
+
+let test_deadline_shot_once () =
+  (* a one-shot deadline fault is a one-shot schedule: under the
+     unlimited budget the 3rd tick raises, and once the shot is spent
+     tick is back to its no-op *)
+  Fault.arm "deadline:3";
+  Guard.tick ();
+  Guard.tick ();
+  (match Guard.tick () with
+  | () -> Alcotest.fail "the 3rd tick must fire the deadline shot"
+  | exception Guard.Cancelled m ->
+      check Alcotest.string "reason" "injected deadline" m);
+  for _ = 1 to 100 do
+    Guard.tick ()
+  done;
+  check Alcotest.bool "spent" true
+    (Fault.schedule () = [ ("deadline", 3, true) ]);
+  check Alcotest.int "counted per site" 1 (Counter.get "guard.fault.deadline");
+  check Alcotest.bool "unlimited budget never cancelled" true
+    (Budget.cancelled Budget.unlimited = None)
 
 let test_arm_from_env () =
   Unix.putenv "APEX_FAULT" "cache-corrupt:2";
   Fun.protect
     (fun () ->
       Fault.arm_from_env ();
-      check (Alcotest.option Alcotest.string) "armed from APEX_FAULT"
-        (Some "cache-corrupt") (Fault.armed_site ()))
+      check Alcotest.bool "armed from APEX_FAULT" true
+        (Fault.schedule () = [ ("cache-corrupt", 2, false) ]))
     ~finally:(fun () -> Unix.putenv "APEX_FAULT" "")
 
 (* --- bounded deterministic retry --- *)
@@ -220,7 +225,7 @@ let test_retry_exhaustion_reraises () =
   (* non-retryable errors propagate without a single retry *)
   let calls = ref 0 in
   (match
-     Guard.Retry.run ~label:"unit2"
+     Guard.Retry.run ~policy:(Guard.Retry.v ()) ~label:"unit2"
        ~retryable:(function Failure _ -> true | _ -> false)
        (fun () ->
          incr calls;
@@ -497,11 +502,11 @@ let test_budget_crosses_pool_domains =
 
 let test_two_ambient_budgets_concurrent_domains () =
   (* Two budgets live at once, each ambient on its own domain: one
-     trips on its fuel, the other keeps ticking untouched until its own
-     token is cancelled with a distinct reason.  The DLS ambient is
-     per-domain state — neither domain's trip may leak into the other's
-     tick. *)
-  let b1 = Budget.v ~fuel:50 () in
+     trips on its expired deadline, the other keeps ticking untouched
+     until its own token is cancelled with a distinct reason.  The DLS
+     ambient is per-domain state — neither domain's trip may leak into
+     the other's tick. *)
+  let b1 = Budget.v ~deadline_s:0.0 () in
   let b2 = Budget.v () in
   let d1 =
     Domain.spawn (fun () ->
@@ -518,8 +523,8 @@ let test_two_ambient_budgets_concurrent_domains () =
   let d2 =
     Domain.spawn (fun () ->
         Guard.with_budget b2 (fun () ->
-            (* more ticks than b1's whole fuel allowance: b1 running dry
-               on the sibling domain must not reach this budget *)
+            (* b1's expiry latches on b1's own token: it must not reach
+               this budget *)
             for _ = 1 to 1_000 do
               Guard.tick ()
             done;
@@ -530,9 +535,9 @@ let test_two_ambient_budgets_concurrent_domains () =
   in
   (match Domain.join d1 with
   | `Tripped (n, m) ->
-      check Alcotest.string "b1 tripped on its fuel" "fuel exhausted" m;
-      check Alcotest.bool "within the allowance" true (n <= 50)
-  | `Never_tripped -> Alcotest.fail "b1's fuel never ran out");
+      check Alcotest.string "b1 tripped on its deadline" "deadline exceeded" m;
+      check Alcotest.int "on the first tick" 0 n
+  | `Never_tripped -> Alcotest.fail "b1's deadline never tripped");
   (match Domain.join d2 with
   | `Tripped m ->
       check Alcotest.string "b2 tripped only on its own cancel"
@@ -547,16 +552,14 @@ let () =
     [ ( "budget",
         [ Alcotest.test_case "unlimited is physical" `Quick
             (guarded test_unlimited_is_physical);
-          Alcotest.test_case "fuel exhaustion" `Quick
-            (guarded test_fuel_exhaustion);
           Alcotest.test_case "deadline expiry" `Quick
             (guarded test_deadline_expiry);
           Alcotest.test_case "cancel latches first reason" `Quick
             (guarded test_cancel_latches_first_reason);
           Alcotest.test_case "child derivation" `Quick
             (guarded test_child_derivation);
-          Alcotest.test_case "remaining and fuel probes" `Quick
-            (guarded test_remaining_and_fuel_probes) ] );
+          Alcotest.test_case "remaining-time probe" `Quick
+            (guarded test_remaining_probe) ] );
       ( "outcome",
         [ Alcotest.test_case "algebra" `Quick (guarded test_outcome_algebra);
           Alcotest.test_case "counters" `Quick (guarded test_outcome_counters)
@@ -565,6 +568,8 @@ let () =
         [ Alcotest.test_case "validation" `Quick (guarded test_arm_validation);
           Alcotest.test_case "nth occurrence, one-shot" `Quick
             (guarded test_fire_nth_once);
+          Alcotest.test_case "deadline shot fires once" `Quick
+            (guarded test_deadline_shot_once);
           Alcotest.test_case "APEX_FAULT env" `Quick (guarded test_arm_from_env)
         ] );
       ( "retry",

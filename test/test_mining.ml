@@ -98,7 +98,7 @@ let test_pattern_size_inputs () =
 (* --- mining on the Fig. 3 convolution --- *)
 
 let mine_conv () =
-  let cfg = { Miner.default_config with min_support = 2; max_size = 3 } in
+  let cfg = { Miner.min_support = 2; max_size = 3 } in
   Miner.mine cfg (conv4 ())
 
 let find_pattern found p =
@@ -124,7 +124,7 @@ let test_mine_stats () =
   Alcotest.(check bool) "enumerated something" true (stats.enumerated > 10)
 
 let test_min_support_filters () =
-  let cfg = { Miner.default_config with min_support = 5; max_size = 3 } in
+  let cfg = { Miner.min_support = 5; max_size = 3 } in
   let found, _ = Miner.mine cfg (conv4 ()) in
   List.iter
     (fun (f : Miner.found) ->
@@ -362,7 +362,7 @@ let prop_miner_matches_brute_force =
   QCheck.Test.make ~name:"ESU enumerates exactly the connected subgraphs"
     ~count:100 QCheck.int (fun seed ->
       let g = Dags.random (Random.State.make [| seed |]) in
-      let cfg = { Miner.default_config with min_support = 1; max_size = 3 } in
+      let cfg = { Miner.min_support = 1; max_size = 3 } in
       let mined, _ = Miner.mine cfg g in
       let mined_sets =
         List.concat_map (fun (f : Miner.found) -> f.embeddings) mined
